@@ -28,7 +28,6 @@ from .consensus import (
     StagingEnsemble,
     averaged_tree,
     bootstrap_orders,
-    bootstrap_stagings,
     consensus_order,
     consensus_staging,
     edge_strength_table,
@@ -69,14 +68,12 @@ from .inference import (
 )
 from .learning import (
     LearnConfig,
-    OrderSearchConfig,
     bhc,
     bhc_stage_depth,
     cmi,
     exhaustive_stage,
     kparents_learn,
     learn,
-    order_search,
     order_search_dp,
     order_search_grouped,
     ordering_score,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,17 +30,14 @@ from .dataset import load_csv, schema_to_json
 from .errors import StagedTreeError
 from .harness import report_export, run_cv
 from .inference import joint_level_iter
-from .learning import (
-    LearnConfig,
-    OrderSearchConfig,
-    learn,
-    order_search,
-    order_search_dp,
-    order_search_grouped,
-)
+from .learning import LearnConfig, learn, order_search_dp, order_search_grouped
 from .tree import bic, tree_from_json, tree_to_json
 
 DEFAULT_THREADS_ENV = "STAGEDTREE_THREADS"
+
+
+class _UsageError(Exception):
+    """A flag combination the command does not take; exits 1 like argparse."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,41 +163,80 @@ def _load_dataset(args):
     return load_csv(args.input, has_header=not args.no_header)
 
 
-def _parse_groups(schema, text):
-    groups = []
-    for chunk in text.split(";"):
-        names = [n.strip() for n in chunk.split(",") if n.strip()]
-        groups.append(tuple(schema.index(n) for n in names))
-    return groups
-
-
-def _resolve_fixed_last(schema, name):
-    return None if name is None else schema.index(name)
-
-
 def _learn_config(args) -> LearnConfig:
     return LearnConfig(algorithm=args.algorithm, k=args.k, smoothing=args.smoothing)
 
 
-def _resolve_order(d, cfg, args):
-    fixed_last = _resolve_fixed_last(d.schema, args.fixed_last)
-    if args.order == "fixed":
-        if not args.order_spec:
-            raise StagedTreeError("--order fixed requires --order-spec")
-        names = [n.strip() for n in args.order_spec.split(",")]
-        return tuple(d.schema.index(n) for n in names)
-    if args.order == "grouped" and not args.groups:
-        raise StagedTreeError("--order grouped requires --groups")
-    groups = tuple(_parse_groups(d.schema, args.groups)) if args.groups else None
-    search = OrderSearchConfig(mode=args.order, groups=groups)
-    order, _ = order_search(d, cfg, search, fixed_last=fixed_last)
-    return order
+# The order flags each ordering mode takes; fixed and grouped need theirs.
+_MODE_FLAGS = {
+    "fixed": ("--order-spec",),
+    "grouped": ("--groups",),
+    "dp": ("--fixed-last", "--random-ties", "--reorder-per-fold"),
+}
+
+
+class _OrderFlags(NamedTuple):
+    mode: str
+    order: tuple[int, ...] | None
+    groups: list[tuple[int, ...]] | None
+    fixed_last: int | None
+    tie_seed: int | None
+
+
+def _order_flags(args, schema) -> _OrderFlags:
+    """Check and parse the order flags of learn, order, bootstrap and cv.
+
+    The mode is --order (--mode on order; on cv it is fixed when --order-spec
+    is given and dp otherwise). fixed needs --order-spec and grouped needs
+    --groups; only dp takes --fixed-last, --random-ties (bootstrap) and
+    --reorder-per-fold (cv). Any other flag is a usage error that names it,
+    as is bootstrap in grouped mode, for which no order votes exist.
+    """
+
+    def given(flag):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        return value is not None and value is not False
+
+    if args.command == "order":
+        mode = args.mode
+    elif args.command == "cv":
+        mode = "fixed" if given("--order-spec") else "dp"
+    else:
+        mode = args.order
+    if args.command == "bootstrap" and mode == "grouped":
+        raise _UsageError("bootstrap takes no --order grouped or --groups: no grouped order votes exist")
+    for flag in sum(_MODE_FLAGS.values(), ()):
+        if given(flag) and flag not in _MODE_FLAGS[mode]:
+            raise _UsageError(f"{flag} does not apply to {mode} ordering")
+    if mode != "dp" and not given(_MODE_FLAGS[mode][0]):
+        raise _UsageError(f"{mode} ordering needs {_MODE_FLAGS[mode][0]}")
+
+    def names(text):
+        return [n.strip() for n in text.split(",") if n.strip()]
+
+    order = groups = fixed_last = None
+    if mode == "fixed":
+        order = tuple(schema.index(n) for n in names(args.order_spec))
+    elif mode == "grouped":
+        groups = [tuple(schema.index(n) for n in names(chunk)) for chunk in args.groups.split(";")]
+    elif args.fixed_last is not None:
+        fixed_last = schema.index(args.fixed_last)
+    return _OrderFlags(mode, order, groups, fixed_last, getattr(args, "random_ties", None))
+
+
+def _search_order(d, cfg, flags: _OrderFlags):
+    """The ordering and its score for learn and order; fixed orders carry no score."""
+    if flags.mode == "fixed":
+        return flags.order, None
+    if flags.mode == "grouped":
+        return order_search_grouped(d, flags.groups, cfg)
+    return order_search_dp(d, cfg, fixed_last=flags.fixed_last)
 
 
 def _cmd_learn(args) -> int:
     d = _load_dataset(args)
     cfg = _learn_config(args)
-    order = _resolve_order(d, cfg, args)
+    order, _ = _search_order(d, cfg, _order_flags(args, d.schema))
     tree = learn(d, order, cfg)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(tree))
@@ -213,14 +250,7 @@ def _cmd_learn(args) -> int:
 
 def _cmd_order(args) -> int:
     d = _load_dataset(args)
-    cfg = _learn_config(args)
-    fixed_last = _resolve_fixed_last(d.schema, args.fixed_last)
-    if args.mode == "grouped":
-        if not args.groups:
-            raise StagedTreeError("--mode grouped requires --groups")
-        order, score = order_search_grouped(d, _parse_groups(d.schema, args.groups), cfg)
-    else:
-        order, score = order_search_dp(d, cfg, fixed_last=fixed_last)
+    order, score = _search_order(d, _learn_config(args), _order_flags(args, d.schema))
     line = ",".join(d.schema.names[v] for v in order)
     print(line)
     print(f"score: {score!r}", file=sys.stderr)
@@ -255,18 +285,17 @@ def _write_edge_csv(edge_table, path):
 def _cmd_bootstrap(args) -> int:
     d = _load_dataset(args)
     cfg = _learn_config(args)
+    flags = _order_flags(args, d.schema)
     plan = ResamplePlan(args.replicates, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
 
     votes = None
-    if args.order == "fixed":
-        if not args.order_spec:
-            raise StagedTreeError("--order fixed requires --order-spec")
-        order = tuple(d.schema.index(n.strip()) for n in args.order_spec.split(","))
+    if flags.mode == "fixed":
+        order = flags.order
     else:
-        fixed_last = _resolve_fixed_last(d.schema, args.fixed_last)
+        fixed_last = flags.fixed_last
         votes = bootstrap_orders(d, plan, cfg, fixed_last=fixed_last, threads=args.threads)
-        decision = consensus_order(votes, tie_seed=args.random_ties)
+        decision = consensus_order(votes, tie_seed=flags.tie_seed)
         order = decision.order
         if fixed_last is not None:
             order = tuple(v for v in order if v != fixed_last) + (fixed_last,)
@@ -316,9 +345,7 @@ def _cmd_cv(args) -> int:
     algorithms = [
         LearnConfig(c.algorithm, k=c.k, smoothing=args.smoothing) for c in _parse_algorithms(args.algorithms)
     ]
-    order = None
-    if args.order_spec:
-        order = tuple(d.schema.index(n.strip()) for n in args.order_spec.split(","))
+    flags = _order_flags(args, d.schema)
     report = run_cv(
         d,
         algorithms,
@@ -326,8 +353,8 @@ def _cmd_cv(args) -> int:
         bootstrap_replicates=args.replicates,
         cut=args.cut,
         seed=args.seed,
-        order=order,
-        fixed_last=_resolve_fixed_last(d.schema, args.fixed_last),
+        order=flags.order,
+        fixed_last=flags.fixed_last,
         predictive_smoothing=args.predictive_smoothing,
         linkage=args.linkage,
         threads=args.threads,
@@ -510,6 +537,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     except StagedTreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

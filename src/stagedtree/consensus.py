@@ -45,7 +45,6 @@ __all__ = [
     "bootstrap_orders",
     "consensus_order",
     "ensemble_from_stagings",
-    "bootstrap_stagings",
     "consensus_staging",
     "averaged_tree",
     "edge_strength_table",
@@ -257,20 +256,6 @@ def _replicate_results(d: Dataset, order, plan: ResamplePlan, cfg: LearnConfig, 
     return _parallel_chunks(
         _staging_chunk_worker, lambda c: (d, order, cfg, c), seeds, threads
     )
-
-
-def bootstrap_stagings(
-    d: Dataset,
-    order,
-    plan: ResamplePlan,
-    cfg: LearnConfig,
-    threads: int = 1,
-) -> StagingEnsemble:
-    """Learn one staging per bootstrap replicate at a fixed ordering and
-    aggregate them into per-depth stage matrices with their disagreement."""
-    order = validate_order(d.schema, order)
-    results = _replicate_results(d, order, plan, cfg, threads)
-    return ensemble_from_stagings(order, [stages for stages, _ in results])
 
 
 def consensus_staging(

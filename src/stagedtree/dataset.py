@@ -62,20 +62,30 @@ class Schema:
     def __len__(self) -> int:
         return len(self.variables)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise DataError(f"unknown variable {name!r}; have {list(self.names)}") from None
+    def index(self, name) -> int:
+        """Position of a variable given by name or by an integer in 0..p-1."""
+        names = self.names
+        if isinstance(name, str) and name in names:
+            return names.index(name)
+        if _is_index(name, len(names)):
+            return int(name)
+        raise DataError(f"unknown variable {name!r}; have {list(names)}")
 
-    def level_index(self, var: int, label: str) -> int:
+    def level_index(self, var: int, label) -> int:
+        """Position of a level of ``var`` given by label or by an integer index."""
         levels = self.variables[var].levels
-        try:
+        if isinstance(label, str) and label in levels:
             return levels.index(label)
-        except ValueError:
-            raise DataError(
-                f"unknown level {label!r} for variable {self.variables[var].name!r}; have {list(levels)}"
-            ) from None
+        if _is_index(label, len(levels)):
+            return int(label)
+        raise DataError(
+            f"unknown level {label!r} for variable {self.variables[var].name!r}; have {list(levels)}"
+        )
+
+
+def _is_index(value, size: int) -> bool:
+    """True for a Python or numpy integer (not a bool) in 0..size-1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < size
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,11 +68,14 @@ def run_cv(
 
     The variable ordering is learned once on the full data per algorithm and
     reused across folds, unless an explicit ``order`` is supplied or
-    ``reorder_per_fold`` asks for a per-fold search.
+    ``reorder_per_fold`` asks for a per-fold search. ``fixed_last`` and
+    ``reorder_per_fold`` steer the search, so neither is taken with ``order``.
     """
     algorithms = list(algorithms)
     if not algorithms:
         raise ModelError("need at least one algorithm")
+    if order is not None and (fixed_last is not None or reorder_per_fold):
+        raise ModelError("an explicit order takes neither fixed_last nor reorder_per_fold")
 
     full_orders = {}
     if order is not None:
@@ -88,7 +91,7 @@ def run_cv(
         plan = ResamplePlan(bootstrap_replicates, derived_seed(seed, 1 + fold_index))
         for cfg in algorithms:
             started = time.perf_counter()
-            if reorder_per_fold and order is None:
+            if reorder_per_fold:
                 fold_order, _ = order_search_dp(train, cfg, fixed_last=fixed_last)
             else:
                 fold_order = full_orders[cfg.label()]

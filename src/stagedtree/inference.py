@@ -7,6 +7,7 @@ scale. Queries never mutate the tree and may run concurrently.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -68,30 +69,37 @@ def _depth_tensor(tree: StagedTree, depth: int) -> np.ndarray:
     return probs[depth][staging.stage_of].reshape(shape + (levels,))
 
 
-def _check_atom_budget(tree: StagedTree) -> None:
-    total = 1
-    for count in tree.schema.level_counts:
-        total *= count
-        if total > MAX_CONTEXTS:
-            raise ModelError(
-                f"outcome space exceeds {MAX_CONTEXTS} atoms; exact enumeration refused"
-            )
+def _forward(tree: StagedTree, hard: dict[int, int], last_depth: int | None = None):
+    """Forward pass over the depths up to ``last_depth`` (default: all).
 
-
-def _prefix_joint(tree: StagedTree, last_depth: int) -> np.ndarray:
-    """Joint distribution of the first ``last_depth + 1`` ordering variables,
-    with axes in ordering positions."""
-    total = 1
-    for depth in range(last_depth + 1):
-        total *= tree.schema.level_counts[tree.order[depth]]
-        if total > MAX_CONTEXTS:
-            raise ModelError(
-                f"prefix outcome space exceeds {MAX_CONTEXTS} cells; exact enumeration refused"
-            )
+    The axes of hard findings are fixed as the pass goes, so only the cells of
+    the other variables are built; their count is capped at MAX_CONTEXTS.
+    Returns the joint over the kept variables, axes in ordering position, and
+    the kept variables in that order.
+    """
+    depths = range(tree.p if last_depth is None else last_depth + 1)
+    kept = [tree.order[depth] for depth in depths if tree.order[depth] not in hard]
+    cells = math.prod(tree.schema.level_counts[var] for var in kept)
+    if cells > MAX_CONTEXTS:
+        raise ModelError(
+            f"outcome space of {cells} cells exceeds {MAX_CONTEXTS}; exact enumeration refused"
+        )
     joint = np.ones(())
-    for depth in range(last_depth + 1):
-        joint = joint[..., None] * _depth_tensor(tree, depth)
-    return joint
+    for depth in depths:
+        var = tree.order[depth]
+        tensor = _depth_tensor(tree, depth)
+        if hard:
+            tensor = tensor[tuple(hard.get(v, slice(None)) for v in tree.order[:depth])]
+        if var in hard:
+            joint = joint * tensor[..., hard[var]]
+        else:
+            joint = joint[..., None] * tensor
+    return joint, kept
+
+
+def _schema_axes(joint: np.ndarray, kept: list[int]):
+    """Reorder the axes of a forward-pass joint to ascending schema index."""
+    return np.ascontiguousarray(joint.transpose(np.argsort(kept))), sorted(kept)
 
 
 def joint_table(tree: StagedTree) -> np.ndarray:
@@ -100,10 +108,7 @@ def joint_table(tree: StagedTree) -> np.ndarray:
     The returned array maps every full level-index assignment to its atom
     probability: ``table[i1, ..., ip]``.
     """
-    _check_atom_budget(tree)
-    joint = _prefix_joint(tree, tree.p - 1)
-    inverse = np.argsort(np.asarray(tree.order))
-    return np.ascontiguousarray(joint.transpose(inverse))
+    return _schema_axes(*_forward(tree, {}))[0]
 
 
 def joint_level_iter(tree: StagedTree):
@@ -119,69 +124,29 @@ def joint_level_iter(tree: StagedTree):
 def marginal(tree: StagedTree, var) -> np.ndarray:
     """Marginal distribution of one variable via a forward pass over the
     ordering prefix that ends at it."""
-    var = tree.schema.index(var) if isinstance(var, str) else int(var)
-    depth = tree.depth_of(var)
-    joint = _prefix_joint(tree, depth)
-    axes = tuple(i for i in range(depth + 1) if i != depth)
-    return joint.sum(axis=axes)
+    depth = tree.depth_of(tree.schema.index(var))
+    joint, _ = _forward(tree, {}, depth)
+    return joint.sum(axis=tuple(range(depth)))
 
 
-def _coerce_hard(tree: StagedTree, evidence: dict) -> dict[int, int]:
+def _by_index(tree: StagedTree, findings: dict) -> dict:
+    """Key findings by variable index; a variable given twice is an error."""
     out = {}
-    for name, label in evidence.items():
-        var = tree.schema.index(name) if isinstance(name, str) else int(name)
-        level = tree.schema.level_index(var, label) if isinstance(label, str) else int(label)
-        if not 0 <= level < tree.schema.level_counts[var]:
-            raise ModelError(f"level index {level} out of range for {tree.schema.names[var]!r}")
-        out[var] = level
+    for name, value in findings.items():
+        var = tree.schema.index(name)
+        if var in out:
+            raise ModelError(f"variable {tree.schema.names[var]!r} is given twice")
+        out[var] = value
     return out
 
 
-def condition_hard(tree: StagedTree, evidence: dict) -> QueryResult:
-    """Exact conditioning on observed levels.
-
-    Evidence axes are fixed during the forward pass, so memory scales with
-    the non-evidence outcome space only.
-    """
-    ev = _coerce_hard(tree, evidence)
-    if not ev:
-        raise ModelError("hard conditioning needs at least one finding")
-    kept_vars: list[int] = []
-    joint = np.ones(())
-    for depth in range(tree.p):
-        tensor = _depth_tensor(tree, depth)
-        var = tree.order[depth]
-        index = tuple(
-            ev[tree.order[i]] if tree.order[i] in ev else slice(None) for i in range(depth)
-        )
-        sliced = tensor[index]
-        if var in ev:
-            joint = joint * sliced[..., ev[var]]
-        else:
-            joint = joint[..., None] * sliced
-            kept_vars.append(var)
-
-    prob = float(joint.sum())
-    if prob == 0.0:
-        findings = {tree.schema.names[v]: tree.schema.variables[v].levels[l] for v, l in ev.items()}
-        raise ModelError(f"evidence has probability zero: {findings}")
-
-    marginals: dict[str, np.ndarray] = {}
-    for axis, var in enumerate(kept_vars):
-        other = tuple(a for a in range(len(kept_vars)) if a != axis)
-        marginals[tree.schema.names[var]] = joint.sum(axis=other) / prob
-    for var, level in ev.items():
-        one_hot = np.zeros(tree.schema.level_counts[var])
-        one_hot[level] = 1.0
-        marginals[tree.schema.names[var]] = one_hot
-    ordered = {name: marginals[name] for name in tree.schema.names}
-    return QueryResult(ordered, evidence_probability=prob)
+def _coerce_hard(tree: StagedTree, evidence: dict) -> dict[int, int]:
+    return {var: tree.schema.level_index(var, label) for var, label in _by_index(tree, evidence).items()}
 
 
 def _coerce_soft(tree: StagedTree, soft: dict) -> dict[int, np.ndarray]:
     out = {}
-    for name, target in soft.items():
-        var = tree.schema.index(name) if isinstance(name, str) else int(name)
+    for var, target in _by_index(tree, soft).items():
         arr = np.asarray(target, dtype=float)
         if arr.shape != (tree.schema.level_counts[var],):
             raise ModelError(f"soft target for {tree.schema.names[var]!r} has wrong length")
@@ -191,10 +156,21 @@ def _coerce_soft(tree: StagedTree, soft: dict) -> dict[int, np.ndarray]:
     return out
 
 
+def _coerce_virtual(tree: StagedTree, weights: dict) -> dict[int, np.ndarray]:
+    out = {}
+    for var, factor in _by_index(tree, weights).items():
+        arr = np.asarray(factor, dtype=float)
+        if arr.shape != (tree.schema.level_counts[var],) or (arr < 0).any():
+            raise ModelError(f"virtual-evidence weights for {tree.schema.names[var]!r} are invalid")
+        out[var] = arr
+    return out
+
+
 def _ipf(joint: np.ndarray, targets: dict[int, np.ndarray], tol: float, max_iter: int):
     """Cyclically rescale the joint until every target marginal is matched.
 
-    Axis keys index axes of ``joint``. Returns (joint, iterations, deviation).
+    Axis keys index axes of ``joint``; each cycle visits them in ascending
+    order. Returns (joint, iterations, deviation).
     """
 
     def deviation() -> float:
@@ -233,6 +209,76 @@ def _ipf(joint: np.ndarray, targets: dict[int, np.ndarray], tol: float, max_iter
     )
 
 
+def _condition(
+    tree: StagedTree,
+    hard: dict[int, int],
+    soft: dict[int, np.ndarray],
+    weights: dict[int, np.ndarray],
+    tol: float = 1e-9,
+    max_iter: int = 1000,
+) -> QueryResult:
+    """The one conditioning core, on coerced findings keyed by variable index.
+
+    Hard findings fix their axes in the forward pass. Virtual weights then
+    rescale the kept joint, and soft targets are matched by IPF, which
+    visits them in ascending schema index. The evidence probability is the
+    mass left after the hard findings and the weights; soft findings alone
+    have none.
+    """
+    names = tree.schema.names
+    if len(set(hard) | set(soft) | set(weights)) < len(hard) + len(soft) + len(weights):
+        raise ModelError("a variable may carry only one kind of evidence")
+    joint, kept = _forward(tree, hard)
+    reweighted = bool(soft or weights)
+    if reweighted:
+        joint, kept = _schema_axes(joint, kept)
+    for var, factor in weights.items():
+        shape = [1] * joint.ndim
+        shape[kept.index(var)] = factor.size
+        joint = joint * factor.reshape(shape)
+    prob = float(joint.sum())
+    if prob == 0.0:
+        findings = {names[v]: tree.schema.variables[v].levels[level] for v, level in hard.items()}
+        findings.update((names[v], "virtual") for v in weights)
+        raise ModelError(f"evidence has probability zero (removed all probability mass): {findings}")
+    has_probability = bool(hard or weights)
+    scale = prob
+    iterations = dev = None
+    if reweighted:
+        if has_probability:
+            joint = joint / prob
+        if soft:
+            targets = {kept.index(var): target for var, target in soft.items()}
+            joint, iterations, dev = _ipf(joint, targets, tol, max_iter)
+        scale = 1.0
+    marginals: dict[str, np.ndarray] = {}
+    for axis, var in enumerate(kept):
+        other = tuple(a for a in range(len(kept)) if a != axis)
+        marginals[names[var]] = joint.sum(axis=other) / scale
+    for var, level in hard.items():
+        one_hot = np.zeros(tree.schema.level_counts[var])
+        one_hot[level] = 1.0
+        marginals[names[var]] = one_hot
+    return QueryResult(
+        {name: marginals[name] for name in names},
+        evidence_probability=prob if has_probability else None,
+        iterations=iterations,
+        max_deviation=dev,
+    )
+
+
+def condition_hard(tree: StagedTree, evidence: dict) -> QueryResult:
+    """Exact conditioning on observed levels.
+
+    Evidence axes are fixed during the forward pass, so memory scales with
+    the non-evidence outcome space only.
+    """
+    ev = _coerce_hard(tree, evidence)
+    if not ev:
+        raise ModelError("hard conditioning needs at least one finding")
+    return _condition(tree, ev, {}, {})
+
+
 def condition_soft(
     tree: StagedTree, soft: dict, tol: float = 1e-9, max_iter: int = 1000
 ) -> QueryResult:
@@ -245,13 +291,7 @@ def condition_soft(
     targets = _coerce_soft(tree, soft)
     if not targets:
         raise ModelError("soft conditioning needs at least one target")
-    joint = joint_table(tree)
-    joint, iterations, dev = _ipf(joint, targets, tol, max_iter)
-    marginals = {}
-    for var, name in enumerate(tree.schema.names):
-        other = tuple(a for a in range(tree.p) if a != var)
-        marginals[name] = joint.sum(axis=other)
-    return QueryResult(marginals, iterations=iterations, max_deviation=dev)
+    return _condition(tree, {}, targets, {}, tol, max_iter)
 
 
 def condition_virtual(tree: StagedTree, weights: dict) -> QueryResult:
@@ -261,74 +301,31 @@ def condition_virtual(tree: StagedTree, weights: dict) -> QueryResult:
     Offered as the alternative reading of a soft finding; the factors need not
     sum to one.
     """
-    joint = joint_table(tree)
-    for name, factor in weights.items():
-        var = tree.schema.index(name) if isinstance(name, str) else int(name)
-        arr = np.asarray(factor, dtype=float)
-        if arr.shape != (tree.schema.level_counts[var],) or (arr < 0).any():
-            raise ModelError(f"virtual-evidence weights for {tree.schema.names[var]!r} are invalid")
-        shape = [1] * tree.p
-        shape[var] = arr.size
-        joint = joint * arr.reshape(shape)
-    prob = float(joint.sum())
-    if prob == 0.0:
-        raise ModelError("virtual evidence removed all probability mass")
-    joint = joint / prob
-    marginals = {}
-    for var, name in enumerate(tree.schema.names):
-        other = tuple(a for a in range(tree.p) if a != var)
-        marginals[name] = joint.sum(axis=other)
-    return QueryResult(marginals, evidence_probability=prob)
+    factors = _coerce_virtual(tree, weights)
+    if not factors:
+        raise ModelError("virtual conditioning needs at least one weight vector")
+    return _condition(tree, {}, {}, factors)
 
 
 def run_query(
     tree: StagedTree, spec: EvidenceSpec, tol: float = 1e-9, max_iter: int = 1000
 ) -> QueryResult:
     """Apply hard findings first, then soft findings on the conditioned joint."""
-    if spec.soft and spec.hard:
-        ev = _coerce_hard(tree, spec.hard)
-        joint = joint_table(tree)
-        index = tuple(ev.get(var, slice(None)) for var in range(tree.p))
-        reduced = joint[index]
-        prob = float(reduced.sum())
-        if prob == 0.0:
-            raise ModelError(f"evidence has probability zero: {spec.hard}")
-        reduced = reduced / prob
-        kept = [var for var in range(tree.p) if var not in ev]
-        targets = {
-            kept.index(v): arr
-            for v, arr in _coerce_soft(tree, dict(spec.soft)).items()
-            if v in kept
-        }
-        if len(targets) != len(spec.soft):
-            raise ModelError("soft evidence may not target a hard-evidence variable")
-        reduced, iterations, dev = _ipf(reduced, targets, tol, max_iter)
-        marginals = {}
-        for axis, var in enumerate(kept):
-            other = tuple(a for a in range(len(kept)) if a != axis)
-            marginals[tree.schema.names[var]] = reduced.sum(axis=other)
-        for var, level in ev.items():
-            one_hot = np.zeros(tree.schema.level_counts[var])
-            one_hot[level] = 1.0
-            marginals[tree.schema.names[var]] = one_hot
-        ordered = {name: marginals[name] for name in tree.schema.names}
-        return QueryResult(ordered, evidence_probability=prob, iterations=iterations, max_deviation=dev)
-    if spec.soft:
-        return condition_soft(tree, dict(spec.soft), tol, max_iter)
-    if spec.hard:
-        return condition_hard(tree, dict(spec.hard))
-    raise ModelError("the evidence specification is empty")
+    if not (spec.hard or spec.soft):
+        raise ModelError("the evidence specification is empty")
+    return _condition(
+        tree, _coerce_hard(tree, spec.hard), _coerce_soft(tree, spec.soft), {}, tol, max_iter
+    )
 
 
 def mutual_information(tree: StagedTree, a, b) -> float:
     """Mutual information (nats) between two variables under the model."""
-    a = tree.schema.index(a) if isinstance(a, str) else int(a)
-    b = tree.schema.index(b) if isinstance(b, str) else int(b)
+    a, b = tree.schema.index(a), tree.schema.index(b)
     if a == b:
         raise ModelError("mutual information needs two distinct variables")
     pos_a, pos_b = tree.depth_of(a), tree.depth_of(b)
     last = max(pos_a, pos_b)
-    joint = _prefix_joint(tree, last)
+    joint, _ = _forward(tree, {}, last)
     keep = sorted((pos_a, pos_b))
     other = tuple(i for i in range(last + 1) if i not in keep)
     pair = joint.sum(axis=other)
@@ -363,11 +360,11 @@ def whatif_sweep(tree: StagedTree, target, predictors=None) -> list[SweepRow]:
     level order: increase, decrease, mixed, or flat. Predictor levels the
     model gives zero probability are skipped with a warning.
     """
-    target = tree.schema.index(target) if isinstance(target, str) else int(target)
+    target = tree.schema.index(target)
     if predictors is None:
         predictors = [v for v in range(tree.p) if v != target]
     else:
-        predictors = [tree.schema.index(v) if isinstance(v, str) else int(v) for v in predictors]
+        predictors = [tree.schema.index(v) for v in predictors]
     if target in predictors:
         raise ModelError("the target cannot be one of the predictors")
 

@@ -29,7 +29,6 @@ from .tree import (
 
 __all__ = [
     "LearnConfig",
-    "OrderSearchConfig",
     "bhc_stage_depth",
     "bhc",
     "exhaustive_stage",
@@ -38,7 +37,6 @@ __all__ = [
     "cmi",
     "variable_score",
     "ordering_score",
-    "order_search",
     "order_search_dp",
     "order_search_grouped",
 ]
@@ -58,36 +56,20 @@ class LearnConfig:
 
     algorithm: str = "bhc"
     k: int | None = None
-    score: str = "bic"
     smoothing: float = 0.0
 
     def __post_init__(self):
         if self.algorithm not in ("bhc", "kparents"):
             raise ModelError(f"unknown algorithm {self.algorithm!r}")
-        if self.score != "bic":
-            raise ModelError(f"unsupported score {self.score!r}")
         if self.algorithm == "kparents" and (self.k is None or self.k < 1):
             raise ModelError("kparents requires k >= 1")
+        if self.algorithm != "kparents" and self.k is not None:
+            raise ModelError(f"k applies only to kparents, not to {self.algorithm}")
         if self.smoothing < 0:
             raise ModelError("smoothing must be non-negative")
 
     def label(self) -> str:
         return "bhc" if self.algorithm == "bhc" else f"kparents:{self.k}"
-
-
-@dataclass(frozen=True)
-class OrderSearchConfig:
-    """How to pick a variable ordering before staging."""
-
-    mode: str = "dp"
-    groups: tuple[tuple[int, ...], ...] | None = None
-    max_p: int = MAX_DP_VARIABLES
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "dp", "grouped"):
-            raise ModelError(f"unknown order-search mode {self.mode!r}")
-        if self.mode == "grouped" and not self.groups:
-            raise ModelError("grouped mode needs a group specification")
 
 
 def _stage_loglik(counts: np.ndarray, smoothing: float) -> np.ndarray:
@@ -446,20 +428,6 @@ def order_search_dp(
         order.append(fixed_last)
     result = tuple(order)
     return result, ordering_score(d, result, cfg, cache)
-
-
-def order_search(
-    d: Dataset,
-    cfg: LearnConfig,
-    search: OrderSearchConfig,
-    fixed_last: int | None = None,
-) -> tuple[Ordering, float]:
-    """Dispatch an order search according to its configuration."""
-    if search.mode == "dp":
-        return order_search_dp(d, cfg, fixed_last=fixed_last, max_p=search.max_p)
-    if search.mode == "grouped":
-        return order_search_grouped(d, search.groups, cfg, max_p=search.max_p)
-    raise ModelError("mode 'fixed' carries no search; pass the ordering directly")
 
 
 def order_search_grouped(

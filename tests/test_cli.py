@@ -296,3 +296,106 @@ class TestMiAndExport:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
         assert abs(sum(float(r["probability"]) for r in rows) - 1.0) < 1e-9
+
+
+# The order flags each mode takes and the one it needs, as the README states.
+ORDER_TAKES = {
+    "fixed": {"--order-spec"},
+    "grouped": {"--groups"},
+    "dp": {"--fixed-last", "--random-ties", "--reorder-per-fold"},
+}
+ORDER_NEEDS = {"fixed": "--order-spec", "grouped": "--groups"}
+ORDER_VALUES = {"--order-spec": "C,A,B", "--groups": "A,B;C", "--fixed-last": "A", "--random-ties": "5"}
+# Per command: the flag that selects the mode, its modes, and the other order flags it has.
+ORDER_COMMANDS = {
+    "learn": ("--order", ("fixed", "dp", "grouped"), ("--order-spec", "--groups", "--fixed-last")),
+    "order": ("--mode", ("dp", "grouped"), ("--groups", "--fixed-last")),
+    "bootstrap": (
+        "--order", ("fixed", "dp", "grouped"),
+        ("--order-spec", "--groups", "--fixed-last", "--random-ties"),
+    ),
+    "cv": (None, (), ("--order-spec", "--fixed-last", "--reorder-per-fold")),
+}
+
+
+def _order_flag_cases():
+    for command, (mode_flag, modes, flags) in ORDER_COMMANDS.items():
+        for mode in (None,) + modes:
+            for mask in range(1 << len(flags)):
+                given = tuple(f for i, f in enumerate(flags) if mask >> i & 1)
+                yield pytest.param(command, mode, given, id=f"{command}-{mode}-{'+'.join(given) or 'none'}")
+
+
+def _expected_rejection(command, mode, given):
+    """The flags named in the error, or None when the command is accepted."""
+    if mode is None:
+        mode = "fixed" if command == "cv" and "--order-spec" in given else "dp"
+    if command == "bootstrap" and mode == "grouped":
+        return {"--order grouped"}
+    extra = set(given) - ORDER_TAKES[mode]
+    if extra:
+        return extra
+    if mode in ORDER_NEEDS and ORDER_NEEDS[mode] not in given:
+        return {ORDER_NEEDS[mode]}
+    return None
+
+
+class TestOrderFlags:
+    @pytest.mark.parametrize("command, mode, given", list(_order_flag_cases()))
+    def test_flag_matrix(self, toy_csv, tmp_path, capsys, command, mode, given):
+        out = tmp_path / "out"
+        argv = [command, "--input", toy_csv]
+        if mode is not None:
+            argv += [ORDER_COMMANDS[command][0], mode]
+        for flag in given:
+            argv += [flag] if flag == "--reorder-per-fold" else [flag, ORDER_VALUES[flag]]
+        if command in ("learn", "order"):
+            argv += ["--output", str(out)]
+        else:
+            argv += ["--replicates", "2", "--outdir", str(out)]
+        if command == "cv":
+            argv += ["--folds", "2"]
+        rejected = _expected_rejection(command, mode, given)
+        code = main(argv)
+        err = capsys.readouterr().err
+        if rejected:
+            assert code == 1
+            assert any(flag in err for flag in rejected), err
+            return
+        assert code == 0, err
+        if command == "learn":
+            model = tree_from_json(out.read_text())
+            order = [model.schema.names[v] for v in model.order]
+        elif command == "order":
+            order = out.read_text().strip().split(",")
+        elif command == "bootstrap":
+            order = (out / "order.txt").read_text().strip().split(",")
+        else:
+            return  # cv writes no ordering
+        assert sorted(order) == ["A", "B", "C"]
+        if "--order-spec" in given:
+            assert order == ["C", "A", "B"]
+        if "--fixed-last" in given:
+            assert order[-1] == "A"
+        if "--groups" in given:
+            assert order.index("C") in (0, 2)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bootstrap", "--order", "grouped", "--groups", "nosuch;alsonot"], "--groups"),
+            (["order", "--mode", "grouped", "--groups", "A,B;C", "--fixed-last", "C"], "--fixed-last"),
+            (["bootstrap", "--order", "fixed", "--order-spec", "C,A,B", "--fixed-last", "C"], "--fixed-last"),
+            (["cv", "--order-spec", "C,A,B", "--fixed-last", "C"], "--fixed-last"),
+            (["bootstrap", "--order", "fixed", "--order-spec", "C,A,B", "--random-ties", "5"], "--random-ties"),
+        ],
+    )
+    def test_formerly_ignored_flags_exit_one(self, toy_csv, tmp_path, capsys, argv, flag):
+        out = ["--outdir", str(tmp_path / "out")] if argv[0] != "order" else []
+        assert main(argv[:1] + ["--input", toy_csv] + argv[1:] + out) == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_k_without_kparents_exits_two(self, toy_csv, tmp_path, capsys):
+        assert main(["learn", "--input", toy_csv, "--k", "3", "--output", str(tmp_path / "m.json")]) == 2
+        assert "kparents" in capsys.readouterr().err

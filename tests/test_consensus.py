@@ -13,7 +13,6 @@ from stagedtree import (
     averaged_tree,
     bhc,
     bootstrap_orders,
-    bootstrap_stagings,
     compress,
     consensus_order,
     consensus_staging,
@@ -255,7 +254,7 @@ class TestBootstrapPipeline:
     def test_duplication_invariance_end_to_end(self):
         rng = np.random.default_rng(10)
         d = chain_data(rng, n=250)
-        ens_m = bootstrap_stagings(d, (0, 1, 2), ResamplePlan(5, seed=4), LearnConfig())
+        ens_m = run_bootstrap_consensus(d, (0, 1, 2), ResamplePlan(5, seed=4), LearnConfig()).ensemble
         reps = [[ens_m.z[depth][:, i] for depth in range(3)] for i in range(5)]
         doubled = ensemble_from_stagings((0, 1, 2), reps + reps)
         for depth in range(3):

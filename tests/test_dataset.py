@@ -210,6 +210,18 @@ class TestSeedsAndSchema:
         with pytest.raises(DataError):
             Dataset(schema, np.array([[2]]))
 
+    def test_index_takes_name_or_position(self):
+        schema = Schema((Variable("u", ("a", "b")), Variable("v", ("x", "y", "z"))))
+        assert schema.index("v") == 1
+        assert schema.index(1) == 1 and schema.index(np.int64(0)) == 0
+        assert schema.level_index(1, "z") == 2 and schema.level_index(1, np.int32(2)) == 2
+        for bad in (-1, 2, "w", True, 1.0, None):
+            with pytest.raises(DataError, match="unknown variable"):
+                schema.index(bad)
+        for bad in (-1, 3, "q", False):
+            with pytest.raises(DataError, match="unknown level"):
+                schema.level_index(1, bad)
+
     def test_rows_are_immutable(self):
         schema = Schema((Variable("u", ("a", "b")),))
         d = Dataset(schema, np.array([[0], [1]]))

@@ -91,6 +91,12 @@ class TestRunCv:
         )
         assert len(report.records) == 2
 
+    def test_explicit_order_rejects_search_flags(self):
+        d = toy_data(np.random.default_rng(6), n=40)
+        for extra in ({"fixed_last": 0}, {"reorder_per_fold": True}):
+            with pytest.raises(ModelError, match="explicit order"):
+                run_cv(d, [LearnConfig()], folds=2, bootstrap_replicates=1, order=(2, 1, 0), **extra)
+
     def test_no_algorithms_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ModelError):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagedtree import (
     ConvergenceError,
+    DataError,
     EvidenceSpec,
     ModelError,
     Schema,
@@ -19,6 +22,7 @@ from stagedtree import (
     run_query,
     whatif_sweep,
 )
+from stagedtree import inference
 from stagedtree.inference import joint_level_iter
 
 from conftest import random_fitted_tree, staging_from_ids
@@ -42,6 +46,155 @@ def condition_by_hand(table, schema, evidence):
         other = tuple(a for a in range(len(kept)) if a != pos)
         out[var] = sliced.sum(axis=other) / prob
     return prob, out
+
+
+def reference_condition_hard(tree, ev):
+    """Oracle: hard conditioning as its own forward pass, the way
+    condition_hard computed it before all conditioning shared one core.
+    ``ev`` maps variable index to level index. Hard-only results of the core
+    must stay bit-equal to this."""
+    kept_vars = []
+    joint = np.ones(())
+    for depth in range(tree.p):
+        tensor = inference._depth_tensor(tree, depth)
+        var = tree.order[depth]
+        index = tuple(
+            ev[tree.order[i]] if tree.order[i] in ev else slice(None) for i in range(depth)
+        )
+        sliced = tensor[index]
+        if var in ev:
+            joint = joint * sliced[..., ev[var]]
+        else:
+            joint = joint[..., None] * sliced
+            kept_vars.append(var)
+    prob = float(joint.sum())
+    marginals = {}
+    for axis, var in enumerate(kept_vars):
+        other = tuple(a for a in range(len(kept_vars)) if a != axis)
+        marginals[tree.schema.names[var]] = joint.sum(axis=other) / prob
+    for var, level in ev.items():
+        one_hot = np.zeros(tree.schema.level_counts[var])
+        one_hot[level] = 1.0
+        marginals[tree.schema.names[var]] = one_hot
+    return marginals, prob
+
+
+def table_oracle(tree, hard, soft, weights):
+    """Oracle for any mix of evidence: slice the joint table at the hard
+    findings, multiply in the virtual weights, normalize, then rescale to the
+    soft targets until they hold to 1e-13. Returns (marginals, mass)."""
+    table = joint_table(tree)
+    kept = [v for v in range(tree.p) if v not in hard]
+    joint = table[tuple(hard.get(v, slice(None)) for v in range(tree.p))]
+
+    def along(var):
+        shape = [1] * len(kept)
+        shape[kept.index(var)] = tree.schema.level_counts[var]
+        return shape
+
+    def margin(var):
+        return joint.sum(axis=tuple(a for a in range(len(kept)) if a != kept.index(var)))
+
+    for var, w in weights.items():
+        joint = joint * w.reshape(along(var))
+    mass = float(joint.sum())
+    joint = joint / mass
+    for _ in range(10000):
+        if all(np.abs(margin(v) - t).max() < 1e-13 for v, t in soft.items()):
+            break
+        for var in sorted(soft):
+            joint = joint * (soft[var] / margin(var)).reshape(along(var))
+    marginals = {tree.schema.names[v]: margin(v) for v in kept}
+    for var, level in hard.items():
+        marginals[tree.schema.names[var]] = np.eye(tree.schema.level_counts[var])[level]
+    return marginals, mass
+
+
+class TestConditioningCore:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_evidence_mix_matches_oracles(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_fitted_tree(rng, max_p=4)
+        hard, soft, weights = {}, {}, {}
+        for var, kind in enumerate(rng.integers(0, 4, size=tree.p)):
+            levels = tree.schema.level_counts[var]
+            if kind == 1:
+                hard[var] = int(rng.integers(0, levels))
+            elif kind == 2:
+                soft[var] = rng.dirichlet(np.ones(levels))
+            elif kind == 3:
+                weights[var] = rng.random(levels)
+        if not (hard or soft or weights):
+            return
+        result = inference._condition(tree, hard, soft, weights)
+        expected, mass = table_oracle(tree, hard, soft, weights)
+        for name in tree.schema.names:
+            assert np.allclose(result.marginals[name], expected[name], rtol=0, atol=1e-7)
+        if hard or weights:
+            assert result.evidence_probability == pytest.approx(mass, rel=1e-12)
+        else:
+            assert result.evidence_probability is None
+        assert (result.iterations is None) == (not soft)
+        if hard:
+            hard_only = inference._condition(tree, hard, {}, {})
+            marginals, prob = reference_condition_hard(tree, hard)
+            assert hard_only.evidence_probability == prob
+            for name in tree.schema.names:
+                assert np.array_equal(hard_only.marginals[name], marginals[name])
+
+    def test_one_kind_of_evidence_per_variable(self, table_model):
+        with pytest.raises(ModelError, match="one kind of evidence"):
+            run_query(table_model, EvidenceSpec(hard={"Country": "SE"}, soft={0: (0.25,) * 4}))
+
+    def test_variable_given_twice_rejected(self, table_model):
+        with pytest.raises(ModelError, match="given twice"):
+            condition_hard(table_model, {"Length": "Low", 1: "High"})
+        with pytest.raises(ModelError, match="given twice"):
+            condition_virtual(table_model, {"Length": (1.0, 0.5), 1: (0.5, 1.0)})
+
+    def test_empty_findings_rejected(self, table_model):
+        for query in (condition_hard, condition_soft, condition_virtual):
+            with pytest.raises(ModelError, match="at least one"):
+                query(table_model, {})
+
+    def test_hard_conditioning_guards_the_outcome_space(self):
+        big = tuple(str(i) for i in range(5000))
+        schema = Schema((Variable("a", ("x", "y")), Variable("b", big), Variable("c", big)))
+        stagings = (
+            staging_from_ids(0, [0]),
+            staging_from_ids(1, [0, 0]),
+            staging_from_ids(2, np.zeros(2 * 5000, dtype=np.int64)),
+        )
+        uniform = np.full((1, 5000), 1 / 5000)
+        tree = StagedTree(schema, (0, 1, 2), stagings, (np.array([[0.5, 0.5]]), uniform, uniform))
+        with pytest.raises(ModelError, match="exceeds"):
+            condition_hard(tree, {"a": "x"})
+        assert condition_hard(tree, {"a": "x", "b": "7"}).marginals["c"][0] == pytest.approx(1 / 5000)
+
+
+class TestVariableIndices:
+    def test_integer_and_numpy_indices_accepted(self, table_model):
+        by_name = condition_hard(table_model, {"Length": "Low"})
+        by_index = condition_hard(table_model, {np.int64(1): 1})
+        for name in table_model.schema.names:
+            assert np.array_equal(by_name.marginals[name], by_index.marginals[name])
+        assert np.array_equal(marginal(table_model, 3), marginal(table_model, "Satisfaction"))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_index_rejected(self, table_model, bad):
+        with pytest.raises(DataError, match="unknown variable"):
+            condition_hard(table_model, {bad: 0})
+        with pytest.raises(DataError, match="unknown variable"):
+            whatif_sweep(table_model, bad)
+        with pytest.raises(DataError, match="unknown variable"):
+            marginal(table_model, bad)
+        with pytest.raises(DataError, match="unknown variable"):
+            mutual_information(table_model, 0, bad)
+
+    def test_out_of_range_level_rejected(self, table_model):
+        with pytest.raises(DataError, match="unknown level"):
+            condition_hard(table_model, {"Length": 2})
 
 
 class TestJointTable:

@@ -377,18 +377,13 @@ class TestGroupedSearch:
             order_search_grouped(d, [(0, 1)], LearnConfig())
 
 
-class TestOrderSearchDispatch:
-    def test_modes_route_correctly(self):
-        from stagedtree import OrderSearchConfig, order_search
-
-        rng = np.random.default_rng(60)
-        d = random_dataset(rng, p=3, n=90, max_levels=2)
-        cfg = LearnConfig()
-        assert order_search(d, cfg, OrderSearchConfig(mode="dp")) == order_search_dp(d, cfg)
-        grouped = order_search(d, cfg, OrderSearchConfig(mode="grouped", groups=((0, 1), (2,))))
-        assert grouped == order_search_grouped(d, [(0, 1), (2,)], cfg)
-        with pytest.raises(ModelError):
-            order_search(d, cfg, OrderSearchConfig(mode="fixed"))
+class TestLearnConfig:
+    def test_k_only_with_kparents(self):
+        assert LearnConfig("kparents", k=2).label() == "kparents:2"
+        with pytest.raises(ModelError, match="k applies only to kparents"):
+            LearnConfig("bhc", k=3)
+        with pytest.raises(ModelError, match="requires k"):
+            LearnConfig("kparents")
 
 
 class TestVariableScoreCache:
