@@ -5,7 +5,21 @@ fixed configuration of the other predecessors) are dropped jointly; dropping
 them together is safe because any two configurations that agree on the kept
 coordinates are connected by a chain of single-coordinate moves through
 invariant coordinates. Each surviving edge is labeled by the kind of equality
-pattern the staging imposes between the child's conditional distributions.
+pattern the staging imposes between the child's conditional distributions:
+
+- ``context_specific``: in some configuration of the other parents, every
+  value of this parent shares one stage;
+- ``partial``: in some configuration, a proper subset of two or more values
+  shares a stage;
+- ``local``: call two parent configurations linked when they share a stage
+  and differ in one coordinate. The edge is local iff some stage's members
+  lie in two or more components of that link graph and take two or more
+  values of this parent;
+- ``symmetric``: none of the above. Precedence is local, partial,
+  context-specific, symmetric.
+
+``compress`` labels every edge of a depth in one vectorised pass over that
+depth's stage grid.
 """
 
 from __future__ import annotations
@@ -89,76 +103,60 @@ class Aldag:
         return None
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _label_axes(grid: np.ndarray) -> list[tuple[str, tuple[str, ...]]]:
+    """``(label, detected)`` for every axis of a stage grid, in one pass.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _same_stage_components(grid: np.ndarray) -> np.ndarray:
-    """Connected components of the graph on parent configurations linking
-    same-stage configurations that differ in exactly one coordinate."""
+    Each axis is sorted within every configuration of the other axes once.
+    A sorted row whose first and last values agree is a full block
+    (context-specific); adjacent equal values in any other row form a proper
+    block (partial). The same sorted rows link the same-stage configurations
+    that differ in that one coordinate; the components of those links over
+    all axes decide ``local``: an axis is local iff some stage's members lie
+    in two or more components and take two or more values on that axis (a
+    cross-component pair that differs on the axis exists iff they do).
+    """
     size = grid.size
-    uf = _UnionFind(size)
     flat_index = np.arange(size).reshape(grid.shape)
+    sources, targets, blocks = [], [], []
     for axis in range(grid.ndim):
-        values = np.moveaxis(grid, axis, 0).reshape(grid.shape[axis], -1)
-        indices = np.moveaxis(flat_index, axis, 0).reshape(grid.shape[axis], -1)
-        for u in range(grid.shape[axis]):
-            for v in range(u + 1, grid.shape[axis]):
-                match = values[u] == values[v]
-                for a, b in zip(indices[u][match], indices[v][match]):
-                    uf.union(int(a), int(b))
-    comp = np.empty(size, dtype=np.int64)
-    for x in range(size):
-        comp[x] = uf.find(x)
-    return comp
+        values = np.moveaxis(grid, axis, -1).reshape(-1, grid.shape[axis])
+        indices = np.moveaxis(flat_index, axis, -1).reshape(-1, grid.shape[axis])
+        order = np.argsort(values, axis=1)
+        values = np.take_along_axis(values, order, axis=1)
+        indices = np.take_along_axis(indices, order, axis=1)
+        same = values[:, 1:] == values[:, :-1]
+        sources.append(indices[:, :-1][same])
+        targets.append(indices[:, 1:][same])
+        full = values[:, 0] == values[:, -1]
+        blocks.append((bool(full.any()), bool((same.any(axis=1) & ~full).any())))
 
+    # Components by min-label propagation: every configuration starts with
+    # its own index, each link lowers both ends to the smaller label, and
+    # pointer jumping (comp[comp]) shortens the chains. A label always names
+    # a member of the same component, so once every link agrees, the labels
+    # are the components.
+    sources, targets = np.concatenate(sources), np.concatenate(targets)
+    comp = np.arange(size)
+    while not np.array_equal(comp[sources], comp[targets]):
+        low = np.minimum(comp[sources], comp[targets])
+        np.minimum.at(comp, sources, low)
+        np.minimum.at(comp, targets, low)
+        comp = comp[comp]
+    # Per stage: does it span two or more components (column 0), and two or
+    # more values of each axis (the other columns)?
+    by_stage = np.argsort(grid, axis=None)
+    stage = grid.reshape(-1)[by_stage]
+    starts = np.flatnonzero(np.r_[True, stage[1:] != stage[:-1]])
+    coords = np.vstack([comp, np.indices(grid.shape).reshape(grid.ndim, -1)]).T[by_stage]
+    spread = np.minimum.reduceat(coords, starts) != np.maximum.reduceat(coords, starts)
+    local = (spread[:, 1:] & spread[:, :1]).any(axis=0)
 
-def _local_evidence_axes(grid: np.ndarray) -> set[int]:
-    """Axes touched by same-stage equalities that the single-coordinate graph
-    cannot explain (pairs in different connected components)."""
-    comp = _same_stage_components(grid)
-    flat_stage = grid.reshape(-1)
-    coords = np.column_stack(np.unravel_index(np.arange(grid.size), grid.shape))
-    evidence: set[int] = set()
-    for stage in np.unique(flat_stage):
-        members = np.flatnonzero(flat_stage == stage)
-        if members.size < 2:
-            continue
-        groups: dict[int, list[int]] = {}
-        for m in members:
-            groups.setdefault(int(comp[m]), []).append(int(m))
-        if len(groups) < 2:
-            continue
-        reps = list(groups.values())
-        for gi in range(len(reps)):
-            for gj in range(gi + 1, len(reps)):
-                for a in reps[gi]:
-                    for b in reps[gj]:
-                        differ = np.flatnonzero(coords[a] != coords[b])
-                        evidence.update(int(ax) for ax in differ)
-    return evidence
-
-
-def _slice_blocks(grid: np.ndarray, axis: int):
-    """For every configuration of the other axes, the partition of the axis
-    values induced by stage equality, as a list of block-size lists."""
-    rows = np.moveaxis(grid, axis, -1).reshape(-1, grid.shape[axis])
+    # The kinds are listed in rising precedence; an edge carries the last.
     out = []
-    for row in rows:
-        _, counts = np.unique(row, return_counts=True)
-        out.append(sorted(int(c) for c in counts))
+    for (has_full, has_proper), has_local in zip(blocks, local):
+        kinds = zip((CONTEXT_SPECIFIC, PARTIAL, LOCAL), (has_full, has_proper, has_local))
+        detected = tuple(kind for kind, seen in kinds if seen)
+        out.append((detected[-1] if detected else SYMMETRIC, detected))
     return out
 
 
@@ -174,29 +172,7 @@ def classify_edge(grid: np.ndarray, axis: int) -> tuple[str, tuple[str, ...]]:
     reference = np.take(grid, [0], axis=axis)
     if bool((grid == reference).all()):
         raise ModelError(f"axis {axis} is removable; it cannot carry an edge label")
-
-    level_count = grid.shape[axis]
-    blocks = _slice_blocks(grid, axis)
-    has_proper = any(any(1 < size < level_count for size in sizes) for sizes in blocks)
-    has_full = any(sizes == [level_count] for sizes in blocks)
-
-    detected = []
-    if has_full:
-        detected.append(CONTEXT_SPECIFIC)
-    if has_proper:
-        detected.append(PARTIAL)
-    if axis in _local_evidence_axes(grid):
-        detected.append(LOCAL)
-
-    if LOCAL in detected:
-        label = LOCAL
-    elif PARTIAL in detected:
-        label = PARTIAL
-    elif CONTEXT_SPECIFIC in detected:
-        label = CONTEXT_SPECIFIC
-    else:
-        label = SYMMETRIC
-    return label, tuple(detected)
+    return _label_axes(grid)[axis]
 
 
 def _reduced_grid(tree: StagedTree, depth: int) -> tuple[np.ndarray, list[int]]:
@@ -220,10 +196,9 @@ def compress(tree: StagedTree) -> Aldag:
     edges: list[AldagEdge] = []
     for depth in range(1, tree.p):
         reduced, kept = _reduced_grid(tree, depth)
-        child = tree.order[depth]
-        for axis_pos, pred_pos in enumerate(kept):
-            label, detected = classify_edge(reduced, axis_pos)
-            edges.append(AldagEdge(tree.order[pred_pos], child, label, detected))
+        if kept:
+            for pred_pos, (label, detected) in zip(kept, _label_axes(reduced)):
+                edges.append(AldagEdge(tree.order[pred_pos], tree.order[depth], label, detected))
     return Aldag(tree.schema, tree.order, tuple(edges))
 
 

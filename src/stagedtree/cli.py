@@ -14,8 +14,6 @@ import os
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from . import aldag as aldag_mod
 from . import inference
 from .consensus import (
@@ -183,9 +181,10 @@ class _OrderFlags(NamedTuple):
     tie_seed: int | None
 
 
-def _order_flags(args, schema) -> _OrderFlags:
-    """Check and parse the order flags of learn, order, bootstrap and cv.
+def _order_mode(args) -> str:
+    """Check the order flags of learn, order, bootstrap and cv; return the mode.
 
+    Runs before the input is read, so a usage error never waits for ingest.
     The mode is --order (--mode on order; on cv it is fixed when --order-spec
     is given and dp otherwise). fixed needs --order-spec and grouped needs
     --groups; only dp takes --fixed-last, --random-ties (bootstrap) and
@@ -210,6 +209,11 @@ def _order_flags(args, schema) -> _OrderFlags:
             raise _UsageError(f"{flag} does not apply to {mode} ordering")
     if mode != "dp" and not given(_MODE_FLAGS[mode][0]):
         raise _UsageError(f"{mode} ordering needs {_MODE_FLAGS[mode][0]}")
+    return mode
+
+
+def _order_flags(args, mode: str, schema) -> _OrderFlags:
+    """Resolve the names in the order flags of a mode checked by _order_mode."""
 
     def names(text):
         return [n.strip() for n in text.split(",") if n.strip()]
@@ -234,9 +238,10 @@ def _search_order(d, cfg, flags: _OrderFlags):
 
 
 def _cmd_learn(args) -> int:
+    mode = _order_mode(args)
     d = _load_dataset(args)
     cfg = _learn_config(args)
-    order, _ = _search_order(d, cfg, _order_flags(args, d.schema))
+    order, _ = _search_order(d, cfg, _order_flags(args, mode, d.schema))
     tree = learn(d, order, cfg)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(tree))
@@ -249,8 +254,9 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    mode = _order_mode(args)
     d = _load_dataset(args)
-    order, score = _search_order(d, _learn_config(args), _order_flags(args, d.schema))
+    order, score = _search_order(d, _learn_config(args), _order_flags(args, mode, d.schema))
     line = ",".join(d.schema.names[v] for v in order)
     print(line)
     print(f"score: {score!r}", file=sys.stderr)
@@ -283,9 +289,10 @@ def _write_edge_csv(edge_table, path):
 
 
 def _cmd_bootstrap(args) -> int:
+    mode = _order_mode(args)
     d = _load_dataset(args)
     cfg = _learn_config(args)
-    flags = _order_flags(args, d.schema)
+    flags = _order_flags(args, mode, d.schema)
     plan = ResamplePlan(args.replicates, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
 
@@ -341,11 +348,12 @@ def _parse_algorithms(text) -> list[LearnConfig]:
 
 
 def _cmd_cv(args) -> int:
+    mode = _order_mode(args)
     d = _load_dataset(args)
     algorithms = [
         LearnConfig(c.algorithm, k=c.k, smoothing=args.smoothing) for c in _parse_algorithms(args.algorithms)
     ]
-    flags = _order_flags(args, d.schema)
+    flags = _order_flags(args, mode, d.schema)
     report = run_cv(
         d,
         algorithms,
@@ -431,13 +439,7 @@ def _cmd_whatif(args) -> int:
     tree = _load_model(args.model)
     spec = inference.EvidenceSpec(_parse_evidence(args.evidence), _parse_soft(args.soft))
     if args.virtual:
-        weights = {name: np.asarray(w, dtype=float) for name, w in spec.soft.items()}
-        for name, label in spec.hard.items():
-            var = tree.schema.index(name)
-            one_hot = np.zeros(tree.schema.level_counts[var])
-            one_hot[tree.schema.level_index(var, label)] = 1.0
-            weights[name] = one_hot
-        result = inference.condition_virtual(tree, weights)
+        result = inference.condition_virtual(tree, spec.soft, spec.hard)
     else:
         result = inference.run_query(tree, spec, tol=args.tol, max_iter=args.max_iter)
     names = [args.target] if args.target else list(tree.schema.names)
@@ -540,11 +542,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except StagedTreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (StagedTreeError, OSError) as exc:
+        print(f"error: {exc}", *getattr(exc, "__notes__", ()), sep="\n", file=sys.stderr)
         return 2
 
 

@@ -13,6 +13,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,40 +114,56 @@ def tally_orders(orders, p: int) -> OrderVoteMatrix:
     return OrderVoteMatrix(counts, n)
 
 
+@contextmanager
+def _naming_replicate(index: int, seed: int):
+    """Add the replicate index and seed that reproduce a failure to its
+    exception, keeping its type."""
+    try:
+        yield
+    except Exception as exc:
+        exc.add_note(f"in bootstrap replicate {index} (seed {seed})")
+        raise
+
+
 def _order_chunk_worker(payload):
-    d, cfg, fixed_last, seeds = payload
+    d, cfg, fixed_last, replicates = payload
     out = []
-    for seed in seeds:
-        replicate = bootstrap_replicate(d, seed)
-        order, _ = order_search_dp(replicate, cfg, fixed_last=fixed_last)
+    for index, seed in replicates:
+        with _naming_replicate(index, seed):
+            replicate = bootstrap_replicate(d, seed)
+            order, _ = order_search_dp(replicate, cfg, fixed_last=fixed_last)
         out.append(order)
     return out
 
 
 def _staging_chunk_worker(payload):
-    d, order, cfg, seeds = payload
+    d, order, cfg, replicates = payload
     out = []
-    for seed in seeds:
-        replicate = bootstrap_replicate(d, seed)
-        tree = learn(replicate, order, cfg)
+    for index, seed in replicates:
+        with _naming_replicate(index, seed):
+            replicate = bootstrap_replicate(d, seed)
+            tree = learn(replicate, order, cfg)
+            aldag = compress(tree)
         stages = tuple(s.stage_of for s in tree.stagings)
-        aldag = compress(tree)
         edges = tuple((e.parent, e.child, e.label) for e in aldag.edges)
         out.append((stages, edges))
     return out
 
 
-def _parallel_chunks(worker, make_payload, seeds, threads):
+def _replicates(plan: ResamplePlan) -> list[tuple[int, int]]:
+    return [(i, plan.replicate_seed(i)) for i in range(plan.replicates)]
+
+
+def _parallel_chunks(worker, make_payload, replicates, threads):
     if threads <= 1:
-        return worker(make_payload(list(seeds)))
-    seeds = list(seeds)
-    n_chunks = min(len(seeds), max(threads * 4, 1))
-    base, extra = divmod(len(seeds), n_chunks)
+        return worker(make_payload(replicates))
+    n_chunks = min(len(replicates), max(threads * 4, 1))
+    base, extra = divmod(len(replicates), n_chunks)
     chunks = []
     start = 0
     for c in range(n_chunks):
         size = base + (1 if c < extra else 0)
-        chunks.append(seeds[start:start + size])
+        chunks.append(replicates[start:start + size])
         start += size
     flat = []
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -164,9 +181,8 @@ def bootstrap_orders(
 ) -> OrderVoteMatrix:
     """Learn one optimal ordering per bootstrap replicate and tally pairwise
     precedence frequencies."""
-    seeds = [plan.replicate_seed(i) for i in range(plan.replicates)]
     orders = _parallel_chunks(
-        _order_chunk_worker, lambda c: (d, cfg, fixed_last, c), seeds, threads
+        _order_chunk_worker, lambda c: (d, cfg, fixed_last, c), _replicates(plan), threads
     )
     return tally_orders(orders, len(d.schema))
 
@@ -252,9 +268,8 @@ def ensemble_from_stagings(order, replicate_stagings) -> StagingEnsemble:
 def _replicate_results(d: Dataset, order, plan: ResamplePlan, cfg: LearnConfig, threads: int):
     """Per-replicate stagings and compressed edge lists, in replicate order."""
     order = validate_order(d.schema, order)
-    seeds = [plan.replicate_seed(i) for i in range(plan.replicates)]
     return _parallel_chunks(
-        _staging_chunk_worker, lambda c: (d, order, cfg, c), seeds, threads
+        _staging_chunk_worker, lambda c: (d, order, cfg, c), _replicates(plan), threads
     )
 
 

@@ -294,17 +294,19 @@ def condition_soft(
     return _condition(tree, {}, targets, {}, tol, max_iter)
 
 
-def condition_virtual(tree: StagedTree, weights: dict) -> QueryResult:
+def condition_virtual(tree: StagedTree, weights: dict, evidence: dict | None = None) -> QueryResult:
     """Likelihood (virtual) evidence: reweight the joint by per-level factors
     and renormalize, instead of pinning posterior marginals.
 
     Offered as the alternative reading of a soft finding; the factors need not
-    sum to one.
+    sum to one. Hard findings in ``evidence`` (observed levels) fix their
+    axes first, as in ``condition_hard``.
     """
     factors = _coerce_virtual(tree, weights)
-    if not factors:
-        raise ModelError("virtual conditioning needs at least one weight vector")
-    return _condition(tree, {}, {}, factors)
+    hard = _coerce_hard(tree, evidence or {})
+    if not (factors or hard):
+        raise ModelError("virtual conditioning needs at least one weight vector or finding")
+    return _condition(tree, hard, {}, factors)
 
 
 def run_query(

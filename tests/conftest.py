@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stagedtree import Dataset, Schema, StagedTree, Variable, encode_bn
+from stagedtree import Dataset, ModelError, Schema, StagedTree, Variable, consensus, encode_bn
 from stagedtree.tree import StageAssignment, canonical_stage_assignment, n_contexts
 
 
@@ -127,3 +127,17 @@ def random_fitted_tree(rng, max_p: int = 4, max_levels: int = 3) -> StagedTree:
 
 def staging_from_ids(depth: int, ids) -> StageAssignment:
     return canonical_stage_assignment(depth, np.asarray(ids))
+
+
+def fail_replicate(monkeypatch, plan, index):
+    """Make one replicate's resampling raise; forked workers inherit the patch."""
+    bad_seed = plan.replicate_seed(index)
+    real = consensus.bootstrap_replicate
+
+    def resample(d, seed):
+        if seed == bad_seed:
+            raise ModelError("injected failure")
+        return real(d, seed)
+
+    monkeypatch.setattr(consensus, "bootstrap_replicate", resample)
+    return f"in bootstrap replicate {index} (seed {bad_seed})"

@@ -22,7 +22,130 @@ from stagedtree import (
     saturated_tree,
 )
 
-from conftest import local_variant_tree, random_dataset, staging_from_ids
+from stagedtree.aldag import _label_axes, _reduced_grid
+from stagedtree.tree import n_contexts
+
+from conftest import local_variant_tree, random_dataset, random_schema, staging_from_ids
+
+
+# Reference labeller: the per-axis classification that compress used before
+# every axis of a depth was labelled in one vectorised pass. It builds the
+# components with a Python union-find and finds local evidence by comparing
+# every cross-component pair of same-stage configurations.
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def _same_stage_components(grid: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on parent configurations linking
+    same-stage configurations that differ in exactly one coordinate."""
+    size = grid.size
+    uf = _UnionFind(size)
+    flat_index = np.arange(size).reshape(grid.shape)
+    for axis in range(grid.ndim):
+        values = np.moveaxis(grid, axis, 0).reshape(grid.shape[axis], -1)
+        indices = np.moveaxis(flat_index, axis, 0).reshape(grid.shape[axis], -1)
+        for u in range(grid.shape[axis]):
+            for v in range(u + 1, grid.shape[axis]):
+                match = values[u] == values[v]
+                for a, b in zip(indices[u][match], indices[v][match]):
+                    uf.union(int(a), int(b))
+    comp = np.empty(size, dtype=np.int64)
+    for x in range(size):
+        comp[x] = uf.find(x)
+    return comp
+
+
+def _local_evidence_axes(grid: np.ndarray) -> set[int]:
+    """Axes touched by same-stage equalities that the single-coordinate graph
+    cannot explain (pairs in different connected components)."""
+    comp = _same_stage_components(grid)
+    flat_stage = grid.reshape(-1)
+    coords = np.column_stack(np.unravel_index(np.arange(grid.size), grid.shape))
+    evidence: set[int] = set()
+    for stage in np.unique(flat_stage):
+        members = np.flatnonzero(flat_stage == stage)
+        if members.size < 2:
+            continue
+        groups: dict[int, list[int]] = {}
+        for m in members:
+            groups.setdefault(int(comp[m]), []).append(int(m))
+        if len(groups) < 2:
+            continue
+        reps = list(groups.values())
+        for gi in range(len(reps)):
+            for gj in range(gi + 1, len(reps)):
+                for a in reps[gi]:
+                    for b in reps[gj]:
+                        differ = np.flatnonzero(coords[a] != coords[b])
+                        evidence.update(int(ax) for ax in differ)
+    return evidence
+
+
+def _slice_blocks(grid: np.ndarray, axis: int):
+    """For every configuration of the other axes, the partition of the axis
+    values induced by stage equality, as a list of block-size lists."""
+    rows = np.moveaxis(grid, axis, -1).reshape(-1, grid.shape[axis])
+    out = []
+    for row in rows:
+        _, counts = np.unique(row, return_counts=True)
+        out.append(sorted(int(c) for c in counts))
+    return out
+
+
+def reference_classify_edge(grid: np.ndarray, axis: int) -> tuple[str, tuple[str, ...]]:
+    if grid.ndim == 0 or axis >= grid.ndim:
+        raise ModelError("axis out of range for the parent grid")
+    reference = np.take(grid, [0], axis=axis)
+    if bool((grid == reference).all()):
+        raise ModelError(f"axis {axis} is removable; it cannot carry an edge label")
+
+    level_count = grid.shape[axis]
+    blocks = _slice_blocks(grid, axis)
+    has_proper = any(any(1 < size < level_count for size in sizes) for sizes in blocks)
+    has_full = any(sizes == [level_count] for sizes in blocks)
+
+    detected = []
+    if has_full:
+        detected.append(CONTEXT_SPECIFIC)
+    if has_proper:
+        detected.append(PARTIAL)
+    if axis in _local_evidence_axes(grid):
+        detected.append(LOCAL)
+
+    if LOCAL in detected:
+        label = LOCAL
+    elif PARTIAL in detected:
+        label = PARTIAL
+    elif CONTEXT_SPECIFIC in detected:
+        label = CONTEXT_SPECIFIC
+    else:
+        label = SYMMETRIC
+    return label, tuple(detected)
+
+
+def reference_compress_edges(tree):
+    edges = []
+    for depth in range(1, tree.p):
+        reduced, kept = _reduced_grid(tree, depth)
+        for axis_pos, pred_pos in enumerate(kept):
+            label, detected = reference_classify_edge(reduced, axis_pos)
+            edges.append((tree.order[pred_pos], tree.order[depth], label, detected))
+    return edges
 
 
 def edge_map(aldag):
@@ -158,6 +281,59 @@ class TestClassifyEdge:
         perm = data.draw(st.permutations(list(range(5))))
         relabeled = np.array(perm)[grid]
         assert classify_edge(grid, axis) == classify_edge(relabeled, axis)
+
+
+@st.composite
+def stage_grids(draw):
+    """Grids of 1-5 axes with 2-4 levels and 1-6 stage ids, some with planted
+    equal values along one axis (whole rows, or pairs within a row)."""
+    shape = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=5), label="shape"))
+    n_ids = draw(st.integers(1, 6), label="ids")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, n_ids, size=shape)
+    for _ in range(draw(st.integers(0, 4), label="plants")):
+        axis = int(rng.integers(len(shape)))
+        row = [int(rng.integers(n)) for n in shape]
+        row[axis] = slice(None)
+        levels = rng.permutation(shape[axis])
+        if rng.random() < 0.5:
+            grid[tuple(row)] = grid[tuple(row)][levels[0]]
+        else:
+            values = grid[tuple(row)]
+            values[levels[1]] = values[levels[0]]
+    return grid
+
+
+class TestLabelAxes:
+    @settings(max_examples=300, deadline=None)
+    @given(grid=stage_grids())
+    def test_matches_per_axis_reference(self, grid):
+        labels = _label_axes(grid)
+        assert len(labels) == grid.ndim
+        for axis in range(grid.ndim):
+            if bool((grid == np.take(grid, [0], axis=axis)).all()):
+                with pytest.raises(ModelError, match="removable"):
+                    classify_edge(grid, axis)
+                continue
+            expected = reference_classify_edge(grid, axis)
+            assert labels[axis] == expected
+            assert classify_edge(grid, axis) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_ids=st.integers(1, 4))
+    def test_compress_matches_reference(self, seed, n_ids):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 6))
+        schema = random_schema(rng, p)
+        order = tuple(int(v) for v in rng.permutation(p))
+        stagings = tuple(
+            staging_from_ids(depth, rng.integers(0, n_ids, size=n_contexts(schema, order, depth)))
+            for depth in range(p)
+        )
+        tree = StagedTree(schema, order, stagings)
+        got = [(e.parent, e.child, e.label, e.detected) for e in compress(tree).edges]
+        assert got == reference_compress_edges(tree)
 
 
 class TestDependenceSubtree:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from stagedtree.cli import main
-from stagedtree import tree_from_json
+from stagedtree import ResamplePlan, tree_from_json, tree_to_json
+
+from conftest import fail_replicate, reference_tree
 
 
 @pytest.fixture
@@ -53,6 +55,30 @@ class TestExitCodes:
         out = tmp_path / "m.json"
         code = main(["learn", "--input", str(tmp_path / "absent.csv"), "--output", str(out)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["learn", "--order", "fixed", "--output", "m.json"], "--order-spec"),
+            (["order", "--mode", "grouped"], "--groups"),
+            (["bootstrap", "--order", "fixed", "--outdir", "out"], "--order-spec"),
+            (["cv", "--order-spec", "A,B,C", "--fixed-last", "A", "--outdir", "out"], "--fixed-last"),
+        ],
+    )
+    def test_usage_error_wins_over_missing_input(self, tmp_path, capsys, argv, flag):
+        code = main(argv[:1] + ["--input", str(tmp_path / "nosuch.csv")] + argv[1:])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert flag in err and "nosuch.csv" not in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failing_replicate_named(self, toy_csv, tmp_path, capsys, monkeypatch, threads):
+        note = fail_replicate(monkeypatch, ResamplePlan(4, 3), 2)
+        argv = ["bootstrap", "--input", toy_csv, "--replicates", "4", "--seed", "3",
+                "--threads", threads, "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "injected failure" in err and note in err
 
     def test_bad_data_exits_two(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -250,6 +276,17 @@ class TestWhatif:
             jeffrey = {(r["variable"], r["level"]): float(r["probability"]) for r in csv.DictReader(fh)}
         assert abs(jeffrey[("B", "hi")] - 0.5) < 1e-9
         assert jeffrey_out.read_bytes() != virtual_out.read_bytes()
+
+    def test_virtual_hard_finding_is_exact(self, tmp_path):
+        model = tmp_path / "reference.json"
+        model.write_text(tree_to_json(reference_tree()))
+        out = tmp_path / "post.csv"
+        argv = ["whatif", "--model", str(model), "--virtual", "--evidence", "Satisfaction=Low",
+                "--soft", "Length=0.3,0.7", "--output", str(out)]
+        assert main(argv) == 0
+        with open(out) as fh:
+            rows = {(r["variable"], r["level"]): r["probability"] for r in csv.DictReader(fh)}
+        assert [rows[("Satisfaction", c)] for c in ("High", "Low", "Medium")] == ["0.0", "1.0", "0.0"]
 
     def test_impossible_evidence_exits_two(self, model_json, tmp_path):
         code = main(

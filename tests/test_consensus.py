@@ -27,7 +27,7 @@ from stagedtree import (
 )
 from stagedtree.consensus import context_labels_for_depth
 
-from conftest import random_dataset, staging_from_ids
+from conftest import fail_replicate, random_dataset, staging_from_ids
 
 
 def chain_data(rng, n=400, p=3):
@@ -283,6 +283,21 @@ class TestBootstrapPipeline:
         refit = fit(result.averaged, d)
         for a, b in zip(result.averaged.probs, refit.probs):
             assert np.array_equal(a, b)
+
+
+class TestReplicateFailures:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("stage", ["orders", "stagings"])
+    def test_failure_names_replicate_and_seed(self, monkeypatch, threads, stage):
+        d = chain_data(np.random.default_rng(14), n=120)
+        plan = ResamplePlan(5, seed=7)
+        note = fail_replicate(monkeypatch, plan, 3)
+        with pytest.raises(ModelError, match="injected failure") as exc:
+            if stage == "orders":
+                bootstrap_orders(d, plan, LearnConfig(), threads=threads)
+            else:
+                run_bootstrap_consensus(d, (0, 1, 2), plan, LearnConfig(), threads=threads)
+        assert note in exc.value.__notes__
 
 
 class TestHeatmapExport:

@@ -358,6 +358,13 @@ class TestConditionVirtual:
         for name in table_model.schema.names:
             assert np.allclose(virtual.marginals[name], hard.marginals[name], atol=1e-12)
 
+    def test_hard_findings_fix_their_axes(self, table_model):
+        virtual = condition_virtual(table_model, {}, {"Satisfaction": "Low"})
+        hard = condition_hard(table_model, {"Satisfaction": "Low"})
+        assert virtual.evidence_probability == hard.evidence_probability
+        for name in table_model.schema.names:
+            assert np.array_equal(virtual.marginals[name], hard.marginals[name])
+
     def test_differs_from_jeffrey_in_general(self, table_model):
         target = np.array([0.5, 0.5])
         jeffrey = condition_soft(table_model, {"Length": target})
