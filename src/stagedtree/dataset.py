@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ModelError
 
 __all__ = [
     "Variable",
@@ -24,6 +25,9 @@ __all__ = [
     "schema_to_json",
     "schema_from_json",
 ]
+
+# Most contexts of one depth, or cells of one count table, any array may hold.
+MAX_CONTEXTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,29 @@ class Dataset:
     def take_rows(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.schema, np.ascontiguousarray(self.rows[idx]))
 
+    def counts(self, cols) -> np.ndarray:
+        """Joint level counts of ``cols`` in that order: an int64 array with
+        one axis per column, sized by its level count. Every fit and score
+        reads its contingency table from here; nothing else tallies rows."""
+        levels = self.schema.level_counts
+        shape = tuple(levels[c] for c in cols)
+        cells = cell_count(shape, f"cells in the count table of columns {tuple(int(c) for c in cols)}")
+        codes = np.zeros(self.n, dtype=np.int64)
+        for c, size in zip(cols, shape):
+            codes = codes * size + self.rows[:, c]
+        return np.bincount(codes, minlength=cells).reshape(shape)
+
+
+def cell_count(shape, what: str) -> int:
+    """Number of cells of an array of ``shape``; past MAX_CONTEXTS the array
+    is refused with an error naming ``what`` it would have held."""
+    total = 1
+    for size in shape:
+        total *= size
+        if total > MAX_CONTEXTS:
+            raise ModelError(f"more than {MAX_CONTEXTS} {what}; this model is beyond desk scale")
+    return total
+
 
 @dataclass(frozen=True)
 class ResamplePlan:
@@ -167,45 +194,38 @@ def load_csv(path: str, has_header: bool = True) -> Dataset:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        raw = list(reader)
-    if not raw:
-        raise DataError(f"{path}: file is empty")
-
-    if has_header:
-        header = [h.strip() for h in raw[0]]
-        body = raw[1:]
-        first_line = 2
-    else:
-        header = [f"X{j + 1}" for j in range(len(raw[0]))]
-        body = raw
-        first_line = 1
-    if not body:
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: file is empty")
+        header = [h.strip() for h in first] if has_header else [f"X{j + 1}" for j in range(len(first))]
+        body = reader if has_header else itertools.chain([first], reader)
+        first_line = 2 if has_header else 1
+        width = len(header)
+        # Rows are encoded as they stream in, each label by order of first
+        # appearance; the codes are remapped to sorted levels at the end.
+        seen: list[dict[str, int]] = [{} for _ in range(width)]
+        codes: list[list[int]] = []
+        for i, row in enumerate(body):
+            if len(row) != width:
+                raise DataError(f"{path}: line {first_line + i} has {len(row)} cells, expected {width}")
+            stripped = [c.strip() for c in row]
+            for j, c in enumerate(stripped):
+                if c == "":
+                    raise DataError(f"{path}: empty cell at row {i + 1}, column {header[j]!r}")
+            codes.append([seen[j].setdefault(c, len(seen[j])) for j, c in enumerate(stripped)])
+    if not codes:
         raise DataError(f"{path}: no data rows")
 
-    width = len(header)
-    cells: list[list[str]] = []
-    for i, row in enumerate(body):
-        if len(row) != width:
-            raise DataError(f"{path}: line {first_line + i} has {len(row)} cells, expected {width}")
-        stripped = [c.strip() for c in row]
-        for j, c in enumerate(stripped):
-            if c == "":
-                raise DataError(f"{path}: empty cell at row {i + 1}, column {header[j]!r}")
-        cells.append(stripped)
-
+    rows = np.array(codes, dtype=np.int64)
     variables = []
     for j, name in enumerate(header):
-        distinct = sorted({row[j] for row in cells})
+        distinct = sorted(seen[j])
         if len(distinct) < 2:
             raise DataError(f"{path}: column {name!r} has a single distinct value {distinct[0]!r}")
         variables.append(Variable(name, tuple(distinct)))
+        position = {lv: r for r, lv in enumerate(distinct)}
+        rows[:, j] = np.array([position[lv] for lv in seen[j]])[rows[:, j]]
     schema = Schema(tuple(variables))
-
-    lookup = [{lv: i for i, lv in enumerate(v.levels)} for v in variables]
-    rows = np.empty((len(cells), width), dtype=np.int64)
-    for i, row in enumerate(cells):
-        for j, c in enumerate(row):
-            rows[i, j] = lookup[j][c]
     return Dataset(schema, rows)
 
 

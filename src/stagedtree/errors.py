@@ -19,3 +19,7 @@ class ConvergenceError(ModelError):
     def __init__(self, message: str, deviation: float):
         super().__init__(message)
         self.deviation = deviation
+
+    def __reduce__(self):
+        # Both constructor arguments, so the error can leave a worker process.
+        return type(self), (self.args[0], self.deviation), self.__dict__

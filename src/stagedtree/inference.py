@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import MAX_CONTEXTS
 from .errors import ConvergenceError, ModelError
-from .tree import MAX_CONTEXTS, StagedTree, context_shape
+from .tree import StagedTree, context_shape
 
 __all__ = [
     "EvidenceSpec",

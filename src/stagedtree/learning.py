@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, Schema
 from .errors import ModelError
 from .tree import (
     FitConfig,
@@ -20,10 +20,11 @@ from .tree import (
     StageAssignment,
     StagedTree,
     canonical_stage_assignment,
+    context_counts,
     context_shape,
     fit,
     n_contexts,
-    stage_counts,
+    pool_counts,
     validate_order,
 )
 
@@ -143,23 +144,46 @@ def _bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace=None) ->
     return assign
 
 
+def _stage_depth(
+    d: Dataset, order: Ordering, depth: int, k: int | None, smoothing: float
+) -> tuple[StageAssignment, np.ndarray, tuple[int, ...]]:
+    """Stage one depth from a single tally of its context counts.
+
+    Greedy merging starts from singleton contexts, except for kparents
+    (``k`` given) above depth k, where it starts from the projection onto up
+    to k parents chosen by conditional mutual information; merging only
+    coarsens that partition. Returns the staging, its pooled counts and the
+    parent set (all predecessors unless CMI chose fewer).
+    """
+    counts = context_counts(d, order, depth)
+    parents = tuple(sorted(order[:depth]))
+    start = np.arange(counts.shape[0])
+    if k is not None and depth > k:
+        parents = _greedy_parents(d, order[depth], order[:depth], k)
+        start = _projection_staging(d.schema, order, depth, parents)
+    merged = _bhc_merge(pool_counts(counts, start, int(start.max()) + 1), d.n, smoothing)
+    staging = canonical_stage_assignment(depth, merged[start])
+    return staging, pool_counts(counts, staging.stage_of, staging.n_stages), parents
+
+
+def _learn(d: Dataset, order, k: int | None, smoothing: float):
+    """Stage every depth with ``_stage_depth``, then fit; returns the fitted
+    tree and the parent set of every depth."""
+    order = validate_order(d.schema, order)
+    depths = [_stage_depth(d, order, depth, k, smoothing) for depth in range(len(order))]
+    skeleton = StagedTree(d.schema, order, tuple(staging for staging, _, _ in depths))
+    return fit(skeleton, d, FitConfig(smoothing)), tuple(parents for _, _, parents in depths)
+
+
 def bhc_stage_depth(d: Dataset, order, depth: int, smoothing: float = 0.0) -> StageAssignment:
     """Backward hill-climbing staging of one depth, starting from singletons."""
-    order = validate_order(d.schema, order)
-    total = n_contexts(d.schema, order, depth)
-    singleton = np.arange(total)
-    counts = stage_counts(d, order, depth, singleton, total)
-    assign = _bhc_merge(counts, d.n, smoothing)
-    return canonical_stage_assignment(depth, assign)
+    return _stage_depth(d, validate_order(d.schema, order), depth, None, smoothing)[0]
 
 
 def bhc(d: Dataset, order, smoothing: float = 0.0) -> StagedTree:
     """Full backward hill-climbing learner: stages every depth independently,
     then fits the stage probabilities."""
-    order = validate_order(d.schema, order)
-    stagings = tuple(bhc_stage_depth(d, order, depth, smoothing) for depth in range(len(order)))
-    skeleton = StagedTree(d.schema, order, stagings)
-    return fit(skeleton, d, FitConfig(smoothing))
+    return _learn(d, order, None, smoothing)[0]
 
 
 def _set_partitions(n: int):
@@ -189,14 +213,11 @@ def exhaustive_stage(d: Dataset, order, depth: int, smoothing: float = 0.0) -> S
         raise ModelError(
             f"exhaustive staging supports at most {MAX_ORACLE_CONTEXTS} contexts, got {total}"
         )
-    base = stage_counts(d, order, depth, np.arange(total), total)
+    base = context_counts(d, order, depth)
     best_code = None
     best_score = math.inf
     for code in _set_partitions(total):
-        stages = max(code) + 1
-        pooled = np.zeros((stages, base.shape[1]))
-        np.add.at(pooled, np.asarray(code), base)
-        score = depth_bic(pooled, d.n, smoothing)
+        score = depth_bic(pool_counts(base, np.asarray(code), max(code) + 1), d.n, smoothing)
         if score < best_score:
             best_score = score
             best_code = code
@@ -215,16 +236,7 @@ def cmi(d: Dataset, i: int, s: int, conditioning=()) -> float:
     if i in conditioning or s in conditioning:
         raise ModelError("conditioning set must not contain the pair")
     counts = d.schema.level_counts
-    li, ls = counts[i], counts[s]
-    if conditioning:
-        shape = tuple(counts[c] for c in conditioning)
-        ccode = np.ravel_multi_index([d.rows[:, c] for c in conditioning], dims=shape)
-        n_cond = int(np.prod(shape))
-    else:
-        ccode = np.zeros(d.n, dtype=np.int64)
-        n_cond = 1
-    flat = np.bincount((ccode * li + d.rows[:, i]) * ls + d.rows[:, s], minlength=n_cond * li * ls)
-    table = flat.reshape(n_cond, li, ls).astype(float)
+    table = d.counts(conditioning + (i, s)).reshape(-1, counts[i], counts[s]).astype(float)
 
     n_c = table.sum(axis=(1, 2), keepdims=True)
     n_ca = table.sum(axis=2, keepdims=True)
@@ -255,30 +267,17 @@ def _greedy_parents(d: Dataset, var: int, candidates: tuple[int, ...], k: int) -
     return tuple(sorted(selected))
 
 
-def _projection_staging(d: Dataset, order: Ordering, depth: int, parents: tuple[int, ...]) -> np.ndarray:
+def _projection_staging(schema: Schema, order: Ordering, depth: int, parents: tuple[int, ...]) -> np.ndarray:
     """Initial stage id of every depth-j context: contexts that agree on the
     selected parent coordinates start in the same stage."""
-    shape = context_shape(d.schema, order, depth)
-    total = int(np.prod(shape)) if depth else 1
-    if depth == 0:
-        return np.zeros(1, dtype=np.int64)
+    shape = context_shape(schema, order, depth)
+    total = n_contexts(schema, order, depth)
     parent_pos = [i for i in range(depth) if order[i] in parents]
     if not parent_pos:
         return np.zeros(total, dtype=np.int64)
     coords = np.unravel_index(np.arange(total), shape)
     par_shape = tuple(shape[i] for i in parent_pos)
     return np.ravel_multi_index([coords[i] for i in parent_pos], dims=par_shape).astype(np.int64)
-
-
-def _restricted_stage_depth(
-    d: Dataset, order: Ordering, depth: int, parents: tuple[int, ...], smoothing: float
-) -> StageAssignment:
-    """BHC merging started from the parent-projection staging."""
-    init = _projection_staging(d, order, depth, parents)
-    n_init = int(init.max()) + 1
-    counts = stage_counts(d, order, depth, init, n_init)
-    merged = _bhc_merge(counts, d.n, smoothing)
-    return canonical_stage_assignment(depth, merged[init])
 
 
 def kparents_learn(
@@ -294,27 +293,12 @@ def kparents_learn(
     """
     if k < 1:
         raise ModelError("k must be >= 1")
-    order = validate_order(d.schema, order)
-    stagings = []
-    parent_sets = []
-    for depth in range(len(order)):
-        predecessors = tuple(order[:depth])
-        if depth <= k:
-            parents = tuple(sorted(predecessors))
-        else:
-            parents = _greedy_parents(d, order[depth], predecessors, k)
-        parent_sets.append(parents)
-        stagings.append(_restricted_stage_depth(d, order, depth, parents, smoothing))
-    skeleton = StagedTree(d.schema, order, tuple(stagings))
-    return fit(skeleton, d, FitConfig(smoothing)), tuple(parent_sets)
+    return _learn(d, order, k, smoothing)
 
 
 def learn(d: Dataset, order, cfg: LearnConfig) -> StagedTree:
-    """Dispatch to the configured staging learner at a fixed ordering."""
-    if cfg.algorithm == "bhc":
-        return bhc(d, order, cfg.smoothing)
-    tree, _ = kparents_learn(d, order, cfg.k, cfg.smoothing)
-    return tree
+    """Learn the configured staging at a fixed ordering and fit it."""
+    return _learn(d, order, cfg.k, cfg.smoothing)[0]
 
 
 def variable_score(d: Dataset, var: int, predecessors, cfg: LearnConfig, cache=None) -> float:
@@ -322,22 +306,16 @@ def variable_score(d: Dataset, var: int, predecessors, cfg: LearnConfig, cache=N
 
     The contribution depends on the set only (context counts pool the same
     rows under any internal order), which is what makes subset dynamic
-    programming over orderings exact.
+    programming over orderings exact. It is scored as depth
+    ``len(predecessors)`` of the ordering predecessors (sorted), var, rest.
     """
     predecessors = tuple(sorted(int(v) for v in predecessors))
     key = (var, predecessors)
     if cache is not None and key in cache:
         return cache[key]
-    cols = list(predecessors) + [var]
-    sub = d.select_columns(cols)
-    sub_order = tuple(range(len(cols)))
-    depth = len(predecessors)
-    if cfg.algorithm == "kparents" and depth > cfg.k:
-        parents = _greedy_parents(sub, depth, tuple(range(depth)), cfg.k)
-        staging = _restricted_stage_depth(sub, sub_order, depth, parents, cfg.smoothing)
-    else:
-        staging = bhc_stage_depth(sub, sub_order, depth, cfg.smoothing)
-    counts = stage_counts(sub, sub_order, depth, staging.stage_of, staging.n_stages)
+    rest = tuple(v for v in range(d.p) if v != var and v not in predecessors)
+    order = predecessors + (int(var),) + rest
+    _, counts, _ = _stage_depth(d, order, len(predecessors), cfg.k, cfg.smoothing)
     score = depth_bic(counts, d.n, cfg.smoothing)
     if cache is not None:
         cache[key] = score

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, Schema, Variable
+from .dataset import Dataset, Schema, Variable, cell_count
 from .errors import DataError, ModelError
 
 __all__ = [
@@ -37,14 +37,11 @@ __all__ = [
     "tree_from_json",
     "context_shape",
     "n_contexts",
-    "context_codes",
     "context_tuples",
     "context_label",
 ]
 
 Ordering = tuple[int, ...]
-
-MAX_CONTEXTS = 10**7
 
 MODEL_FORMAT_VERSION = 1
 
@@ -63,25 +60,7 @@ def context_shape(schema: Schema, order: Ordering, depth: int) -> tuple[int, ...
 
 
 def n_contexts(schema: Schema, order: Ordering, depth: int) -> int:
-    total = 1
-    for size in context_shape(schema, order, depth):
-        total *= size
-        if total > MAX_CONTEXTS:
-            raise ModelError(
-                f"depth {depth} has more than {MAX_CONTEXTS} contexts; "
-                "this model is beyond desk scale"
-            )
-    return total
-
-
-def context_codes(d: Dataset, order: Ordering, depth: int) -> np.ndarray:
-    """Mixed-radix context index of every row at the given depth."""
-    if depth == 0:
-        return np.zeros(d.n, dtype=np.int64)
-    shape = context_shape(d.schema, order, depth)
-    n_contexts(d.schema, order, depth)
-    cols = [d.rows[:, order[i]] for i in range(depth)]
-    return np.ravel_multi_index(cols, dims=shape).astype(np.int64)
+    return cell_count(context_shape(schema, order, depth), f"contexts at depth {depth}")
 
 
 def context_tuples(schema: Schema, order: Ordering, depth: int):
@@ -220,14 +199,22 @@ def saturated_tree(schema: Schema, order) -> StagedTree:
     return StagedTree(schema, order, tuple(stagings))
 
 
+def context_counts(d: Dataset, order: Ordering, depth: int) -> np.ndarray:
+    """Level counts of the depth-j variable in every depth-j context:
+    shape (n_contexts, n_levels), contexts in enumeration order."""
+    return d.counts(order[:depth + 1]).reshape(-1, d.schema.level_counts[order[depth]])
+
+
+def pool_counts(counts: np.ndarray, stage_of: np.ndarray, n_stages: int) -> np.ndarray:
+    """Sum the rows of a per-context count table by stage: (n_stages, n_levels)."""
+    pooled = np.zeros((n_stages, counts.shape[1]), dtype=np.int64)
+    np.add.at(pooled, stage_of, counts)
+    return pooled
+
+
 def stage_counts(d: Dataset, order: Ordering, depth: int, stage_of: np.ndarray, n_stages: int) -> np.ndarray:
     """Pooled level counts per stage at one depth: shape (n_stages, n_levels)."""
-    var = order[depth]
-    levels = d.schema.level_counts[var]
-    codes = context_codes(d, order, depth)
-    stages = stage_of[codes]
-    flat = np.bincount(stages * levels + d.rows[:, var], minlength=n_stages * levels)
-    return flat.reshape(n_stages, levels).astype(np.int64)
+    return pool_counts(context_counts(d, order, depth), stage_of, n_stages)
 
 
 def probabilities_from_counts(counts: np.ndarray, smoothing: float) -> np.ndarray:
@@ -260,16 +247,17 @@ def log_likelihood_by_depth(tree: StagedTree, d: Dataset) -> list[float]:
         raise ModelError("dataset schema does not match the tree schema")
     terms = []
     for depth, staging in enumerate(tree.stagings):
-        var = tree.order[depth]
-        codes = context_codes(d, tree.order, depth)
-        observed = probs[depth][staging.stage_of[codes], d.rows[:, var]]
+        counts = context_counts(d, tree.order, depth)
+        context, level = np.nonzero(counts)
+        observed = probs[depth][staging.stage_of[context], level]
         with np.errstate(divide="ignore"):
-            terms.append(float(np.log(observed).sum()))
+            terms.append(float((counts[context, level] * np.log(observed)).sum()))
     return terms
 
 
 def log_likelihood(tree: StagedTree, d: Dataset) -> float:
-    """Sum over rows of the log path probability; -inf if a zero edge is hit."""
+    """Sum over rows of the log path probability, taken as count * log p over
+    the observed cells; -inf if an observed cell has probability zero."""
     return float(sum(log_likelihood_by_depth(tree, d)))
 
 

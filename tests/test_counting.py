@@ -1,0 +1,309 @@
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stagedtree import Dataset, LearnConfig, ModelError, Schema, Variable, cmi, dataset, variable_score
+from stagedtree.learning import (
+    _bhc_merge,
+    _greedy_parents,
+    _projection_staging,
+    depth_bic,
+)
+from stagedtree.tree import (
+    StagedTree,
+    canonical_stage_assignment,
+    context_shape,
+    fit,
+    log_likelihood,
+    log_likelihood_by_depth,
+    n_contexts,
+    stage_counts,
+)
+
+from conftest import random_dataset, random_schema, staging_from_ids
+
+
+# Reference counting: the row-wise code that each scorer ran before every
+# tally went through Dataset.counts. Each function read the row matrix
+# itself, and variable_score copied the data with select_columns first.
+
+
+def reference_context_codes(d, order, depth):
+    if depth == 0:
+        return np.zeros(d.n, dtype=np.int64)
+    shape = context_shape(d.schema, order, depth)
+    n_contexts(d.schema, order, depth)
+    cols = [d.rows[:, order[i]] for i in range(depth)]
+    return np.ravel_multi_index(cols, dims=shape).astype(np.int64)
+
+
+def reference_stage_counts(d, order, depth, stage_of, n_stages):
+    var = order[depth]
+    levels = d.schema.level_counts[var]
+    codes = reference_context_codes(d, order, depth)
+    stages = stage_of[codes]
+    flat = np.bincount(stages * levels + d.rows[:, var], minlength=n_stages * levels)
+    return flat.reshape(n_stages, levels).astype(np.int64)
+
+
+def reference_log_likelihood_by_depth(tree, d):
+    probs = tree.require_fitted()
+    terms = []
+    for depth, staging in enumerate(tree.stagings):
+        var = tree.order[depth]
+        codes = reference_context_codes(d, tree.order, depth)
+        observed = probs[depth][staging.stage_of[codes], d.rows[:, var]]
+        with np.errstate(divide="ignore"):
+            terms.append(float(np.log(observed).sum()))
+    return terms
+
+
+def reference_cmi(d, i, s, conditioning=()):
+    conditioning = tuple(int(c) for c in conditioning)
+    counts = d.schema.level_counts
+    li, ls = counts[i], counts[s]
+    if conditioning:
+        shape = tuple(counts[c] for c in conditioning)
+        ccode = np.ravel_multi_index([d.rows[:, c] for c in conditioning], dims=shape)
+        n_cond = int(np.prod(shape))
+    else:
+        ccode = np.zeros(d.n, dtype=np.int64)
+        n_cond = 1
+    flat = np.bincount((ccode * li + d.rows[:, i]) * ls + d.rows[:, s], minlength=n_cond * li * ls)
+    table = flat.reshape(n_cond, li, ls).astype(float)
+
+    n_c = table.sum(axis=(1, 2), keepdims=True)
+    n_ca = table.sum(axis=2, keepdims=True)
+    n_cb = table.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = table * n_c / (n_ca * n_cb)
+        terms = np.where(table > 0, table * np.log(ratio), 0.0)
+    value = float(terms.sum()) / d.n
+    return max(value, 0.0)
+
+
+def reference_greedy_parents(d, var, candidates, k):
+    selected = []
+    pool = list(candidates)
+    for _ in range(min(k, len(pool))):
+        best_var = None
+        best_value = -math.inf
+        for cand in sorted(set(pool) - set(selected)):
+            value = reference_cmi(d, var, cand, tuple(selected))
+            if value > best_value:
+                best_value = value
+                best_var = cand
+        selected.append(best_var)
+    return tuple(sorted(selected))
+
+
+def reference_projection_staging(d, order, depth, parents):
+    shape = context_shape(d.schema, order, depth)
+    total = int(np.prod(shape)) if depth else 1
+    if depth == 0:
+        return np.zeros(1, dtype=np.int64)
+    parent_pos = [i for i in range(depth) if order[i] in parents]
+    if not parent_pos:
+        return np.zeros(total, dtype=np.int64)
+    coords = np.unravel_index(np.arange(total), shape)
+    par_shape = tuple(shape[i] for i in parent_pos)
+    return np.ravel_multi_index([coords[i] for i in parent_pos], dims=par_shape).astype(np.int64)
+
+
+def reference_restricted_stage_depth(d, order, depth, parents, smoothing):
+    init = reference_projection_staging(d, order, depth, parents)
+    n_init = int(init.max()) + 1
+    counts = reference_stage_counts(d, order, depth, init, n_init)
+    merged = _bhc_merge(counts, d.n, smoothing)
+    return canonical_stage_assignment(depth, merged[init])
+
+
+def reference_bhc_stage_depth(d, order, depth, smoothing):
+    total = n_contexts(d.schema, order, depth)
+    singleton = np.arange(total)
+    counts = reference_stage_counts(d, order, depth, singleton, total)
+    assign = _bhc_merge(counts, d.n, smoothing)
+    return canonical_stage_assignment(depth, assign)
+
+
+def reference_variable_score(d, var, predecessors, cfg):
+    predecessors = tuple(sorted(int(v) for v in predecessors))
+    cols = list(predecessors) + [var]
+    sub = d.select_columns(cols)
+    sub_order = tuple(range(len(cols)))
+    depth = len(predecessors)
+    if cfg.algorithm == "kparents" and depth > cfg.k:
+        parents = reference_greedy_parents(sub, depth, tuple(range(depth)), cfg.k)
+        staging = reference_restricted_stage_depth(sub, sub_order, depth, parents, cfg.smoothing)
+    else:
+        staging = reference_bhc_stage_depth(sub, sub_order, depth, cfg.smoothing)
+    counts = reference_stage_counts(sub, sub_order, depth, staging.stage_of, staging.n_stages)
+    return depth_bic(counts, d.n, cfg.smoothing)
+
+
+# -- strategies ----------------------------------------------------------------
+
+
+@st.composite
+def datasets(draw, max_p=5, max_rows=60):
+    seed = draw(st.integers(0, 2**32 - 1))
+    p = draw(st.integers(2, max_p))
+    n = draw(st.integers(1, max_rows))
+    return random_dataset(np.random.default_rng(seed), p=p, n=n)
+
+
+def random_stagings(rng, schema, order, n_ids):
+    return tuple(
+        staging_from_ids(depth, rng.integers(0, n_ids, size=n_contexts(schema, order, depth)))
+        for depth in range(len(order))
+    )
+
+
+# -- Dataset.counts -------------------------------------------------------------
+
+
+class TestDatasetCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(d=datasets(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_tally(self, d, seed):
+        rng = np.random.default_rng(seed)
+        cols = tuple(int(c) for c in rng.permutation(d.p)[: rng.integers(0, d.p + 1)])
+        table = d.counts(cols)
+        assert table.dtype == np.int64
+        assert table.shape == tuple(d.schema.level_counts[c] for c in cols)
+        tally = Counter(tuple(int(row[c]) for c in cols) for row in d.rows)
+        assert int(table.sum()) == d.n
+        for cell, count in np.ndenumerate(table):
+            assert count == tally.get(cell, 0)
+
+    def test_column_order_sets_axis_order(self):
+        rng = np.random.default_rng(3)
+        d = random_dataset(rng, p=3, n=80)
+        assert np.array_equal(d.counts((2, 0)), d.counts((0, 2)).T)
+
+    def test_no_columns_counts_rows(self):
+        d = random_dataset(np.random.default_rng(4), p=2, n=17)
+        assert d.counts(()).shape == ()
+        assert int(d.counts(())) == 17
+
+    def test_cap_refuses_large_tables(self, monkeypatch):
+        d = random_dataset(np.random.default_rng(5), p=3, n=20, max_levels=2)
+        monkeypatch.setattr(dataset, "MAX_CONTEXTS", 4)
+        d.counts((0, 1))
+        with pytest.raises(ModelError, match="desk scale"):
+            d.counts((0, 1, 2))
+
+
+class TestGuards:
+    def binary(self, p):
+        schema = Schema(tuple(Variable(f"X{j}", ("a", "b")) for j in range(p)))
+        return Dataset(schema, np.random.default_rng(0).integers(0, 2, size=(30, p)))
+
+    def test_cmi_inherits_cap(self, monkeypatch):
+        d = self.binary(4)
+        cmi(d, 0, 1, (2,))
+        monkeypatch.setattr(dataset, "MAX_CONTEXTS", 7)
+        with pytest.raises(ModelError, match="desk scale"):
+            cmi(d, 0, 1, (2,))
+
+    def test_projection_staging_checks_before_allocating(self, monkeypatch):
+        d = self.binary(5)
+        order = (0, 1, 2, 3, 4)
+        monkeypatch.setattr(dataset, "MAX_CONTEXTS", 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the context guard")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        monkeypatch.setattr(np, "unravel_index", refuse)
+        with pytest.raises(ModelError, match="desk scale"):
+            _projection_staging(d.schema, order, 4, (0, 2))
+
+
+# -- new counting against the reference -------------------------------------------
+
+
+class TestAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(d=datasets(), seed=st.integers(0, 2**32 - 1), n_ids=st.integers(1, 4))
+    def test_stage_counts_bit_equal(self, d, seed, n_ids):
+        rng = np.random.default_rng(seed)
+        order = tuple(int(v) for v in rng.permutation(d.p))
+        for staging in random_stagings(rng, d.schema, order, n_ids):
+            got = stage_counts(d, order, staging.depth, staging.stage_of, staging.n_stages)
+            want = reference_stage_counts(d, order, staging.depth, staging.stage_of, staging.n_stages)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=datasets(), seed=st.integers(0, 2**32 - 1))
+    def test_cmi_bit_equal(self, d, seed):
+        rng = np.random.default_rng(seed)
+        perm = [int(v) for v in rng.permutation(d.p)]
+        i, s = perm[0], perm[1]
+        conditioning = tuple(perm[2: 2 + int(rng.integers(0, d.p - 1))])
+        assert cmi(d, i, s, conditioning) == reference_cmi(d, i, s, conditioning)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        train=datasets(max_rows=40),
+        seed=st.integers(0, 2**32 - 1),
+        n_ids=st.integers(1, 4),
+        held_out=st.booleans(),
+    )
+    def test_log_likelihood_matches(self, train, seed, n_ids, held_out):
+        rng = np.random.default_rng(seed)
+        order = tuple(int(v) for v in rng.permutation(train.p))
+        skeleton = StagedTree(train.schema, order, random_stagings(rng, train.schema, order, n_ids))
+        tree = fit(skeleton, train)
+        # Held-out rows can reach cells the training rows left at probability 0.
+        d = train
+        if held_out:
+            d = Dataset(train.schema, np.column_stack(
+                [rng.integers(0, size, size=30) for size in train.schema.level_counts]
+            ))
+        got = log_likelihood_by_depth(tree, d)
+        want = reference_log_likelihood_by_depth(tree, d)
+        for g, w in zip(got, want):
+            assert (g == -math.inf) == (w == -math.inf)
+            if w != -math.inf:
+                assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)
+        assert (log_likelihood(tree, d) == -math.inf) == (-math.inf in want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=datasets(max_p=5, max_rows=80), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
+    def test_variable_score_bit_equal(self, d, seed, k):
+        rng = np.random.default_rng(seed)
+        var = int(rng.integers(0, d.p))
+        others = [v for v in range(d.p) if v != var]
+        predecessors = tuple(int(v) for v in rng.permutation(others)[: rng.integers(0, d.p)])
+        smoothing = float(rng.choice([0.0, 0.5]))
+        for cfg in (LearnConfig("bhc", smoothing=smoothing), LearnConfig("kparents", k=k, smoothing=smoothing)):
+            assert variable_score(d, var, predecessors, cfg) == reference_variable_score(
+                d, var, predecessors, cfg
+            )
+
+    def test_variable_score_exercises_projection(self):
+        # Four predecessors with k=2: the CMI-projection branch, on enough rows
+        # that merging has real choices.
+        rng = np.random.default_rng(11)
+        d = random_dataset(rng, p=5, n=400)
+        cfg = LearnConfig("kparents", k=2)
+        assert variable_score(d, 4, (0, 1, 2, 3), cfg) == reference_variable_score(d, 4, (0, 1, 2, 3), cfg)
+        assert _greedy_parents(d, 4, (0, 1, 2, 3), 2) == reference_greedy_parents(d, 4, (0, 1, 2, 3), 2)
+
+    def test_schema_projection_matches_reference(self):
+        schema = random_schema(np.random.default_rng(2), 4)
+        d = Dataset(schema, np.zeros((1, 4), dtype=np.int64))
+        order = (3, 1, 0, 2)
+        for depth in range(4):
+            for parents in ((), (3,), (1, 3), (0, 1, 3)):
+                parents = tuple(v for v in parents if v in order[:depth])
+                assert np.array_equal(
+                    _projection_staging(schema, order, depth, parents),
+                    reference_projection_staging(d, order, depth, parents),
+                )

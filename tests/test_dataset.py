@@ -57,6 +57,31 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="'u'"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "lines, has_header, message",
+        [
+            ([], True, "file is empty"),
+            (["u,v"], True, "no data rows"),
+            (["a,x", "b"], False, "line 2 has 1 cells, expected 2"),
+            (["u,v", "a,x", "b,y", "b,y,z"], True, "line 4 has 3 cells, expected 2"),
+            (["a,x", " ,y"], False, "empty cell at row 2, column 'X1'"),
+            (["u,v", "a,x", "a,y"], True, "column 'u' has a single distinct value 'a'"),
+        ],
+    )
+    def test_error_messages(self, tmp_path, lines, has_header, message):
+        path = tmp_path / "t.csv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_csv(str(path), has_header=has_header)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_codes_follow_sorted_levels(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", [" u , v", "zeta , b", "alpha,c", " mid,a", "alpha,b"])
+        d = load_csv(path)
+        assert d.schema.names == ("u", "v")
+        assert d.schema.variables[0].levels == ("alpha", "mid", "zeta")
+        assert d.rows.tolist() == [[2, 1], [0, 2], [1, 0], [0, 1]]
+
     def test_survey_shaped_file(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = rng.integers(0, 2, size=(9720, 7))

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -343,6 +344,15 @@ class TestConditionSoft:
         with pytest.raises(ConvergenceError) as exc:
             condition_soft(table_model, {"Length": np.array([0.9, 0.1])}, max_iter=0)
         assert exc.value.deviation > 0
+
+    def test_convergence_error_survives_pickle(self):
+        error = ConvergenceError("IPF did not converge", 0.25)
+        error.add_note("in bootstrap replicate 3 (seed 7)")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is ConvergenceError
+        assert str(copy) == "IPF did not converge"
+        assert copy.deviation == 0.25
+        assert copy.__notes__ == ["in bootstrap replicate 3 (seed 7)"]
 
     def test_bad_target_rejected(self, table_model):
         with pytest.raises(ModelError, match="not a distribution"):
