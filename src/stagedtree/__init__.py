@@ -30,9 +30,7 @@ from .consensus import (
     bootstrap_orders,
     consensus_order,
     consensus_staging,
-    edge_strength_table,
     ensemble_from_stagings,
-    load_dissimilarity_csv,
     run_bootstrap_consensus,
     staging_heatmap_export,
     tally_orders,
@@ -69,7 +67,6 @@ from .inference import (
 from .learning import (
     LearnConfig,
     bhc,
-    bhc_stage_depth,
     cmi,
     exhaustive_stage,
     kparents_learn,

@@ -31,8 +31,6 @@ from .inference import joint_level_iter
 from .learning import LearnConfig, learn, order_search_dp, order_search_grouped
 from .tree import bic, tree_from_json, tree_to_json
 
-DEFAULT_THREADS_ENV = "STAGEDTREE_THREADS"
-
 
 class _UsageError(Exception):
     """A flag combination the command does not take; exits 1 like argparse."""
@@ -47,11 +45,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(DEFAULT_THREADS_ENV, "1")))
-    except ValueError:
-        return 1
+def _checked(convert, accept, requirement: str):
+    """An argparse type: ``convert`` the text, then require ``accept`` of the value."""
+
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid <name> value"
+    return parse
+
+
+_THREADS = _checked(int, lambda v: v >= 1, "be at least 1")
+_CUT = _checked(float, lambda v: 0 < v < 1, "lie strictly between 0 and 1")
 
 
 def _add_learn_flags(parser):
@@ -95,9 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_order_flags(p_boot)
     p_boot.add_argument("--replicates", type=int, default=200)
     p_boot.add_argument("--seed", type=int, default=0)
-    p_boot.add_argument("--cut", type=float, default=0.5)
+    p_boot.add_argument("--cut", type=_CUT, default=0.5)
     p_boot.add_argument("--linkage", choices=["average", "complete", "single"], default="average")
-    p_boot.add_argument("--threads", type=int, default=_default_threads())
+    p_boot.add_argument("--threads", type=_THREADS, default=1)
     p_boot.add_argument("--random-ties", type=int, default=None,
                         help="break order-vote ties randomly with this seed instead of by index")
     p_boot.add_argument("--outdir", required=True)
@@ -108,12 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--algorithms", default="bhc", help="e.g. bhc,kparents:4")
     p_cv.add_argument("--folds", type=int, default=10)
     p_cv.add_argument("--replicates", type=int, default=200)
-    p_cv.add_argument("--cut", type=float, default=0.5)
+    p_cv.add_argument("--cut", type=_CUT, default=0.5)
     p_cv.add_argument("--linkage", choices=["average", "complete", "single"], default="average")
     p_cv.add_argument("--smoothing", type=float, default=0.0)
     p_cv.add_argument("--predictive-smoothing", type=float, default=1.0)
     p_cv.add_argument("--seed", type=int, default=0)
-    p_cv.add_argument("--threads", type=int, default=_default_threads())
+    p_cv.add_argument("--threads", type=_THREADS, default=1)
     p_cv.add_argument("--fixed-last", default=None)
     p_cv.add_argument("--order-spec", default=None)
     p_cv.add_argument("--reorder-per-fold", action="store_true")
@@ -339,7 +347,11 @@ def _parse_algorithms(text) -> list[LearnConfig]:
         if chunk == "bhc":
             configs.append(LearnConfig("bhc"))
         elif chunk.startswith("kparents:"):
-            configs.append(LearnConfig("kparents", k=int(chunk.split(":", 1)[1])))
+            try:
+                k = int(chunk.split(":", 1)[1])
+            except ValueError:
+                raise StagedTreeError(f"kparents needs an integer parent budget, got {chunk!r}") from None
+            configs.append(LearnConfig("kparents", k=k))
         else:
             raise StagedTreeError(f"unknown algorithm spec {chunk!r}")
     if not configs:
@@ -349,10 +361,10 @@ def _parse_algorithms(text) -> list[LearnConfig]:
 
 def _cmd_cv(args) -> int:
     mode = _order_mode(args)
-    d = _load_dataset(args)
     algorithms = [
         LearnConfig(c.algorithm, k=c.k, smoothing=args.smoothing) for c in _parse_algorithms(args.algorithms)
     ]
+    d = _load_dataset(args)
     flags = _order_flags(args, mode, d.schema)
     report = run_cv(
         d,
@@ -431,7 +443,10 @@ def _parse_soft(pairs):
         if "=" not in pair:
             raise StagedTreeError(f"soft evidence must look like VAR=P1,P2,..., got {pair!r}")
         var, values = pair.split("=", 1)
-        out[var.strip()] = tuple(float(x) for x in values.split(","))
+        try:
+            out[var.strip()] = tuple(float(x) for x in values.split(","))
+        except ValueError:
+            raise StagedTreeError(f"soft evidence probabilities must be numbers, got {pair!r}") from None
     return out
 
 

@@ -48,9 +48,7 @@ __all__ = [
     "ensemble_from_stagings",
     "consensus_staging",
     "averaged_tree",
-    "edge_strength_table",
     "staging_heatmap_export",
-    "load_dissimilarity_csv",
     "run_bootstrap_consensus",
 ]
 
@@ -273,6 +271,11 @@ def _replicate_results(d: Dataset, order, plan: ResamplePlan, cfg: LearnConfig, 
     )
 
 
+def _check_cut(cut: float) -> None:
+    if not 0 < cut < 1:
+        raise ModelError("cut height must lie strictly between 0 and 1")
+
+
 def consensus_staging(
     d_matrix: np.ndarray, cut: float, depth: int, linkage: str = "average"
 ) -> StageAssignment:
@@ -289,8 +292,7 @@ def consensus_staging(
         raise ModelError("dissimilarity matrix must have a zero diagonal")
     if (d_matrix < 0).any() or (d_matrix > 1).any():
         raise ModelError("dissimilarity entries must lie in [0, 1]")
-    if not 0 < cut < 1:
-        raise ModelError("cut height must lie strictly between 0 and 1")
+    _check_cut(cut)
     if linkage not in ("average", "complete", "single"):
         raise ModelError(f"unsupported linkage {linkage!r}")
     if k == 1:
@@ -349,20 +351,6 @@ def _edge_table_from_lists(edge_lists, names) -> tuple[EdgeStrengthRow, ...]:
     return tuple(rows)
 
 
-def edge_strength_table(aldags) -> tuple[EdgeStrengthRow, ...]:
-    """Presence frequency and per-label frequency of every edge appearing in
-    a collection of compressed graphs over the same variables."""
-    aldags = list(aldags)
-    if not aldags:
-        raise ModelError("need at least one graph")
-    names = aldags[0].schema.names
-    for g in aldags:
-        if g.schema.names != names:
-            raise ModelError("all graphs must share one variable set")
-    edge_lists = [tuple((e.parent, e.child, e.label) for e in g.edges) for g in aldags]
-    return _edge_table_from_lists(edge_lists, names)
-
-
 @dataclass(frozen=True, eq=False)
 class ConsensusResult:
     """Everything the bootstrap pipeline produces for one dataset."""
@@ -385,7 +373,9 @@ def run_bootstrap_consensus(
     votes: OrderVoteMatrix | None = None,
 ) -> ConsensusResult:
     """Bootstrap stagings at a fixed ordering, cluster them into a consensus
-    staging per depth, and fit the averaged tree on the full data."""
+    staging per depth, and fit the averaged tree on the full data. A ``cut``
+    outside (0, 1) is rejected before any replicate is drawn."""
+    _check_cut(cut)
     order = validate_order(d.schema, order)
     results = _replicate_results(d, order, plan, cfg, threads)
     ensemble = ensemble_from_stagings(order, [stages for stages, _ in results])
@@ -424,14 +414,6 @@ def staging_heatmap_export(d_matrix: np.ndarray, labels, path: str) -> None:
     with open(path + ".plot.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
-
-
-def load_dissimilarity_csv(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    labels = rows[0][1:]
-    values = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]])
-    return labels, values
 
 
 def context_labels_for_depth(schema, order, depth: int) -> list[str]:

@@ -15,22 +15,20 @@ import numpy as np
 from .dataset import Dataset, Schema
 from .errors import ModelError
 from .tree import (
-    FitConfig,
     Ordering,
     StageAssignment,
     StagedTree,
     canonical_stage_assignment,
     context_counts,
     context_shape,
-    fit,
     n_contexts,
     pool_counts,
+    probabilities_from_counts,
     validate_order,
 )
 
 __all__ = [
     "LearnConfig",
-    "bhc_stage_depth",
     "bhc",
     "exhaustive_stage",
     "kparents_learn",
@@ -167,17 +165,20 @@ def _stage_depth(
 
 
 def _learn(d: Dataset, order, k: int | None, smoothing: float):
-    """Stage every depth with ``_stage_depth``, then fit; returns the fitted
-    tree and the parent set of every depth."""
+    """Stage every depth with ``_stage_depth`` and estimate its probabilities
+    from the pooled counts it returns; returns the fitted tree and the parent
+    set of every depth."""
+    if smoothing < 0:
+        raise ModelError("smoothing must be non-negative")
     order = validate_order(d.schema, order)
     depths = [_stage_depth(d, order, depth, k, smoothing) for depth in range(len(order))]
-    skeleton = StagedTree(d.schema, order, tuple(staging for staging, _, _ in depths))
-    return fit(skeleton, d, FitConfig(smoothing)), tuple(parents for _, _, parents in depths)
-
-
-def bhc_stage_depth(d: Dataset, order, depth: int, smoothing: float = 0.0) -> StageAssignment:
-    """Backward hill-climbing staging of one depth, starting from singletons."""
-    return _stage_depth(d, validate_order(d.schema, order), depth, None, smoothing)[0]
+    tree = StagedTree(
+        d.schema,
+        order,
+        tuple(staging for staging, _, _ in depths),
+        tuple(probabilities_from_counts(counts, smoothing) for _, counts, _ in depths),
+    )
+    return tree, tuple(parents for _, _, parents in depths)
 
 
 def bhc(d: Dataset, order, smoothing: float = 0.0) -> StagedTree:
@@ -336,36 +337,21 @@ def ordering_score(d: Dataset, order, cfg: LearnConfig, cache=None) -> float:
     return math.fsum(terms)
 
 
-def order_search_dp(
-    d: Dataset,
-    cfg: LearnConfig,
-    fixed_last: int | None = None,
-    max_p: int = MAX_DP_VARIABLES,
-    cache=None,
-) -> tuple[Ordering, float]:
-    """Exact minimum-score ordering by dynamic programming over subsets.
+def _subset_dp(d: Dataset, variables: list[int], cfg: LearnConfig, cache: dict) -> Ordering:
+    """Minimum-score arrangement of ``variables`` by dynamic programming over
+    their subsets, scored on the full data.
 
     The per-variable score is order-invariant within a predecessor set, so the
     best arrangement of each subset extends optimal arrangements of its
     one-smaller subsets. Ties resolve to the lexicographically smallest
-    permutation. Optionally one response variable is pinned to the last
-    position and the search runs over the rest.
+    arrangement of the (sorted) variable list.
     """
-    p = len(d.schema)
-    variables = list(range(p))
-    if fixed_last is not None:
-        if not 0 <= fixed_last < p:
-            raise ModelError(f"fixed_last={fixed_last} out of range")
-        variables.remove(fixed_last)
     m = len(variables)
-    if m > max_p:
+    if m > MAX_DP_VARIABLES:
         raise ModelError(
-            f"{m} variables exceed the dynamic-programming guard ({max_p}); "
+            f"{m} variables exceed the dynamic-programming guard ({MAX_DP_VARIABLES}); "
             "use grouped order search instead"
         )
-    if cache is None:
-        cache = {}
-
     full = (1 << m) - 1
     # rem_terms[mask] holds the per-depth scores of the best arrangement of
     # the variables outside ``mask``; candidates are compared through
@@ -402,42 +388,51 @@ def order_search_dp(
         b = int(best_next[mask])
         order.append(variables[b])
         mask |= 1 << b
+    return tuple(order)
+
+
+def order_search_dp(d: Dataset, cfg: LearnConfig, fixed_last: int | None = None) -> tuple[Ordering, float]:
+    """Exact minimum-score ordering by dynamic programming over subsets.
+
+    Ties resolve to the lexicographically smallest permutation. Optionally one
+    response variable is pinned to the last position and the search runs over
+    the rest.
+    """
+    p = len(d.schema)
+    if fixed_last is not None and not 0 <= fixed_last < p:
+        raise ModelError(f"fixed_last={fixed_last} out of range")
+    cache: dict = {}
+    order = _subset_dp(d, [v for v in range(p) if v != fixed_last], cfg, cache)
     if fixed_last is not None:
-        order.append(fixed_last)
-    result = tuple(order)
-    return result, ordering_score(d, result, cfg, cache)
+        order += (fixed_last,)
+    return order, ordering_score(d, order, cfg, cache)
 
 
-def order_search_grouped(
-    d: Dataset,
-    groups,
-    cfg: LearnConfig,
-    max_p: int = MAX_DP_VARIABLES,
-) -> tuple[Ordering, float]:
+def order_search_grouped(d: Dataset, groups, cfg: LearnConfig) -> tuple[Ordering, float]:
     """Two-stage order search for larger variable sets.
 
-    Each group is ordered internally by dynamic programming with the other
-    groups absent; the groups themselves (internal orders pinned) are then
-    arranged by exhaustive block enumeration against the full data.
+    Each group is ordered internally by the subset DP over its own variables.
+    A variable's score depends only on the counts of itself and its
+    predecessors, so this DP runs on the full data and gives the order the
+    group would get with the other groups absent. The groups themselves
+    (internal orders pinned) are then arranged by exhaustive block
+    enumeration. Both stages share one ``variable_score`` cache. The groups
+    must be non-empty and partition the variables; each may hold at most
+    MAX_DP_VARIABLES of them.
     """
     p = len(d.schema)
     groups = [tuple(int(v) for v in g) for g in groups]
     flat = [v for g in groups for v in g]
-    if sorted(flat) != list(range(p)):
-        raise ModelError("groups must partition the variable set")
+    if sorted(flat) != list(range(p)) or not all(groups):
+        raise ModelError("groups must partition the variable set into non-empty groups")
     if len(groups) > 8:
         raise ModelError("at most 8 groups are supported")
-
-    internal: list[tuple[int, ...]] = []
     for group in groups:
-        if len(group) > max_p:
-            raise ModelError(f"group {group} exceeds the guard of {max_p} variables")
-        cols = sorted(group)
-        sub = d.select_columns(cols)
-        sub_order, _ = order_search_dp(sub, cfg, max_p=max_p)
-        internal.append(tuple(cols[i] for i in sub_order))
+        if len(group) > MAX_DP_VARIABLES:
+            raise ModelError(f"group {group} exceeds the guard of {MAX_DP_VARIABLES} variables")
 
     cache: dict = {}
+    internal = [_subset_dp(d, sorted(group), cfg, cache) for group in groups]
     best_order: Ordering | None = None
     best_score = math.inf
     for perm in itertools.permutations(range(len(groups))):

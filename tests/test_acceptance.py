@@ -23,7 +23,7 @@ from stagedtree import (
     Schema,
     Variable,
     atom_probability,
-    bhc_stage_depth,
+    bhc,
     cmi,
     compress,
     condition_hard,
@@ -180,7 +180,7 @@ def test_06_staging_search_oracles():
             schema = Schema(tuple(Variable(f"X{i+1}", ("a", "b")) for i in range(3)))
             d = Dataset(schema, rng.integers(0, 2, size=(200, 3)))
             for depth in (1, 2):
-                greedy = bhc_stage_depth(d, order, depth)
+                greedy = bhc(d, order).stagings[depth]
                 oracle = exhaustive_stage(d, order, depth)
 
                 def staging_score(staging):

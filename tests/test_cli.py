@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from stagedtree.cli import main
+from stagedtree.cli import _build_parser, main
 from stagedtree import ResamplePlan, tree_from_json, tree_to_json
 
 from conftest import fail_replicate, reference_tree
@@ -80,6 +80,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "injected failure" in err and note in err
 
+    @pytest.mark.parametrize("command", ["bootstrap", "cv"])
+    @pytest.mark.parametrize("cut", ["1.5", "0", "1", "-0.2", "nan"])
+    def test_bad_cut_rejected_before_ingest(self, toy_csv, tmp_path, capsys, command, cut):
+        outdir = tmp_path / "out"
+        argv = [command, "--input", toy_csv, "--replicates", "3", "--cut", cut, "--outdir", str(outdir)]
+        assert main(argv) == 1
+        assert "--cut" in capsys.readouterr().err
+        assert not outdir.exists()
+        argv[2] = str(tmp_path / "nosuch.csv")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--cut" in err and "nosuch.csv" not in err
+
+    @pytest.mark.parametrize("command", ["bootstrap", "cv"])
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_bad_threads_exit_one(self, tmp_path, capsys, command, threads):
+        argv = [command, "--input", str(tmp_path / "nosuch.csv"), "--threads", threads,
+                "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--threads" in err and "nosuch.csv" not in err
+
+    @pytest.mark.parametrize("command", ["bootstrap", "cv"])
+    def test_threads_default_to_one(self, monkeypatch, command):
+        monkeypatch.setenv("STAGEDTREE_THREADS", "4")
+        args = _build_parser().parse_args([command, "--input", "x.csv", "--outdir", "out"])
+        assert args.threads == 1
+
+    def test_malformed_parent_budget_exits_two(self, toy_csv, tmp_path, capsys):
+        outdir = tmp_path / "cv"
+        argv = ["cv", "--input", toy_csv, "--algorithms", "bhc,kparents:x", "--outdir", str(outdir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "kparents:x" in err
+        assert not outdir.exists()
+
+    def test_malformed_soft_probability_exits_two(self, model_json, tmp_path, capsys):
+        out = tmp_path / "post.csv"
+        argv = ["whatif", "--model", model_json, "--soft", "B=0.5,x", "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "B=0.5,x" in err
+        assert not out.exists()
+
     def test_bad_data_exits_two(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\nx,\n", encoding="utf-8")
@@ -132,6 +176,11 @@ class TestOrder:
     def test_grouped_mode(self, toy_csv, capsys):
         code = main(["order", "--input", toy_csv, "--mode", "grouped", "--groups", "A,B;C"])
         assert code == 0
+
+    def test_empty_group_exits_two(self, toy_csv, capsys):
+        code = main(["order", "--input", toy_csv, "--mode", "grouped", "--groups", "A,B;C;"])
+        assert code == 2
+        assert "partition" in capsys.readouterr().err
 
 
 class TestBootstrap:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -16,16 +18,15 @@ from stagedtree import (
     compress,
     consensus_order,
     consensus_staging,
-    edge_strength_table,
     ensemble_from_stagings,
     fit,
-    load_dissimilarity_csv,
     run_bootstrap_consensus,
     saturated_tree,
     staging_heatmap_export,
     tally_orders,
 )
-from stagedtree.consensus import context_labels_for_depth
+from stagedtree import consensus
+from stagedtree.consensus import _edge_table_from_lists, context_labels_for_depth
 
 from conftest import fail_replicate, random_dataset, staging_from_ids
 
@@ -198,12 +199,27 @@ class TestAveragedTree:
             assert np.array_equal(staging.stage_of, tree.stagings[depth].stage_of)
 
 
+def edge_table(graphs):
+    """Edge strength table of compressed graphs that share one schema."""
+    edge_lists = [tuple((e.parent, e.child, e.label) for e in g.edges) for g in graphs]
+    return _edge_table_from_lists(edge_lists, graphs[0].schema.names)
+
+
+def load_dissimilarity_csv(path):
+    """Read back a matrix written by staging_heatmap_export."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    labels = rows[0][1:]
+    values = np.array([[float(cell) for cell in row[1:]] for row in rows[1:]])
+    return labels, values
+
+
 class TestEdgeStrength:
     def test_always_present_symmetric_edge(self):
         rng = np.random.default_rng(6)
         d = chain_data(rng, n=600)
         graphs = [compress(bhc(d, (0, 1, 2)))] * 5
-        table = edge_strength_table(graphs)
+        table = edge_table(graphs)
         by_pair = {(r.parent, r.child): r for r in table}
         row = by_pair[("X1", "X2")]
         assert row.strength == 1.0
@@ -213,16 +229,8 @@ class TestEdgeStrength:
         schema = Schema((Variable("u", ("a", "b")), Variable("v", ("x", "y"))))
         stagings = (staging_from_ids(0, [0]), staging_from_ids(1, [0, 0]))
         tree = StagedTree(schema, (0, 1), stagings)
-        table = edge_strength_table([compress(tree)])
+        table = edge_table([compress(tree)])
         assert table == ()
-
-    def test_mixed_variable_sets_rejected(self):
-        schema_a = Schema((Variable("u", ("a", "b")), Variable("v", ("x", "y"))))
-        schema_b = Schema((Variable("u", ("a", "b")), Variable("w", ("x", "y"))))
-        tree_a = StagedTree(schema_a, (0, 1), (staging_from_ids(0, [0]), staging_from_ids(1, [0, 1])))
-        tree_b = StagedTree(schema_b, (0, 1), (staging_from_ids(0, [0]), staging_from_ids(1, [0, 1])))
-        with pytest.raises(ModelError, match="variable set"):
-            edge_strength_table([compress(tree_a), compress(tree_b)])
 
     def test_label_fractions_sum_to_strength(self):
         rng = np.random.default_rng(7)
@@ -283,6 +291,19 @@ class TestBootstrapPipeline:
         refit = fit(result.averaged, d)
         for a, b in zip(result.averaged.probs, refit.probs):
             assert np.array_equal(a, b)
+
+
+class TestCutHeight:
+    @pytest.mark.parametrize("cut", [0.0, 1.0, 1.5, -0.2])
+    def test_bad_cut_raises_before_any_replicate(self, monkeypatch, cut):
+        d = chain_data(np.random.default_rng(15), n=120)
+
+        def resample(d, seed):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(consensus, "bootstrap_replicate", resample)
+        with pytest.raises(ModelError, match="cut height"):
+            run_bootstrap_consensus(d, (0, 1, 2), ResamplePlan(5, seed=7), LearnConfig(), cut=cut)
 
 
 class TestReplicateFailures:

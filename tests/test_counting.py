@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -6,14 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stagedtree import Dataset, LearnConfig, ModelError, Schema, Variable, cmi, dataset, variable_score
+from stagedtree import (
+    Dataset,
+    LearnConfig,
+    ModelError,
+    Schema,
+    Variable,
+    cmi,
+    dataset,
+    learn,
+    order_search_dp,
+    order_search_grouped,
+    ordering_score,
+    variable_score,
+)
 from stagedtree.learning import (
     _bhc_merge,
     _greedy_parents,
     _projection_staging,
+    _subset_dp,
     depth_bic,
 )
 from stagedtree.tree import (
+    FitConfig,
     StagedTree,
     canonical_stage_assignment,
     context_shape,
@@ -143,6 +159,24 @@ def reference_variable_score(d, var, predecessors, cfg):
         staging = reference_bhc_stage_depth(sub, sub_order, depth, cfg.smoothing)
     counts = reference_stage_counts(sub, sub_order, depth, staging.stage_of, staging.n_stages)
     return depth_bic(counts, d.n, cfg.smoothing)
+
+
+def reference_order_search_grouped(d, groups, cfg):
+    """The former grouped search: each group's DP ran on a select_columns
+    copy of the group's variables. Returns the group-internal orders, the
+    best block arrangement and its score."""
+    internal = []
+    for group in groups:
+        cols = sorted(group)
+        sub_order, _ = order_search_dp(d.select_columns(cols), cfg)
+        internal.append(tuple(cols[i] for i in sub_order))
+    best_order, best_score = None, math.inf
+    for perm in itertools.permutations(range(len(groups))):
+        candidate = tuple(v for gi in perm for v in internal[gi])
+        score = ordering_score(d, candidate, cfg)
+        if score < best_score:
+            best_order, best_score = candidate, score
+    return internal, best_order, best_score
 
 
 # -- strategies ----------------------------------------------------------------
@@ -307,3 +341,51 @@ class TestAgainstReference:
                     _projection_staging(schema, order, depth, parents),
                     reference_projection_staging(d, order, depth, parents),
                 )
+
+
+# -- one tally per depth, one subset DP -------------------------------------------
+
+
+def learn_configs(k, smoothing):
+    return (LearnConfig("bhc", smoothing=smoothing), LearnConfig("kparents", k=k, smoothing=smoothing))
+
+
+class TestLearnFromStagingCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(d=datasets(), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), smoothing=st.sampled_from([0.0, 0.5]))
+    def test_probabilities_equal_refit(self, d, seed, k, smoothing):
+        order = tuple(int(v) for v in np.random.default_rng(seed).permutation(d.p))
+        for cfg in learn_configs(k, smoothing):
+            tree = learn(d, order, cfg)
+            refit = fit(StagedTree(d.schema, tree.order, tree.stagings), d, FitConfig(smoothing))
+            for got, want in zip(tree.probs, refit.probs):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_bhc_tallies_each_depth_once(self, monkeypatch):
+        d = random_dataset(np.random.default_rng(6), p=4, n=90)
+        calls = []
+        real = Dataset.counts
+        monkeypatch.setattr(Dataset, "counts", lambda self, cols: calls.append(tuple(cols)) or real(self, cols))
+        learn(d, (2, 0, 3, 1), LearnConfig())
+        assert calls == [(2,), (2, 0), (2, 0, 3), (2, 0, 3, 1)]
+
+
+class TestGroupedAgainstColumnCopies:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=datasets(max_p=5, max_rows=80),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 2),
+        smoothing=st.sampled_from([0.0, 0.5]),
+    )
+    def test_orders_and_scores_equal(self, d, seed, k, smoothing):
+        rng = np.random.default_rng(seed)
+        perm = [int(v) for v in rng.permutation(d.p)]
+        cuts = sorted(int(c) for c in rng.choice(np.arange(1, d.p), size=rng.integers(0, d.p), replace=False))
+        groups = [tuple(perm[a:b]) for a, b in zip([0] + cuts, cuts + [d.p])]
+        for cfg in learn_configs(k, smoothing):
+            internal, order, score = reference_order_search_grouped(d, groups, cfg)
+            cache = {}
+            assert [_subset_dp(d, sorted(g), cfg, cache) for g in groups] == internal
+            assert order_search_grouped(d, groups, cfg) == (order, score)

@@ -11,7 +11,6 @@ from stagedtree import (
     Schema,
     Variable,
     bhc,
-    bhc_stage_depth,
     bic,
     cmi,
     compress,
@@ -24,7 +23,8 @@ from stagedtree import (
     saturated_tree,
     variable_score,
 )
-from stagedtree.learning import _set_partitions, depth_bic
+from stagedtree import learning
+from stagedtree.learning import _set_partitions, _stage_depth, depth_bic
 from stagedtree.tree import StagedTree, stage_counts
 
 from conftest import random_dataset
@@ -49,6 +49,11 @@ def sample_from_tree(tree, rng, n):
         cdf = np.cumsum(tree.probs[depth], axis=1)
         rows[:, var] = (uniforms[:, None] > cdf[stages]).sum(axis=1)
     return Dataset(tree.schema, rows)
+
+
+def bhc_stage_depth(d, order, depth):
+    """Greedy staging of one depth, merging from singleton contexts."""
+    return _stage_depth(d, order, depth, None, 0.0)[0]
 
 
 def depth_bic_of(d, order, staging, smoothing=0.0):
@@ -323,11 +328,12 @@ class TestOrderSearch:
         assert order[-1] == 1
         assert sorted(order) == [0, 1, 2, 3]
 
-    def test_guard_rejects_large_p(self):
+    def test_guard_rejects_large_p(self, monkeypatch):
         rng = np.random.default_rng(33)
         d = binary_dataset(rng, 4, 40)
+        monkeypatch.setattr(learning, "MAX_DP_VARIABLES", 3)
         with pytest.raises(ModelError, match="grouped"):
-            order_search_dp(d, LearnConfig(), max_p=3)
+            order_search_dp(d, LearnConfig())
 
     def test_score_matches_learned_tree_bic(self):
         rng = np.random.default_rng(34)
@@ -375,6 +381,20 @@ class TestGroupedSearch:
         d = binary_dataset(rng, 3, 50)
         with pytest.raises(ModelError, match="partition"):
             order_search_grouped(d, [(0, 1)], LearnConfig())
+
+    def test_empty_group_rejected(self):
+        rng = np.random.default_rng(44)
+        d = binary_dataset(rng, 3, 50)
+        with pytest.raises(ModelError, match="partition"):
+            order_search_grouped(d, [(0, 1), (2,), ()], LearnConfig())
+
+    def test_group_guard(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        d = binary_dataset(rng, 4, 40)
+        monkeypatch.setattr(learning, "MAX_DP_VARIABLES", 2)
+        with pytest.raises(ModelError, match="guard of 2"):
+            order_search_grouped(d, [(0, 1, 2), (3,)], LearnConfig())
+        assert order_search_grouped(d, [(0, 1), (2, 3)], LearnConfig())[0] is not None
 
 
 class TestLearnConfig:

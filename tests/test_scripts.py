@@ -27,3 +27,11 @@ def test_survey_scripts_write_their_artifacts(tmp_path):
     assert ran.returncode == 0, ran.stderr
     for name in ("model.json", "aldag.json", "dissimilarity_depth_1.csv"):
         assert (outdir / name).is_file(), name
+
+
+def test_consensus_timing_script_outputs_agree(tmp_path):
+    ran = run_script(
+        "benchmark_consensus.py", "--rows", "300", "--replicates", "4", "--threads", "2", cwd=tmp_path,
+    )
+    assert ran.returncode == 0, ran.stderr
+    assert "outputs identical: True" in ran.stdout
