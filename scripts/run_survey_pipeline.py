@@ -53,15 +53,13 @@ def main() -> None:
     print(f"loaded {d.n} rows, {d.p} variables", file=sys.stderr)
     votes = bootstrap_orders(d, plan, cfg, fixed_last=response, threads=args.threads)
     decision = consensus_order(votes)
-    order = tuple(v for v in decision.order if v != response) + (response,)
+    order = decision.order
     names = [d.schema.names[v] for v in order]
     print("consensus order:", ", ".join(names))
     if decision.cyclic:
         print("note: pairwise votes were cyclic; Copeland linearization used", file=sys.stderr)
 
-    result = run_bootstrap_consensus(
-        d, order, plan, cfg, cut=args.cut, threads=args.threads, votes=votes
-    )
+    result = run_bootstrap_consensus(d, order, plan, cfg, cut=args.cut, threads=args.threads)
     model = result.averaged
     with open(os.path.join(args.outdir, "model.json"), "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(model))

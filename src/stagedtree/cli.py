@@ -60,12 +60,13 @@ def _checked(convert, accept, requirement: str):
 
 _THREADS = _checked(int, lambda v: v >= 1, "be at least 1")
 _CUT = _checked(float, lambda v: 0 < v < 1, "lie strictly between 0 and 1")
+_SMOOTHING = _checked(float, lambda v: v >= 0, "be at least 0")
 
 
 def _add_learn_flags(parser):
     parser.add_argument("--algorithm", choices=["bhc", "kparents"], default="bhc")
     parser.add_argument("--k", type=int, default=None, help="parent budget for kparents")
-    parser.add_argument("--smoothing", type=float, default=0.0)
+    parser.add_argument("--smoothing", type=_SMOOTHING, default=0.0)
 
 
 def _add_order_flags(parser):
@@ -118,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--replicates", type=int, default=200)
     p_cv.add_argument("--cut", type=_CUT, default=0.5)
     p_cv.add_argument("--linkage", choices=["average", "complete", "single"], default="average")
-    p_cv.add_argument("--smoothing", type=float, default=0.0)
-    p_cv.add_argument("--predictive-smoothing", type=float, default=1.0)
+    p_cv.add_argument("--smoothing", type=_SMOOTHING, default=0.0)
+    p_cv.add_argument("--predictive-smoothing", type=_SMOOTHING, default=1.0)
     p_cv.add_argument("--seed", type=int, default=0)
     p_cv.add_argument("--threads", type=_THREADS, default=1)
     p_cv.add_argument("--fixed-last", default=None)
@@ -304,22 +305,18 @@ def _cmd_bootstrap(args) -> int:
     plan = ResamplePlan(args.replicates, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
 
-    votes = None
     if flags.mode == "fixed":
         order = flags.order
     else:
-        fixed_last = flags.fixed_last
-        votes = bootstrap_orders(d, plan, cfg, fixed_last=fixed_last, threads=args.threads)
+        votes = bootstrap_orders(d, plan, cfg, fixed_last=flags.fixed_last, threads=args.threads)
         decision = consensus_order(votes, tie_seed=flags.tie_seed)
         order = decision.order
-        if fixed_last is not None:
-            order = tuple(v for v in order if v != fixed_last) + (fixed_last,)
         if decision.cyclic:
             print("warning: pairwise order votes are cyclic; Copeland order used", file=sys.stderr)
         _write_votes_csv(votes, d.schema.names, os.path.join(args.outdir, "votes.csv"))
 
     result = run_bootstrap_consensus(
-        d, order, plan, cfg, cut=args.cut, linkage=args.linkage, threads=args.threads, votes=votes
+        d, order, plan, cfg, cut=args.cut, linkage=args.linkage, threads=args.threads
     )
     with open(os.path.join(args.outdir, "consensus_model.json"), "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(result.averaged))

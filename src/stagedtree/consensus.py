@@ -13,7 +13,6 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,62 +111,47 @@ def tally_orders(orders, p: int) -> OrderVoteMatrix:
     return OrderVoteMatrix(counts, n)
 
 
-@contextmanager
-def _naming_replicate(index: int, seed: int):
-    """Add the replicate index and seed that reproduce a failure to its
-    exception, keeping its type."""
+def _replicate(d: Dataset, task, args, index: int, seed: int):
+    """``task`` on bootstrap replicate ``index``; a failure keeps its type and
+    is noted with the replicate index and seed that reproduce it."""
     try:
-        yield
+        return task(bootstrap_replicate(d, seed), *args)
     except Exception as exc:
         exc.add_note(f"in bootstrap replicate {index} (seed {seed})")
         raise
 
 
-def _order_chunk_worker(payload):
-    d, cfg, fixed_last, replicates = payload
-    out = []
-    for index, seed in replicates:
-        with _naming_replicate(index, seed):
-            replicate = bootstrap_replicate(d, seed)
-            order, _ = order_search_dp(replicate, cfg, fixed_last=fixed_last)
-        out.append(order)
-    return out
+# Set in each worker process by _start_worker: the dataset and task of the map.
+_worker_setup = None
 
 
-def _staging_chunk_worker(payload):
-    d, order, cfg, replicates = payload
-    out = []
-    for index, seed in replicates:
-        with _naming_replicate(index, seed):
-            replicate = bootstrap_replicate(d, seed)
-            tree = learn(replicate, order, cfg)
-            aldag = compress(tree)
-        stages = tuple(s.stage_of for s in tree.stagings)
-        edges = tuple((e.parent, e.child, e.label) for e in aldag.edges)
-        out.append((stages, edges))
-    return out
+def _start_worker(*setup) -> None:
+    global _worker_setup
+    _worker_setup = setup
 
 
-def _replicates(plan: ResamplePlan) -> list[tuple[int, int]]:
-    return [(i, plan.replicate_seed(i)) for i in range(plan.replicates)]
+def _worker_replicate(job):
+    return _replicate(*_worker_setup, *job)
 
 
-def _parallel_chunks(worker, make_payload, replicates, threads):
+def _map_replicates(d: Dataset, plan: ResamplePlan, threads: int, task, *args) -> list:
+    """``task(bootstrap_replicate(d, seed_i), *args)`` for every replicate i of
+    ``plan``, in replicate order. With ``threads > 1`` the replicates run in a
+    process pool whose workers receive ``d`` and the task once, at start-up."""
+    jobs = [(i, plan.replicate_seed(i)) for i in range(plan.replicates)]
     if threads <= 1:
-        return worker(make_payload(replicates))
-    n_chunks = min(len(replicates), max(threads * 4, 1))
-    base, extra = divmod(len(replicates), n_chunks)
-    chunks = []
-    start = 0
-    for c in range(n_chunks):
-        size = base + (1 if c < extra else 0)
-        chunks.append(replicates[start:start + size])
-        start += size
-    flat = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(worker, [make_payload(c) for c in chunks]):
-            flat.extend(part)
-    return flat
+        return [_replicate(d, task, args, *job) for job in jobs]
+    chunksize = max(1, len(jobs) // (4 * threads))  # about 4 chunks a worker, for balance
+    with ProcessPoolExecutor(threads, initializer=_start_worker, initargs=(d, task, args)) as pool:
+        return list(pool.map(_worker_replicate, jobs, chunksize=chunksize))
+
+
+def _replicate_structure(replicate: Dataset, order: Ordering, cfg: LearnConfig):
+    """The replicate's stage ids per depth and its compressed edge list."""
+    tree = learn(replicate, order, cfg)
+    stages = tuple(s.stage_of for s in tree.stagings)
+    edges = tuple((e.parent, e.child, e.label) for e in compress(tree).edges)
+    return stages, edges
 
 
 def bootstrap_orders(
@@ -179,10 +163,8 @@ def bootstrap_orders(
 ) -> OrderVoteMatrix:
     """Learn one optimal ordering per bootstrap replicate and tally pairwise
     precedence frequencies."""
-    orders = _parallel_chunks(
-        _order_chunk_worker, lambda c: (d, cfg, fixed_last, c), _replicates(plan), threads
-    )
-    return tally_orders(orders, len(d.schema))
+    searches = _map_replicates(d, plan, threads, order_search_dp, cfg, fixed_last)
+    return tally_orders((order for order, _ in searches), len(d.schema))
 
 
 def consensus_order(votes: OrderVoteMatrix, tie_seed: int | None = None) -> ConsensusOrder:
@@ -238,8 +220,14 @@ class StagingEnsemble:
 
 
 def _disagreement(z: np.ndarray) -> np.ndarray:
-    diff = z[:, None, :] != z[None, :, :]
-    return diff.mean(axis=2)
+    """Fraction of replicates (columns of ``z``) that stage each pair of
+    contexts apart, from integer counts added one replicate at a time, so
+    memory stays k x k whatever the replicate count."""
+    k, m = z.shape
+    apart = np.zeros((k, k), dtype=np.int64)
+    for stage_of in z.T:
+        apart += stage_of[:, None] != stage_of[None, :]
+    return apart / m
 
 
 def ensemble_from_stagings(order, replicate_stagings) -> StagingEnsemble:
@@ -261,14 +249,6 @@ def ensemble_from_stagings(order, replicate_stagings) -> StagingEnsemble:
         z.append(np.column_stack(cols))
     dissimilarity = tuple(_disagreement(mat) for mat in z)
     return StagingEnsemble(tuple(order), tuple(z), dissimilarity)
-
-
-def _replicate_results(d: Dataset, order, plan: ResamplePlan, cfg: LearnConfig, threads: int):
-    """Per-replicate stagings and compressed edge lists, in replicate order."""
-    order = validate_order(d.schema, order)
-    return _parallel_chunks(
-        _staging_chunk_worker, lambda c: (d, order, cfg, c), _replicates(plan), threads
-    )
 
 
 def _check_cut(cut: float) -> None:
@@ -359,7 +339,6 @@ class ConsensusResult:
     stagings: tuple[StageAssignment, ...]
     ensemble: StagingEnsemble
     edge_table: tuple[EdgeStrengthRow, ...]
-    votes: OrderVoteMatrix | None = None
 
 
 def run_bootstrap_consensus(
@@ -370,23 +349,21 @@ def run_bootstrap_consensus(
     cut: float = 0.5,
     linkage: str = "average",
     threads: int = 1,
-    votes: OrderVoteMatrix | None = None,
 ) -> ConsensusResult:
     """Bootstrap stagings at a fixed ordering, cluster them into a consensus
     staging per depth, and fit the averaged tree on the full data. A ``cut``
     outside (0, 1) is rejected before any replicate is drawn."""
     _check_cut(cut)
     order = validate_order(d.schema, order)
-    results = _replicate_results(d, order, plan, cfg, threads)
+    results = _map_replicates(d, plan, threads, _replicate_structure, order, cfg)
     ensemble = ensemble_from_stagings(order, [stages for stages, _ in results])
-    edge_lists = tuple(edges for _, edges in results)
     stagings = tuple(
         consensus_staging(ensemble.dissimilarity[depth], cut, depth, linkage)
         for depth in range(len(order))
     )
     averaged = averaged_tree(d, order, stagings, cfg.smoothing)
-    edge_table = _edge_table_from_lists(edge_lists, d.schema.names)
-    return ConsensusResult(averaged, stagings, ensemble, edge_table, votes)
+    edge_table = _edge_table_from_lists([edges for _, edges in results], d.schema.names)
+    return ConsensusResult(averaged, stagings, ensemble, edge_table)
 
 
 def staging_heatmap_export(d_matrix: np.ndarray, labels, path: str) -> None:

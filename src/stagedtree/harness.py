@@ -16,7 +16,7 @@ import numpy as np
 
 from .consensus import run_bootstrap_consensus
 from .dataset import Dataset, ResamplePlan, derived_seed, kfold_split
-from .errors import ModelError
+from .errors import DataError, ModelError
 from .learning import order_search_dp
 from .tree import FitConfig, StagedTree, bic, fit, log_likelihood, n_parameters
 
@@ -70,12 +70,16 @@ def run_cv(
     reused across folds, unless an explicit ``order`` is supplied or
     ``reorder_per_fold`` asks for a per-fold search. ``fixed_last`` and
     ``reorder_per_fold`` steer the search, so neither is taken with ``order``.
+    The fold count and the predictive smoothing are checked before any search.
     """
     algorithms = list(algorithms)
     if not algorithms:
         raise ModelError("need at least one algorithm")
     if order is not None and (fixed_last is not None or reorder_per_fold):
         raise ModelError("an explicit order takes neither fixed_last nor reorder_per_fold")
+    if not 2 <= folds <= d.n:
+        raise DataError(f"folds must lie between 2 and the row count N={d.n}, got {folds}")
+    predictive_cfg = FitConfig(predictive_smoothing)
 
     full_orders = {}
     if order is not None:
@@ -100,7 +104,7 @@ def run_cv(
             )
             model: StagedTree = result.averaged
             train_score = bic(model, train)
-            predictive = fit(model, train, FitConfig(predictive_smoothing))
+            predictive = fit(model, train, predictive_cfg)
             test_score = log_likelihood(predictive, test)
             elapsed = time.perf_counter() - started
             records.append(

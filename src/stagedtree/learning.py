@@ -64,7 +64,7 @@ class LearnConfig:
             raise ModelError("kparents requires k >= 1")
         if self.algorithm != "kparents" and self.k is not None:
             raise ModelError(f"k applies only to kparents, not to {self.algorithm}")
-        if self.smoothing < 0:
+        if not self.smoothing >= 0:
             raise ModelError("smoothing must be non-negative")
 
     def label(self) -> str:
@@ -168,7 +168,7 @@ def _learn(d: Dataset, order, k: int | None, smoothing: float):
     """Stage every depth with ``_stage_depth`` and estimate its probabilities
     from the pooled counts it returns; returns the fitted tree and the parent
     set of every depth."""
-    if smoothing < 0:
+    if not smoothing >= 0:
         raise ModelError("smoothing must be non-negative")
     order = validate_order(d.schema, order)
     depths = [_stage_depth(d, order, depth, k, smoothing) for depth in range(len(order))]

@@ -123,7 +123,7 @@ class FitConfig:
     smoothing: float = 0.0
 
     def __post_init__(self):
-        if self.smoothing < 0:
+        if not self.smoothing >= 0:
             raise ModelError("smoothing must be non-negative")
 
 
@@ -362,24 +362,26 @@ def encode_bn(
     probs = []
     for depth in range(len(schema)):
         var = order[depth]
-        pars = parent_idx[var]
-        par_pos = [order.index(q) for q in pars]
-        cpt = cpt_arrays[var]
-        total = n_contexts(schema, order, depth)
-        raw = np.empty(total, dtype=np.int64)
-        stage_rows: list[np.ndarray] = []
-        seen: dict[bytes, int] = {}
-        for c, ctx in enumerate(context_tuples(schema, order, depth)):
-            row = cpt[tuple(ctx[pos] for pos in par_pos)]
-            key = row.tobytes()
-            sid = seen.get(key)
-            if sid is None:
-                sid = len(stage_rows)
-                seen[key] = sid
-                stage_rows.append(row)
-            raw[c] = sid
-        stagings.append(StageAssignment(depth, raw, len(stage_rows)))
-        probs.append(np.array(stage_rows))
+        n_contexts(schema, order, depth)  # the MAX_CONTEXTS guard
+        # One CPT row per parent configuration; bit-equal rows share a label.
+        rows = cpt_arrays[var].reshape(-1, counts[var])
+        row_bytes = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+        _, first, row_label = np.unique(
+            rows.view(row_bytes).ravel(), return_index=True, return_inverse=True
+        )
+        # Each context's parent configuration, by broadcasting over the
+        # context axes that hold a parent (parents in their listed order).
+        config = np.zeros((1,) * depth, dtype=np.int64)
+        for q in parent_idx[var]:
+            axis = [1] * depth
+            axis[order.index(q)] = counts[q]
+            config = config * counts[q] + np.arange(counts[q]).reshape(axis)
+        label = row_label[np.broadcast_to(config, context_shape(schema, order, depth)).ravel()]
+        staging = canonical_stage_assignment(depth, label)
+        stage_row = np.empty(staging.n_stages, dtype=np.int64)
+        stage_row[staging.stage_of] = label
+        stagings.append(staging)
+        probs.append(rows[first[stage_row]])
     return StagedTree(schema, tuple(order), tuple(stagings), tuple(probs))
 
 

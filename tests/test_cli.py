@@ -93,6 +93,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--cut" in err and "nosuch.csv" not in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["learn", "--output", "m.json"], "--smoothing"),
+            (["order"], "--smoothing"),
+            (["bootstrap", "--outdir", "out"], "--smoothing"),
+            (["cv", "--outdir", "out"], "--smoothing"),
+            (["cv", "--outdir", "out"], "--predictive-smoothing"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["-0.5", "nan"])
+    def test_bad_smoothing_rejected_before_ingest(self, tmp_path, capsys, argv, flag, value):
+        argv = argv[:1] + ["--input", str(tmp_path / "nosuch.csv"), flag, value] + argv[1:]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "nosuch.csv" not in err
+
+    def test_cv_bad_fold_count_named(self, toy_csv, tmp_path, capsys):
+        argv = ["cv", "--input", toy_csv, "--folds", "1", "--replicates", "2", "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "error: folds must lie between 2 and the row count N=300, got 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["bootstrap", "cv"])
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
     def test_bad_threads_exit_one(self, tmp_path, capsys, command, threads):

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stagedtree import (
     Dataset,
@@ -26,7 +28,7 @@ from stagedtree import (
     tally_orders,
 )
 from stagedtree import consensus
-from stagedtree.consensus import _edge_table_from_lists, context_labels_for_depth
+from stagedtree.consensus import _disagreement, _edge_table_from_lists, context_labels_for_depth
 
 from conftest import fail_replicate, random_dataset, staging_from_ids
 
@@ -127,6 +129,22 @@ class TestStagingEnsemble:
         # contexts 1,2 split only in the first replicate
         assert d[1, 2] == pytest.approx(1 / 3)
         assert np.allclose(d, d.T) and not np.diag(d).any()
+
+
+def disagreement_3d(z):
+    """The k x k x M boolean form of the co-staging dissimilarity; reference
+    for the integer tally in _disagreement."""
+    diff = z[:, None, :] != z[None, :, :]
+    return diff.mean(axis=2)
+
+
+class TestDisagreementTally:
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 40), m=st.integers(1, 60), ids=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_3d_mean(self, k, m, ids, seed):
+        z = np.random.default_rng(seed).integers(0, ids, size=(k, m))
+        got, want = _disagreement(z), disagreement_3d(z)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestConsensusStaging:
@@ -252,6 +270,14 @@ class TestBootstrapPipeline:
                 if j != k:
                     assert votes.counts[j, k] + votes.counts[k, j] == 6
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), p=st.integers(2, 6), tie_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    def test_pinned_variable_comes_last(self, data, p, tie_seed):
+        pinned = data.draw(st.integers(0, p - 1))
+        rest = st.permutations([v for v in range(p) if v != pinned])
+        orders = [tuple(o) + (pinned,) for o in data.draw(st.lists(rest, min_size=1, max_size=9))]
+        assert consensus_order(tally_orders(orders, p), tie_seed=tie_seed).order[-1] == pinned
+
     def test_fixed_last_excluded_from_search(self):
         rng = np.random.default_rng(9)
         d = chain_data(rng, n=300)
@@ -319,6 +345,28 @@ class TestReplicateFailures:
             else:
                 run_bootstrap_consensus(d, (0, 1, 2), plan, LearnConfig(), threads=threads)
         assert note in exc.value.__notes__
+
+
+class TestWorkerPayload:
+    @pytest.mark.parametrize("stage", ["orders", "stagings"])
+    def test_dataset_pickled_at_most_once_per_worker(self, monkeypatch, stage):
+        d = chain_data(np.random.default_rng(16), n=120)
+        plan = ResamplePlan(8, seed=2)
+        pickled = []
+
+        def reduce_ex(self, protocol):
+            pickled.append(protocol)
+            return object.__reduce_ex__(self, protocol)
+
+        monkeypatch.setattr(Dataset, "__reduce_ex__", reduce_ex, raising=False)
+        if stage == "orders":
+            serial = bootstrap_orders(d, plan, LearnConfig()).counts
+            parallel = bootstrap_orders(d, plan, LearnConfig(), threads=2).counts
+        else:
+            serial = run_bootstrap_consensus(d, (0, 1, 2), plan, LearnConfig()).ensemble.z
+            parallel = run_bootstrap_consensus(d, (0, 1, 2), plan, LearnConfig(), threads=2).ensemble.z
+        assert len(pickled) <= 2
+        assert all(np.array_equal(a, b) for a, b in zip(serial, parallel))
 
 
 class TestHeatmapExport:

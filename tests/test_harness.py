@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stagedtree import (
+    DataError,
     Dataset,
     LearnConfig,
     ModelError,
@@ -13,6 +14,7 @@ from stagedtree import (
     run_cv,
 )
 from stagedtree.dataset import derived_seed, kfold_indices
+from stagedtree import harness
 from stagedtree.harness import CvRecord, CvReport, report_export, summarize
 
 
@@ -96,6 +98,23 @@ class TestRunCv:
         for extra in ({"fixed_last": 0}, {"reorder_per_fold": True}):
             with pytest.raises(ModelError, match="explicit order"):
                 run_cv(d, [LearnConfig()], folds=2, bootstrap_replicates=1, order=(2, 1, 0), **extra)
+
+    @pytest.mark.parametrize(
+        "args, error, match",
+        [
+            ({"folds": 1}, DataError, "folds must lie between 2 and the row count N=40, got 1"),
+            ({"folds": 41}, DataError, "folds must lie between 2 and the row count N=40, got 41"),
+            ({"folds": 2, "predictive_smoothing": -1.0}, ModelError, "smoothing must be non-negative"),
+            ({"folds": 2, "predictive_smoothing": float("nan")}, ModelError, "smoothing must be non-negative"),
+        ],
+    )
+    def test_bad_settings_rejected_before_order_search(self, monkeypatch, args, error, match):
+        def search(*args, **kwargs):
+            raise AssertionError("the order search ran")
+
+        monkeypatch.setattr(harness, "order_search_dp", search)
+        with pytest.raises(error, match=match):
+            run_cv(toy_data(np.random.default_rng(7), n=40), [LearnConfig()], bootstrap_replicates=1, **args)
 
     def test_no_algorithms_rejected(self):
         rng = np.random.default_rng(4)

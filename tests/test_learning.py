@@ -25,7 +25,7 @@ from stagedtree import (
 )
 from stagedtree import learning
 from stagedtree.learning import _set_partitions, _stage_depth, depth_bic
-from stagedtree.tree import StagedTree, stage_counts
+from stagedtree.tree import FitConfig, StagedTree, stage_counts
 
 from conftest import random_dataset
 
@@ -404,6 +404,14 @@ class TestLearnConfig:
             LearnConfig("bhc", k=3)
         with pytest.raises(ModelError, match="requires k"):
             LearnConfig("kparents")
+
+    @pytest.mark.parametrize("smoothing", [-0.5, float("nan")])
+    def test_bad_smoothing_rejected(self, smoothing):
+        for config in (LearnConfig, FitConfig):
+            with pytest.raises(ModelError, match="smoothing must be non-negative"):
+                config(smoothing=smoothing)
+        with pytest.raises(ModelError, match="smoothing must be non-negative"):
+            bhc(random_dataset(np.random.default_rng(51), p=2, n=20), (0, 1), smoothing)
 
 
 class TestVariableScoreCache:

@@ -25,7 +25,7 @@ from stagedtree import (
     tree_from_json,
     tree_to_json,
 )
-from stagedtree.tree import canonical_stage_assignment, n_contexts
+from stagedtree.tree import canonical_stage_assignment, context_tuples, n_contexts
 
 from conftest import (
     random_dataset,
@@ -308,6 +308,59 @@ class TestEncodeBn:
         cpts = {"u": np.array([0.4, 0.6]), "v": np.array([[0.1, 0.9], [0.2, 0.8]])}
         with pytest.raises(ModelError, match="inconsistent"):
             encode_bn(schema, {"u": [], "v": ["u"]}, cpts, order=["v", "u"])
+
+
+def encode_bn_loop(schema, parents, cpts, order):
+    """The context-by-context encoding: each context's CPT row looked up by its
+    parent values, stages numbered by the first context whose row bytes they
+    hold. Reference for encode_bn's vectorised staging."""
+    stagings, probs = [], []
+    for depth, var in enumerate(order):
+        name = schema.names[var]
+        par_pos = [order.index(schema.index(q)) for q in parents[name]]
+        raw = []
+        rows, seen = [], {}
+        for ctx in context_tuples(schema, order, depth):
+            row = np.asarray(cpts[name], dtype=float)[tuple(ctx[pos] for pos in par_pos)]
+            raw.append(seen.setdefault(row.tobytes(), len(seen)))
+            if len(rows) < len(seen):
+                rows.append(row)
+        stagings.append(raw)
+        probs.append(np.array(rows))
+    return stagings, probs
+
+
+@st.composite
+def bayesian_networks(draw):
+    """Random networks with parentless variables, parent lists in an order
+    other than the ordering's, and CPT rows repeated across configurations."""
+    p = draw(st.integers(1, 5))
+    levels = [draw(st.integers(2, 3)) for _ in range(p)]
+    schema = Schema(tuple(Variable(f"V{j}", tuple("abc"[:n])) for j, n in enumerate(levels)))
+    order = draw(st.permutations(range(p)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parents, cpts = {}, {}
+    for depth, var in enumerate(order):
+        pars = draw(st.lists(st.sampled_from(order[:depth]), unique=True) if depth else st.just([]))
+        shape = tuple(levels[q] for q in pars)
+        pool = rng.dirichlet(np.ones(levels[var]), size=draw(st.integers(1, 3)))
+        picks = rng.integers(0, len(pool), size=shape)
+        parents[schema.names[var]] = [schema.names[q] for q in pars]
+        cpts[schema.names[var]] = pool[picks]
+    return schema, parents, cpts, tuple(order)
+
+
+class TestEncodeBnOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(net=bayesian_networks())
+    def test_matches_context_loop(self, net):
+        schema, parents, cpts, order = net
+        tree = encode_bn(schema, parents, cpts, order=[schema.names[v] for v in order])
+        stagings, probs = encode_bn_loop(schema, parents, cpts, order)
+        for staging, raw, got, want in zip(tree.stagings, stagings, tree.probs, probs):
+            assert staging.stage_of.tolist() == raw
+            assert staging.n_stages == len(want)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 class TestModelJson:
