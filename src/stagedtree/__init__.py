@@ -14,7 +14,6 @@ from .aldag import (
     AldagEdge,
     DependenceSubtree,
     aldag_to_json,
-    classify_edge,
     compress,
     dependence_subtree,
     render_dot,
@@ -68,7 +67,6 @@ from .learning import (
     LearnConfig,
     bhc,
     cmi,
-    exhaustive_stage,
     kparents_learn,
     learn,
     order_search_dp,

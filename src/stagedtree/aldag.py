@@ -44,7 +44,6 @@ __all__ = [
     "Aldag",
     "DependenceSubtree",
     "compress",
-    "classify_edge",
     "dependence_subtree",
     "render_dot",
     "to_dot",
@@ -158,21 +157,6 @@ def _label_axes(grid: np.ndarray) -> list[tuple[str, tuple[str, ...]]]:
         detected = tuple(kind for kind, seen in kinds if seen)
         out.append((detected[-1] if detected else SYMMETRIC, detected))
     return out
-
-
-def classify_edge(grid: np.ndarray, axis: int) -> tuple[str, tuple[str, ...]]:
-    """Label the dependence of the child on the parent at the given axis.
-
-    ``grid`` holds the stage id for every configuration of the child's
-    parents. Raises if the axis is removable (the stage never varies with it),
-    since such an axis must not be an edge at all.
-    """
-    if grid.ndim == 0 or axis >= grid.ndim:
-        raise ModelError("axis out of range for the parent grid")
-    reference = np.take(grid, [0], axis=axis)
-    if bool((grid == reference).all()):
-        raise ModelError(f"axis {axis} is removable; it cannot carry an edge label")
-    return _label_axes(grid)[axis]
 
 
 def _reduced_grid(tree: StagedTree, depth: int) -> tuple[np.ndarray, list[int]]:

@@ -61,6 +61,7 @@ def _checked(convert, accept, requirement: str):
 _THREADS = _checked(int, lambda v: v >= 1, "be at least 1")
 _CUT = _checked(float, lambda v: 0 < v < 1, "lie strictly between 0 and 1")
 _SMOOTHING = _checked(float, lambda v: v >= 0, "be at least 0")
+_SEED = _checked(int, lambda v: 0 <= v < 2**64, "lie in [0, 2**64)")
 
 
 def _add_learn_flags(parser):
@@ -85,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_learn.add_argument("--no-header", action="store_true")
     _add_learn_flags(p_learn)
     _add_order_flags(p_learn)
-    p_learn.add_argument("--seed", type=int, default=0)
     p_learn.add_argument("--output", required=True)
 
     p_order = sub.add_parser("order", help="search for a variable ordering")
@@ -103,11 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_learn_flags(p_boot)
     _add_order_flags(p_boot)
     p_boot.add_argument("--replicates", type=int, default=200)
-    p_boot.add_argument("--seed", type=int, default=0)
+    p_boot.add_argument("--seed", type=_SEED, default=0)
     p_boot.add_argument("--cut", type=_CUT, default=0.5)
     p_boot.add_argument("--linkage", choices=["average", "complete", "single"], default="average")
     p_boot.add_argument("--threads", type=_THREADS, default=1)
-    p_boot.add_argument("--random-ties", type=int, default=None,
+    p_boot.add_argument("--random-ties", type=_SEED, default=None,
                         help="break order-vote ties randomly with this seed instead of by index")
     p_boot.add_argument("--outdir", required=True)
 
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--linkage", choices=["average", "complete", "single"], default="average")
     p_cv.add_argument("--smoothing", type=_SMOOTHING, default=0.0)
     p_cv.add_argument("--predictive-smoothing", type=_SMOOTHING, default=1.0)
-    p_cv.add_argument("--seed", type=int, default=0)
+    p_cv.add_argument("--seed", type=_SEED, default=0)
     p_cv.add_argument("--threads", type=_THREADS, default=1)
     p_cv.add_argument("--fixed-last", default=None)
     p_cv.add_argument("--order-spec", default=None)

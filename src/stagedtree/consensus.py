@@ -176,6 +176,8 @@ def consensus_order(votes: OrderVoteMatrix, tie_seed: int | None = None) -> Cons
     to the smaller variable index, or to a seeded random rank when
     ``tie_seed`` is given.
     """
+    if tie_seed is not None and not 0 <= tie_seed < 2**64:
+        raise ModelError(f"tie seed must be a 64-bit unsigned integer, got {tie_seed}")
     counts = votes.counts
     m = votes.replicates
     p = votes.p

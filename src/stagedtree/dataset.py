@@ -182,6 +182,8 @@ class ResamplePlan:
 
 def derived_seed(master: int, index: int) -> int:
     """Derive an independent 64-bit stream seed from (master seed, counter)."""
+    if not 0 <= master < 2**64:
+        raise DataError(f"seed must be a 64-bit unsigned integer, got {master}")
     ss = np.random.SeedSequence(entropy=(int(master), int(index)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 

@@ -103,13 +103,27 @@ def _schema_axes(joint: np.ndarray, kept: list[int]):
     return np.ascontiguousarray(joint.transpose(np.argsort(kept))), sorted(kept)
 
 
+def _table(tree: StagedTree, variables) -> np.ndarray:
+    """Joint distribution of ``variables`` (indices), one axis each in the
+    given order: one forward pass over the ordering prefix that ends at the
+    deepest of them, every other axis summed out. Every query without
+    evidence reads from it.
+    """
+    depths = [tree.depth_of(v) for v in variables]
+    kept = sorted(depths)
+    joint, _ = _forward(tree, {}, kept[-1])
+    other = tuple(depth for depth in range(kept[-1] + 1) if depth not in kept)
+    table = joint.sum(axis=other) if other else joint
+    return table.transpose([kept.index(depth) for depth in depths])
+
+
 def joint_table(tree: StagedTree) -> np.ndarray:
     """Full outcome table, axes in schema variable order.
 
     The returned array maps every full level-index assignment to its atom
     probability: ``table[i1, ..., ip]``.
     """
-    return _schema_axes(*_forward(tree, {}))[0]
+    return np.ascontiguousarray(_table(tree, range(tree.p)))
 
 
 def joint_level_iter(tree: StagedTree):
@@ -125,9 +139,7 @@ def joint_level_iter(tree: StagedTree):
 def marginal(tree: StagedTree, var) -> np.ndarray:
     """Marginal distribution of one variable via a forward pass over the
     ordering prefix that ends at it."""
-    depth = tree.depth_of(tree.schema.index(var))
-    joint, _ = _forward(tree, {}, depth)
-    return joint.sum(axis=tuple(range(depth)))
+    return _table(tree, [tree.schema.index(var)])
 
 
 def _by_index(tree: StagedTree, findings: dict) -> dict:
@@ -326,14 +338,7 @@ def mutual_information(tree: StagedTree, a, b) -> float:
     a, b = tree.schema.index(a), tree.schema.index(b)
     if a == b:
         raise ModelError("mutual information needs two distinct variables")
-    pos_a, pos_b = tree.depth_of(a), tree.depth_of(b)
-    last = max(pos_a, pos_b)
-    joint, _ = _forward(tree, {}, last)
-    keep = sorted((pos_a, pos_b))
-    other = tuple(i for i in range(last + 1) if i not in keep)
-    pair = joint.sum(axis=other)
-    if keep[0] == pos_b:
-        pair = pair.T
+    pair = _table(tree, [a, b])
     pa = pair.sum(axis=1)
     pb = pair.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -343,6 +348,10 @@ def mutual_information(tree: StagedTree, a, b) -> float:
     if value < -1e-12:
         raise ModelError(f"mutual information computed as {value}; joint table is inconsistent")
     return max(value, 0.0)
+
+
+# Sweep responses that differ by at most this much count as equal.
+SWEEP_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -356,12 +365,18 @@ class SweepRow:
 
 
 def whatif_sweep(tree: StagedTree, target, predictors=None) -> list[SweepRow]:
-    """Condition on every level of every predictor and summarize the movement
+    """Fix every level of every predictor in turn and summarize the movement
     of the target's marginal.
 
+    The responses are read from the table P(predictor, target), so the
+    ``MAX_CONTEXTS`` guard refuses a predictor's sweep exactly when it
+    refuses ``mutual_information(tree, predictor, target)``.
+
     ``direction`` tracks the target-level probability along the predictor's
-    level order: increase, decrease, mixed, or flat. Predictor levels the
-    model gives zero probability are skipped with a warning.
+    level order: increase, decrease, mixed, or flat. Differences up to
+    ``SWEEP_TIE`` count as ties, so a predictor the model makes irrelevant
+    to the target is flat. Predictor levels the model gives zero probability
+    are skipped with a warning.
     """
     target = tree.schema.index(target)
     if predictors is None:
@@ -371,34 +386,28 @@ def whatif_sweep(tree: StagedTree, target, predictors=None) -> list[SweepRow]:
     if target in predictors:
         raise ModelError("the target cannot be one of the predictors")
 
-    target_name = tree.schema.names[target]
     target_levels = tree.schema.variables[target].levels
     rows: list[SweepRow] = []
     for pred in predictors:
         pred_name = tree.schema.names[pred]
-        level_probs = marginal(tree, pred)
-        responses = []
-        for level, level_name in enumerate(tree.schema.variables[pred].levels):
-            if level_probs[level] == 0.0:
-                warnings.warn(
-                    f"skipping zero-probability level {pred_name}={level_name}",
-                    stacklevel=2,
-                )
-                continue
-            result = condition_hard(tree, {pred_name: level_name})
-            responses.append(result.marginals[target_name])
-        if len(responses) < 2:
+        pred_levels = tree.schema.variables[pred].levels
+        pair = _table(tree, [pred, target])
+        level_probs = pair.sum(axis=1)
+        for level in np.flatnonzero(level_probs == 0.0):
+            warnings.warn(f"skipping zero-probability level {pred_name}={pred_levels[level]}", stacklevel=2)
+        live = level_probs > 0.0
+        if live.sum() < 2:
             continue
-        stacked = np.vstack(responses)
+        stacked = pair[live] / level_probs[live, None]
         for t, level_name in enumerate(target_levels):
             series = stacked[:, t]
             max_change = float(series.max() - series.min())
             diffs = np.diff(series)
-            if max_change == 0.0:
+            if max_change <= SWEEP_TIE:
                 direction = "flat"
-            elif (diffs >= 0).all():
+            elif (diffs >= -SWEEP_TIE).all():
                 direction = "increase"
-            elif (diffs <= 0).all():
+            elif (diffs <= SWEEP_TIE).all():
                 direction = "decrease"
             else:
                 direction = "mixed"

@@ -30,7 +30,6 @@ from .tree import (
 __all__ = [
     "LearnConfig",
     "bhc",
-    "exhaustive_stage",
     "kparents_learn",
     "learn",
     "cmi",
@@ -44,7 +43,6 @@ __all__ = [
 # floating-point merge cycles.
 MERGE_TOLERANCE = 1e-9
 
-MAX_ORACLE_CONTEXTS = 8
 MAX_DP_VARIABLES = 12
 
 
@@ -185,44 +183,6 @@ def bhc(d: Dataset, order, smoothing: float = 0.0) -> StagedTree:
     """Full backward hill-climbing learner: stages every depth independently,
     then fits the stage probabilities."""
     return _learn(d, order, None, smoothing)[0]
-
-
-def _set_partitions(n: int):
-    """All set partitions of range(n) as restricted-growth strings."""
-    code = [0] * n
-
-    def rec(i: int, maximum: int):
-        if i == n:
-            yield tuple(code)
-            return
-        for value in range(maximum + 2):
-            code[i] = value
-            yield from rec(i + 1, max(maximum, value))
-
-    yield from rec(1, 0) if n > 1 else iter([tuple(code)])
-
-
-def exhaustive_stage(d: Dataset, order, depth: int, smoothing: float = 0.0) -> StageAssignment:
-    """Globally BIC-optimal staging of one depth by enumerating all partitions.
-
-    Only usable as a small-scale oracle: the context count is capped at 8
-    (Bell(9) partitions would be too many to enumerate).
-    """
-    order = validate_order(d.schema, order)
-    total = n_contexts(d.schema, order, depth)
-    if total > MAX_ORACLE_CONTEXTS:
-        raise ModelError(
-            f"exhaustive staging supports at most {MAX_ORACLE_CONTEXTS} contexts, got {total}"
-        )
-    base = context_counts(d, order, depth)
-    best_code = None
-    best_score = math.inf
-    for code in _set_partitions(total):
-        score = depth_bic(pool_counts(base, np.asarray(code), max(code) + 1), d.n, smoothing)
-        if score < best_score:
-            best_score = score
-            best_code = code
-    return canonical_stage_assignment(depth, np.asarray(best_code))
 
 
 def cmi(d: Dataset, i: int, s: int, conditioning=()) -> float:

@@ -32,7 +32,6 @@ from stagedtree import (
     consensus_staging,
     encode_bn,
     ensemble_from_stagings,
-    exhaustive_stage,
     joint_table,
     kparents_learn,
     marginal,
@@ -52,6 +51,7 @@ from conftest import (
     random_fitted_tree,
     reference_tree,
 )
+from staging_oracle import exhaustive_stage
 
 
 @contextmanager

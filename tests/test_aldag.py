@@ -13,7 +13,6 @@ from stagedtree import (
     StagedTree,
     Variable,
     aldag_to_json,
-    classify_edge,
     compress,
     condition_hard,
     dependence_subtree,
@@ -136,6 +135,20 @@ def reference_classify_edge(grid: np.ndarray, axis: int) -> tuple[str, tuple[str
     else:
         label = SYMMETRIC
     return label, tuple(detected)
+
+
+def classify_edge(grid: np.ndarray, axis: int) -> tuple[str, tuple[str, ...]]:
+    """Label the dependence of the child on the parent at the given axis by
+    the one-pass labelling; ``grid`` holds the stage id for every
+    configuration of the child's parents. Raises if the axis is removable
+    (the stage never varies with it), since such an axis must not be an edge
+    at all."""
+    if grid.ndim == 0 or axis >= grid.ndim:
+        raise ModelError("axis out of range for the parent grid")
+    reference = np.take(grid, [0], axis=axis)
+    if bool((grid == reference).all()):
+        raise ModelError(f"axis {axis} is removable; it cannot carry an edge label")
+    return _label_axes(grid)[axis]
 
 
 def reference_compress_edges(tree):

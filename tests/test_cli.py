@@ -110,6 +110,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert flag in err and "nosuch.csv" not in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bootstrap", "--outdir", "out"], "--seed"),
+            (["cv", "--outdir", "out"], "--seed"),
+            (["bootstrap", "--outdir", "out"], "--random-ties"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["-1", str(2**64), "x"])
+    def test_bad_seed_rejected_before_ingest(self, toy_csv, tmp_path, capsys, argv, flag, value):
+        outdir = tmp_path / "out"
+        argv = argv[:1] + ["--input", toy_csv, "--replicates", "2", flag, value] + argv[1:-1] + [str(outdir)]
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err
+        assert not outdir.exists()
+        argv[2] = str(tmp_path / "nosuch.csv")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "nosuch.csv" not in err
+
+    def test_largest_seed_accepted(self, toy_csv, tmp_path):
+        top = str(2**64 - 1)
+        argv = ["bootstrap", "--input", toy_csv, "--replicates", "2", "--seed", top,
+                "--random-ties", top, "--outdir", str(tmp_path / "boot")]
+        assert main(argv) == 0
+        argv = ["cv", "--input", toy_csv, "--folds", "2", "--replicates", "2", "--seed", top,
+                "--outdir", str(tmp_path / "cv")]
+        assert main(argv) == 0
+
+    def test_learn_takes_no_seed(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["learn", "--input", toy_csv, "--seed", "1", "--output", str(out)]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cv_bad_fold_count_named(self, toy_csv, tmp_path, capsys):
         argv = ["cv", "--input", toy_csv, "--folds", "1", "--replicates", "2", "--outdir", str(tmp_path / "out")]
         assert main(argv) == 2

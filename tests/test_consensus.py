@@ -101,6 +101,13 @@ class TestConsensusOrder:
         b = consensus_order(votes, tie_seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("tie_seed", [-1, 2**64])
+    def test_tie_seed_outside_64_bits_rejected(self, tie_seed):
+        votes = tally_orders([(0, 1), (1, 0)], p=2)
+        with pytest.raises(ModelError, match="64-bit unsigned"):
+            consensus_order(votes, tie_seed=tie_seed)
+        assert consensus_order(votes, tie_seed=2**64 - 1).order in ((0, 1), (1, 0))
+
 
 class TestStagingEnsemble:
     def test_single_replicate_dissimilarity(self):

@@ -218,6 +218,12 @@ class TestSeedsAndSchema:
         assert a == derived_seed(42, 0)
         assert len({derived_seed(42, i) for i in range(100)}) == 100
 
+    @pytest.mark.parametrize("master", [-1, 2**64])
+    def test_derived_seed_outside_64_bits_rejected(self, master):
+        with pytest.raises(DataError, match="64-bit unsigned"):
+            derived_seed(master, 0)
+        assert derived_seed(2**64 - 1, 0) != derived_seed(0, 0)
+
     def test_schema_json_round_trip(self):
         schema = Schema((Variable("u", ("a", "b")), Variable("v", ("x", "y", "z"))))
         assert schema_from_json(schema_to_json(schema)) == schema

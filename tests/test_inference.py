@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from stagedtree import (
     whatif_sweep,
 )
 from stagedtree import inference
-from stagedtree.inference import joint_level_iter
+from stagedtree.dataset import MAX_CONTEXTS
+from stagedtree.inference import SWEEP_TIE, joint_level_iter
 
 from conftest import random_fitted_tree, staging_from_ids
 
@@ -78,6 +80,99 @@ def reference_condition_hard(tree, ev):
         one_hot[level] = 1.0
         marginals[tree.schema.names[var]] = one_hot
     return marginals, prob
+
+
+def former_marginal(tree, var):
+    """Oracle: marginal as its own prefix pass, before every query without
+    evidence read from one prefix table. Must stay bit-equal."""
+    depth = tree.depth_of(tree.schema.index(var))
+    joint, _ = inference._forward(tree, {}, depth)
+    return joint.sum(axis=tuple(range(depth)))
+
+
+def former_mutual_information(tree, a, b):
+    """Oracle: mutual information from its own prefix pass, as computed
+    before the prefix table. Must stay bit-equal."""
+    a, b = tree.schema.index(a), tree.schema.index(b)
+    pos_a, pos_b = tree.depth_of(a), tree.depth_of(b)
+    last = max(pos_a, pos_b)
+    joint, _ = inference._forward(tree, {}, last)
+    keep = sorted((pos_a, pos_b))
+    other = tuple(i for i in range(last + 1) if i not in keep)
+    pair = joint.sum(axis=other)
+    if keep[0] == pos_b:
+        pair = pair.T
+    pa = pair.sum(axis=1)
+    pb = pair.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = pair / (pa[:, None] * pb[None, :])
+        terms = np.where(pair > 0, pair * np.log(ratio), 0.0)
+    return max(float(terms.sum()), 0.0)
+
+
+def former_joint_table(tree):
+    """Oracle: the full forward pass with its axes put in schema order."""
+    return inference._schema_axes(*inference._forward(tree, {}))[0]
+
+
+def reference_whatif_sweep(tree, target, predictors=None):
+    """Oracle: the sweep by conditioning, one condition_hard per predictor
+    level, with the tie rule of whatif_sweep. Returns (predictor, target
+    level, max change, direction) tuples."""
+    target = tree.schema.index(target)
+    if predictors is None:
+        predictors = [v for v in range(tree.p) if v != target]
+    target_name = tree.schema.names[target]
+    rows = []
+    for pred in (tree.schema.index(v) for v in predictors):
+        pred_name = tree.schema.names[pred]
+        level_probs = marginal(tree, pred)
+        responses = []
+        for level, level_name in enumerate(tree.schema.variables[pred].levels):
+            if level_probs[level] == 0.0:
+                warnings.warn(f"skipping zero-probability level {pred_name}={level_name}")
+                continue
+            responses.append(condition_hard(tree, {pred_name: level_name}).marginals[target_name])
+        if len(responses) < 2:
+            continue
+        stacked = np.vstack(responses)
+        for t, level_name in enumerate(tree.schema.variables[target].levels):
+            series = stacked[:, t]
+            max_change = float(series.max() - series.min())
+            diffs = np.diff(series)
+            if max_change <= SWEEP_TIE:
+                direction = "flat"
+            elif (diffs >= -SWEEP_TIE).all():
+                direction = "increase"
+            elif (diffs <= SWEEP_TIE).all():
+                direction = "decrease"
+            else:
+                direction = "mixed"
+            rows.append((pred_name, level_name, max_change, direction))
+    return rows
+
+
+def with_zero_levels(rng, tree):
+    """The tree with a random level zeroed in some stage rows of some depths,
+    so that variables get zero-probability levels."""
+    probs = []
+    for mat in tree.probs:
+        mat = mat.copy()
+        if rng.random() < 0.5:
+            rows = rng.random(mat.shape[0]) < 0.7
+            mat[rows, int(rng.integers(mat.shape[1]))] = 0.0
+            mat /= mat.sum(axis=1, keepdims=True)
+        probs.append(mat)
+    return StagedTree(tree.schema, tree.order, tree.stagings, tuple(probs))
+
+
+def recorded(call):
+    """Run ``call``; return its result and the (category, message) of every
+    warning it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
 def table_oracle(tree, hard, soft, weights):
@@ -448,7 +543,83 @@ class TestMutualInformation:
             assert forward >= 0.0
 
 
+class TestPrefixTable:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_queries_without_evidence_bit_equal_to_former_paths(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = with_zero_levels(rng, random_fitted_tree(rng, max_p=5))
+        for var in range(tree.p):
+            got, want = marginal(tree, var), former_marginal(tree, var)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for other in range(tree.p):
+                if other != var:
+                    assert mutual_information(tree, var, other) == former_mutual_information(tree, var, other)
+        got, want = joint_table(tree), former_joint_table(tree)
+        assert got.flags.c_contiguous and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variables", [[0], [2, 0], [1, 3], [3, 1, 0], [0, 1, 2, 3]])
+    def test_table_axes_follow_the_given_order(self, table_model, variables):
+        table = joint_table(table_model)
+        rest = tuple(v for v in range(4) if v not in variables)
+        want = np.moveaxis(table.sum(axis=rest), range(len(variables)), np.argsort(np.argsort(variables)))
+        assert np.allclose(inference._table(table_model, variables), want, rtol=0, atol=1e-15)
+
+
 class TestWhatifSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_the_conditioning_sweep(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = with_zero_levels(rng, random_fitted_tree(rng, max_p=5))
+        target = int(rng.integers(tree.p))
+        predictors = None
+        if rng.random() < 0.5:
+            others = [v for v in range(tree.p) if v != target]
+            predictors = [int(v) for v in rng.permutation(others)[: int(rng.integers(len(others) + 1))]]
+        rows, caught = recorded(lambda: whatif_sweep(tree, target, predictors))
+        expected, expected_caught = recorded(lambda: reference_whatif_sweep(tree, target, predictors))
+        assert caught == expected_caught
+        assert [(r.predictor, r.target_level) for r in rows] == [e[:2] for e in expected]
+        for row, (_, _, max_change, direction) in zip(rows, expected):
+            assert abs(row.max_change - max_change) <= 1e-12
+            assert row.direction == direction
+
+    def test_irrelevant_predictor_is_flat(self):
+        # v depends on w only; u is independent of both, so fixing u moves
+        # P(v) by rounding noise alone.
+        schema = Schema(
+            (Variable("u", ("a", "b", "c")), Variable("w", ("x", "y")), Variable("v", ("lo", "hi")))
+        )
+        stagings = (staging_from_ids(0, [0]), staging_from_ids(1, [0, 0, 0]), staging_from_ids(2, [0, 1] * 3))
+        probs = (np.array([[0.2, 0.3, 0.5]]), np.array([[0.3, 0.7]]), np.array([[0.1, 0.9], [0.6, 0.4]]))
+        tree = StagedTree(schema, (0, 1, 2), stagings, probs)
+        rows = whatif_sweep(tree, target="v")
+        assert [r.direction for r in rows if r.predictor == "u"] == ["flat", "flat"]
+        assert [r.direction for r in rows if r.predictor == "w"] == ["increase", "decrease"]
+
+    def test_guard_refuses_exactly_what_mutual_information_refuses(self):
+        big = tuple(str(i) for i in range(5000))
+        schema = Schema((Variable("a", ("x", "y")), Variable("b", big), Variable("c", big)))
+        stagings = (
+            staging_from_ids(0, [0]),
+            staging_from_ids(1, [0, 0]),
+            staging_from_ids(2, np.zeros(2 * 5000, dtype=np.int64)),
+        )
+        uniform = np.full((1, 5000), 1 / 5000)
+        tree = StagedTree(schema, (0, 1, 2), stagings, (np.array([[0.5, 0.5]]), uniform, uniform))
+        assert 2 * 5000 * 5000 > MAX_CONTEXTS >= 2 * 5000
+        # (target, predictor): both orders of a and b fit, every pair with c does not
+        for target, pred in ((1, 0), (0, 1), (2, 0), (0, 2), (2, 1), (1, 2)):
+            try:
+                mutual_information(tree, pred, target)
+            except ModelError:
+                with pytest.raises(ModelError, match="exceeds"):
+                    whatif_sweep(tree, target, [pred])
+            else:
+                rows = whatif_sweep(tree, target, [pred])
+                assert {r.direction for r in rows} == {"flat"}
+
     def test_independent_predictor_has_zero_deltas(self):
         rows = whatif_sweep(independent_tree(), target="v")
         assert all(r.max_change <= 1e-12 for r in rows)

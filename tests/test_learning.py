@@ -14,7 +14,6 @@ from stagedtree import (
     bic,
     cmi,
     compress,
-    exhaustive_stage,
     fit,
     kparents_learn,
     order_search_dp,
@@ -24,10 +23,11 @@ from stagedtree import (
     variable_score,
 )
 from stagedtree import learning
-from stagedtree.learning import _set_partitions, _stage_depth, depth_bic
+from stagedtree.learning import _stage_depth, depth_bic
 from stagedtree.tree import FitConfig, StagedTree, stage_counts
 
 from conftest import random_dataset
+from staging_oracle import exhaustive_stage, set_partitions
 
 
 def binary_dataset(rng, p, n):
@@ -145,9 +145,9 @@ class TestBhc:
 
 class TestExhaustive:
     def test_partition_counts(self):
-        assert len(list(_set_partitions(1))) == 1
-        assert len(list(_set_partitions(2))) == 2
-        assert len(list(_set_partitions(4))) == 15
+        assert len(list(set_partitions(1))) == 1
+        assert len(list(set_partitions(2))) == 2
+        assert len(list(set_partitions(4))) == 15
 
     def test_two_contexts_best_of_both(self):
         rng = np.random.default_rng(2)
@@ -168,7 +168,7 @@ class TestExhaustive:
         from conftest import staging_from_ids
 
         scores = []
-        for code in _set_partitions(4):
+        for code in set_partitions(4):
             scores.append(depth_bic_of(d, (0, 1, 2), staging_from_ids(2, code)))
         assert best_score == min(scores)
 
