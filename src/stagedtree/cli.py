@@ -58,8 +58,8 @@ def _checked(convert, accept, requirement: str):
     return parse
 
 
-_THREADS = _checked(int, lambda v: v >= 1, "be at least 1")
-_CUT = _checked(float, lambda v: 0 < v < 1, "lie strictly between 0 and 1")
+_COUNT = _checked(int, lambda v: v >= 1, "be at least 1")
+_FRACTION = _checked(float, lambda v: 0 < v < 1, "lie strictly between 0 and 1")
 _SMOOTHING = _checked(float, lambda v: v >= 0, "be at least 0")
 _SEED = _checked(int, lambda v: 0 <= v < 2**64, "lie in [0, 2**64)")
 
@@ -102,11 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("--no-header", action="store_true")
     _add_learn_flags(p_boot)
     _add_order_flags(p_boot)
-    p_boot.add_argument("--replicates", type=int, default=200)
+    p_boot.add_argument("--replicates", type=_COUNT, default=200)
     p_boot.add_argument("--seed", type=_SEED, default=0)
-    p_boot.add_argument("--cut", type=_CUT, default=0.5)
+    p_boot.add_argument("--cut", type=_FRACTION, default=0.5)
     p_boot.add_argument("--linkage", choices=["average", "complete", "single"], default="average")
-    p_boot.add_argument("--threads", type=_THREADS, default=1)
+    p_boot.add_argument("--threads", type=_COUNT, default=1)
     p_boot.add_argument("--random-ties", type=_SEED, default=None,
                         help="break order-vote ties randomly with this seed instead of by index")
     p_boot.add_argument("--outdir", required=True)
@@ -116,13 +116,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--no-header", action="store_true")
     p_cv.add_argument("--algorithms", default="bhc", help="e.g. bhc,kparents:4")
     p_cv.add_argument("--folds", type=int, default=10)
-    p_cv.add_argument("--replicates", type=int, default=200)
-    p_cv.add_argument("--cut", type=_CUT, default=0.5)
+    p_cv.add_argument("--replicates", type=_COUNT, default=200)
+    p_cv.add_argument("--cut", type=_FRACTION, default=0.5)
     p_cv.add_argument("--linkage", choices=["average", "complete", "single"], default="average")
     p_cv.add_argument("--smoothing", type=_SMOOTHING, default=0.0)
     p_cv.add_argument("--predictive-smoothing", type=_SMOOTHING, default=1.0)
     p_cv.add_argument("--seed", type=_SEED, default=0)
-    p_cv.add_argument("--threads", type=_THREADS, default=1)
+    p_cv.add_argument("--threads", type=_COUNT, default=1)
     p_cv.add_argument("--fixed-last", default=None)
     p_cv.add_argument("--order-spec", default=None)
     p_cv.add_argument("--reorder-per-fold", action="store_true")
@@ -144,8 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_whatif.add_argument("--target", default=None, help="restrict the posterior CSV to one variable")
     p_whatif.add_argument("--virtual", action="store_true",
                           help="treat soft findings as likelihood weights instead of fixed marginals")
-    p_whatif.add_argument("--tol", type=float, default=1e-9)
-    p_whatif.add_argument("--max-iter", type=int, default=1000)
+    p_whatif.add_argument("--tol", type=_FRACTION, default=None,
+                          help="soft-update tolerance (default 1e-9); needs --soft")
+    p_whatif.add_argument("--max-iter", type=_COUNT, default=None,
+                          help="soft-update cycle limit (default 1000); needs --soft")
     p_whatif.add_argument("--output", required=True, help="posterior CSV path")
     p_whatif.add_argument("--dot", default=None, help="annotated DAG with evidence nodes in gray")
 
@@ -248,8 +250,8 @@ def _search_order(d, cfg, flags: _OrderFlags):
 
 def _cmd_learn(args) -> int:
     mode = _order_mode(args)
-    d = _load_dataset(args)
     cfg = _learn_config(args)
+    d = _load_dataset(args)
     order, _ = _search_order(d, cfg, _order_flags(args, mode, d.schema))
     tree = learn(d, order, cfg)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -264,8 +266,9 @@ def _cmd_learn(args) -> int:
 
 def _cmd_order(args) -> int:
     mode = _order_mode(args)
+    cfg = _learn_config(args)
     d = _load_dataset(args)
-    order, score = _search_order(d, _learn_config(args), _order_flags(args, mode, d.schema))
+    order, score = _search_order(d, cfg, _order_flags(args, mode, d.schema))
     line = ",".join(d.schema.names[v] for v in order)
     print(line)
     print(f"score: {score!r}", file=sys.stderr)
@@ -299,8 +302,8 @@ def _write_edge_csv(edge_table, path):
 
 def _cmd_bootstrap(args) -> int:
     mode = _order_mode(args)
-    d = _load_dataset(args)
     cfg = _learn_config(args)
+    d = _load_dataset(args)
     flags = _order_flags(args, mode, d.schema)
     plan = ResamplePlan(args.replicates, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
@@ -448,12 +451,19 @@ def _parse_soft(pairs):
 
 
 def _cmd_whatif(args) -> int:
+    ipf = {key: value for key, value in (("tol", args.tol), ("max_iter", args.max_iter)) if value is not None}
+    for key in ipf:
+        flag = "--" + key.replace("_", "-")
+        if args.virtual:
+            raise _UsageError(f"{flag} does not apply to --virtual")
+        if not args.soft:
+            raise _UsageError(f"{flag} applies only with --soft")
     tree = _load_model(args.model)
     spec = inference.EvidenceSpec(_parse_evidence(args.evidence), _parse_soft(args.soft))
     if args.virtual:
         result = inference.condition_virtual(tree, spec.soft, spec.hard)
     else:
-        result = inference.run_query(tree, spec, tol=args.tol, max_iter=args.max_iter)
+        result = inference.run_query(tree, spec, **ipf)
     names = [args.target] if args.target else list(tree.schema.names)
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -488,20 +498,14 @@ def _cmd_whatif(args) -> int:
 
 def _cmd_mi(args) -> int:
     tree = _load_model(args.model)
-    target = tree.schema.index(args.target)
-    rows = inference.whatif_sweep(tree, target)
-    mi_values = {
-        tree.schema.names[v]: inference.mutual_information(tree, v, target)
-        for v in range(tree.p)
-        if v != target
-    }
+    rows = inference.whatif_sweep(tree, args.target)
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["predictor", "target_level", "max_change", "direction", "mutual_information"])
         for row in rows:
             writer.writerow(
                 [row.predictor, row.target_level, repr(row.max_change), row.direction,
-                 repr(mi_values[row.predictor])]
+                 repr(row.mutual_information)]
             )
     print(f"sensitivity table written to {args.output}", file=sys.stderr)
     return 0

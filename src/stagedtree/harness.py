@@ -70,7 +70,8 @@ def run_cv(
     reused across folds, unless an explicit ``order`` is supplied or
     ``reorder_per_fold`` asks for a per-fold search. ``fixed_last`` and
     ``reorder_per_fold`` steer the search, so neither is taken with ``order``.
-    The fold count and the predictive smoothing are checked before any search.
+    The fold count, the replicate count and the predictive smoothing are
+    checked before any search.
     """
     algorithms = list(algorithms)
     if not algorithms:
@@ -79,6 +80,8 @@ def run_cv(
         raise ModelError("an explicit order takes neither fixed_last nor reorder_per_fold")
     if not 2 <= folds <= d.n:
         raise DataError(f"folds must lie between 2 and the row count N={d.n}, got {folds}")
+    if bootstrap_replicates < 1:
+        raise DataError(f"bootstrap_replicates must be at least 1, got {bootstrap_replicates}")
     predictive_cfg = FitConfig(predictive_smoothing)
 
     full_orders = {}

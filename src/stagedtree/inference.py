@@ -1,8 +1,8 @@
 """Exact queries on a fitted staged tree.
 
-Everything here works by forward passes over the tree's depth tensors or by
-materializing (part of) the joint outcome table, which is capped at desk
-scale. Queries never mutate the tree and may run concurrently.
+Everything here works by forward passes that gather stage probabilities
+through stage ids into (part of) the joint outcome table, which is capped at
+desk scale. Queries never mutate the tree and may run concurrently.
 """
 
 from __future__ import annotations
@@ -61,22 +61,13 @@ class QueryResult:
     max_deviation: float | None = None
 
 
-def _depth_tensor(tree: StagedTree, depth: int) -> np.ndarray:
-    """Conditional probabilities at one depth, shaped (pred levels..., levels)."""
-    probs = tree.require_fitted()
-    staging = tree.stagings[depth]
-    shape = context_shape(tree.schema, tree.order, depth)
-    levels = tree.schema.level_counts[tree.order[depth]]
-    return probs[depth][staging.stage_of].reshape(shape + (levels,))
-
-
 def _forward(tree: StagedTree, hard: dict[int, int], last_depth: int | None = None):
-    """Forward pass over the depths up to ``last_depth`` (default: all).
+    """Forward pass over the depths up to ``last_depth`` (default: all),
+    yielding the joint after each depth, axes in ordering position.
 
-    The axes of hard findings are fixed as the pass goes, so only the cells of
-    the other variables are built; their count is capped at MAX_CONTEXTS.
-    Returns the joint over the kept variables, axes in ordering position, and
-    the kept variables in that order.
+    Stage rows are gathered through the stage ids sliced at the hard findings
+    (a hard finding's own depth takes its level's column), so no array
+    exceeds the joint over the other variables, capped at MAX_CONTEXTS.
     """
     depths = range(tree.p if last_depth is None else last_depth + 1)
     kept = [tree.order[depth] for depth in depths if tree.order[depth] not in hard]
@@ -85,36 +76,36 @@ def _forward(tree: StagedTree, hard: dict[int, int], last_depth: int | None = No
         raise ModelError(
             f"outcome space of {cells} cells exceeds {MAX_CONTEXTS}; exact enumeration refused"
         )
+    probs = tree.require_fitted()
     joint = np.ones(())
     for depth in depths:
         var = tree.order[depth]
-        tensor = _depth_tensor(tree, depth)
-        if hard:
-            tensor = tensor[tuple(hard.get(v, slice(None)) for v in tree.order[:depth])]
-        if var in hard:
-            joint = joint * tensor[..., hard[var]]
-        else:
-            joint = joint[..., None] * tensor
-    return joint, kept
+        ids = tree.stagings[depth].stage_of.reshape(context_shape(tree.schema, tree.order, depth))
+        ids = ids[tuple(hard.get(v, slice(None)) for v in tree.order[:depth])]
+        rows = probs[depth][:, hard[var]] if var in hard else probs[depth]
+        factor = rows[ids.ravel()].reshape(ids.shape + rows.shape[1:])
+        joint = joint * factor if var in hard else joint[..., None] * factor
+        yield joint
 
 
-def _schema_axes(joint: np.ndarray, kept: list[int]):
-    """Reorder the axes of a forward-pass joint to ascending schema index."""
-    return np.ascontiguousarray(joint.transpose(np.argsort(kept))), sorted(kept)
-
-
-def _table(tree: StagedTree, variables) -> np.ndarray:
-    """Joint distribution of ``variables`` (indices), one axis each in the
-    given order: one forward pass over the ordering prefix that ends at the
-    deepest of them, every other axis summed out. Every query without
+def _tables(tree: StagedTree, groups) -> list[np.ndarray]:
+    """The joint distribution of each group of variables (indices), one axis
+    each in the group's order. One forward pass to the deepest variable of
+    any group serves every group: its table is the joint after its own
+    deepest variable with every other axis summed out. Every query without
     evidence reads from it.
     """
-    depths = [tree.depth_of(v) for v in variables]
-    kept = sorted(depths)
-    joint, _ = _forward(tree, {}, kept[-1])
-    other = tuple(depth for depth in range(kept[-1] + 1) if depth not in kept)
-    table = joint.sum(axis=other) if other else joint
-    return table.transpose([kept.index(depth) for depth in depths])
+    groups = [[tree.depth_of(v) for v in group] for group in groups]
+    ends = [max(depths) for depths in groups]
+    tables = [None] * len(groups)
+    for depth, joint in enumerate(_forward(tree, {}, max(ends, default=-1))):
+        for i, depths in enumerate(groups):
+            if ends[i] == depth:
+                kept = sorted(depths)
+                other = tuple(d for d in range(depth + 1) if d not in kept)
+                table = joint.sum(axis=other) if other else joint
+                tables[i] = table.transpose([kept.index(d) for d in depths])
+    return tables
 
 
 def joint_table(tree: StagedTree) -> np.ndarray:
@@ -123,7 +114,7 @@ def joint_table(tree: StagedTree) -> np.ndarray:
     The returned array maps every full level-index assignment to its atom
     probability: ``table[i1, ..., ip]``.
     """
-    return np.ascontiguousarray(_table(tree, range(tree.p)))
+    return np.ascontiguousarray(_tables(tree, [range(tree.p)])[0])
 
 
 def joint_level_iter(tree: StagedTree):
@@ -139,7 +130,7 @@ def joint_level_iter(tree: StagedTree):
 def marginal(tree: StagedTree, var) -> np.ndarray:
     """Marginal distribution of one variable via a forward pass over the
     ordering prefix that ends at it."""
-    return _table(tree, [tree.schema.index(var)])
+    return _tables(tree, [[tree.schema.index(var)]])[0]
 
 
 def _by_index(tree: StagedTree, findings: dict) -> dict:
@@ -179,16 +170,16 @@ def _coerce_virtual(tree: StagedTree, weights: dict) -> dict[int, np.ndarray]:
     return out
 
 
-def _ipf(joint: np.ndarray, targets: dict[int, np.ndarray], tol: float, max_iter: int):
+def _ipf(joint: np.ndarray, targets: list[tuple[int, np.ndarray]], tol: float, max_iter: int):
     """Cyclically rescale the joint until every target marginal is matched.
 
-    Axis keys index axes of ``joint``; each cycle visits them in ascending
-    order. Returns (joint, iterations, deviation).
+    ``targets`` holds (axis of ``joint``, target marginal) pairs; each cycle
+    visits them in the given order. Returns (joint, iterations, deviation).
     """
 
     def deviation() -> float:
         worst = 0.0
-        for axis, target in targets.items():
+        for axis, target in targets:
             other = tuple(a for a in range(joint.ndim) if a != axis)
             worst = max(worst, float(np.abs(joint.sum(axis=other) - target).max()))
         return worst
@@ -197,8 +188,7 @@ def _ipf(joint: np.ndarray, targets: dict[int, np.ndarray], tol: float, max_iter
     if dev < tol:
         return joint, 0, dev
     for iteration in range(1, max_iter + 1):
-        for axis in sorted(targets):
-            target = targets[axis]
+        for axis, target in targets:
             other = tuple(a for a in range(joint.ndim) if a != axis)
             current = joint.sum(axis=other)
             impossible = (current == 0) & (target > 0)
@@ -232,19 +222,22 @@ def _condition(
 ) -> QueryResult:
     """The one conditioning core, on coerced findings keyed by variable index.
 
-    Hard findings fix their axes in the forward pass. Virtual weights then
-    rescale the kept joint, and soft targets are matched by IPF, which
-    visits them in ascending schema index. The evidence probability is the
-    mass left after the hard findings and the weights; soft findings alone
-    have none.
+    Hard findings fix their axes in the forward pass, whose joint keeps its
+    axes in ordering position. Virtual weights then rescale it, and soft
+    targets are matched by IPF, which visits them in ascending schema index.
+    The evidence probability is the mass left after the hard findings and
+    the weights; soft findings alone have none.
     """
     names = tree.schema.names
+    if not 0 < tol < 1:
+        raise ModelError(f"tol must lie strictly between 0 and 1, got {tol}")
+    if max_iter < 1:
+        raise ModelError(f"max_iter must be at least 1, got {max_iter}")
     if len(set(hard) | set(soft) | set(weights)) < len(hard) + len(soft) + len(weights):
         raise ModelError("a variable may carry only one kind of evidence")
-    joint, kept = _forward(tree, hard)
-    reweighted = bool(soft or weights)
-    if reweighted:
-        joint, kept = _schema_axes(joint, kept)
+    for joint in _forward(tree, hard):
+        pass
+    kept = [var for var in tree.order if var not in hard]
     for var, factor in weights.items():
         shape = [1] * joint.ndim
         shape[kept.index(var)] = factor.size
@@ -257,11 +250,11 @@ def _condition(
     has_probability = bool(hard or weights)
     scale = prob
     iterations = dev = None
-    if reweighted:
+    if soft or weights:
         if has_probability:
             joint = joint / prob
         if soft:
-            targets = {kept.index(var): target for var, target in soft.items()}
+            targets = [(kept.index(var), soft[var]) for var in sorted(soft)]
             joint, iterations, dev = _ipf(joint, targets, tol, max_iter)
         scale = 1.0
     marginals: dict[str, np.ndarray] = {}
@@ -338,7 +331,11 @@ def mutual_information(tree: StagedTree, a, b) -> float:
     a, b = tree.schema.index(a), tree.schema.index(b)
     if a == b:
         raise ModelError("mutual information needs two distinct variables")
-    pair = _table(tree, [a, b])
+    return _mutual_information(_tables(tree, [[a, b]])[0])
+
+
+def _mutual_information(pair: np.ndarray) -> float:
+    """Mutual information (nats) between the two axes of a joint table."""
     pa = pair.sum(axis=1)
     pb = pair.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -362,15 +359,18 @@ class SweepRow:
     target_level: str
     max_change: float
     direction: str
+    mutual_information: float
 
 
 def whatif_sweep(tree: StagedTree, target, predictors=None) -> list[SweepRow]:
     """Fix every level of every predictor in turn and summarize the movement
     of the target's marginal.
 
-    The responses are read from the table P(predictor, target), so the
-    ``MAX_CONTEXTS`` guard refuses a predictor's sweep exactly when it
-    refuses ``mutual_information(tree, predictor, target)``.
+    The responses and each row's ``mutual_information`` (that of the
+    predictor and the target) are read from the table P(predictor, target).
+    One forward pass serves the tables of every predictor, so the
+    ``MAX_CONTEXTS`` guard refuses the sweep exactly when it refuses
+    ``mutual_information(tree, predictor, target)`` for some predictor.
 
     ``direction`` tracks the target-level probability along the predictor's
     level order: increase, decrease, mixed, or flat. Differences up to
@@ -388,10 +388,9 @@ def whatif_sweep(tree: StagedTree, target, predictors=None) -> list[SweepRow]:
 
     target_levels = tree.schema.variables[target].levels
     rows: list[SweepRow] = []
-    for pred in predictors:
+    for pred, pair in zip(predictors, _tables(tree, [[pred, target] for pred in predictors])):
         pred_name = tree.schema.names[pred]
         pred_levels = tree.schema.variables[pred].levels
-        pair = _table(tree, [pred, target])
         level_probs = pair.sum(axis=1)
         for level in np.flatnonzero(level_probs == 0.0):
             warnings.warn(f"skipping zero-probability level {pred_name}={pred_levels[level]}", stacklevel=2)
@@ -399,6 +398,7 @@ def whatif_sweep(tree: StagedTree, target, predictors=None) -> list[SweepRow]:
         if live.sum() < 2:
             continue
         stacked = pair[live] / level_probs[live, None]
+        mi = _mutual_information(pair)
         for t, level_name in enumerate(target_levels):
             series = stacked[:, t]
             max_change = float(series.max() - series.min())
@@ -411,5 +411,5 @@ def whatif_sweep(tree: StagedTree, target, predictors=None) -> list[SweepRow]:
                 direction = "decrease"
             else:
                 direction = "mixed"
-            rows.append(SweepRow(pred_name, level_name, max_change, direction))
+            rows.append(SweepRow(pred_name, level_name, max_change, direction, mi))
     return rows

@@ -160,6 +160,57 @@ class TestExitCodes:
         assert "--threads" in err and "nosuch.csv" not in err
 
     @pytest.mark.parametrize("command", ["bootstrap", "cv"])
+    @pytest.mark.parametrize("replicates", ["0", "-1", "x"])
+    def test_bad_replicates_rejected_before_ingest(self, tmp_path, capsys, command, replicates):
+        argv = [command, "--input", str(tmp_path / "nosuch.csv"), "--replicates", replicates,
+                "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--replicates" in err and "nosuch.csv" not in err
+
+    @pytest.mark.parametrize("command", ["learn", "order", "bootstrap"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--algorithm", "kparents"], "kparents requires k >= 1"),
+            (["--algorithm", "kparents", "--k", "0"], "kparents requires k >= 1"),
+            (["--k", "3"], "k applies only to kparents, not to bhc"),
+        ],
+    )
+    def test_bad_parent_budget_rejected_before_ingest(self, tmp_path, capsys, command, flags, message):
+        argv = [command, "--input", str(tmp_path / "nosuch.csv")] + flags
+        argv += {"learn": ["--output", str(tmp_path / "m.json")], "order": [],
+                 "bootstrap": ["--outdir", str(tmp_path / "out")]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--soft", "B=0.5,0.5", "--tol", "inf"], "--tol"),
+            (["--soft", "B=0.5,0.5", "--tol", "5"], "--tol"),
+            (["--soft", "B=0.5,0.5", "--tol", "1"], "--tol"),
+            (["--soft", "B=0.5,0.5", "--tol", "0"], "--tol"),
+            (["--soft", "B=0.5,0.5", "--tol", "-1"], "--tol"),
+            (["--soft", "B=0.5,0.5", "--tol", "nan"], "--tol"),
+            (["--soft", "B=0.5,0.5", "--max-iter", "0"], "--max-iter"),
+            (["--soft", "B=0.5,0.5", "--max-iter", "-2"], "--max-iter"),
+            (["--soft", "B=0.5,0.5", "--max-iter", "2.5"], "--max-iter"),
+            (["--soft", "B=0.5,0.5", "--virtual", "--tol", "1e-6"], "--tol"),
+            (["--soft", "B=0.5,0.5", "--virtual", "--max-iter", "5"], "--max-iter"),
+            (["--evidence", "A=lo", "--tol", "1e-6"], "--tol"),
+            (["--evidence", "A=lo", "--max-iter", "5"], "--max-iter"),
+        ],
+    )
+    def test_bad_whatif_update_flags_rejected_before_the_model_is_read(self, tmp_path, capsys, extra, flag):
+        out = tmp_path / "post.csv"
+        argv = ["whatif", "--model", str(tmp_path / "nosuch.json")] + extra + ["--output", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "nosuch.json" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bootstrap", "cv"])
     def test_threads_default_to_one(self, monkeypatch, command):
         monkeypatch.setenv("STAGEDTREE_THREADS", "4")
         args = _build_parser().parse_args([command, "--input", "x.csv", "--outdir", "out"])
@@ -393,6 +444,15 @@ class TestWhatif:
         with open(out) as fh:
             rows = {(r["variable"], r["level"]): r["probability"] for r in csv.DictReader(fh)}
         assert [rows[("Satisfaction", c)] for c in ("High", "Low", "Medium")] == ["0.0", "1.0", "0.0"]
+
+    def test_soft_update_flags_apply(self, model_json, tmp_path, capsys):
+        out = tmp_path / "post.csv"
+        argv = ["whatif", "--model", model_json, "--soft", "B=0.3,0.7", "--output", str(out)]
+        assert main(argv + ["--tol", "1e-12", "--max-iter", "5"]) == 0
+        assert "converged in 1 cycles" in capsys.readouterr().err
+        with open(out) as fh:
+            rows = {(r["variable"], r["level"]): float(r["probability"]) for r in csv.DictReader(fh)}
+        assert abs(rows[("B", "hi")] - 0.3) < 1e-12
 
     def test_impossible_evidence_exits_two(self, model_json, tmp_path):
         code = main(

@@ -106,6 +106,7 @@ class TestRunCv:
             ({"folds": 41}, DataError, "folds must lie between 2 and the row count N=40, got 41"),
             ({"folds": 2, "predictive_smoothing": -1.0}, ModelError, "smoothing must be non-negative"),
             ({"folds": 2, "predictive_smoothing": float("nan")}, ModelError, "smoothing must be non-negative"),
+            ({"folds": 2, "bootstrap_replicates": 0}, DataError, "bootstrap_replicates must be at least 1, got 0"),
         ],
     )
     def test_bad_settings_rejected_before_order_search(self, monkeypatch, args, error, match):
@@ -114,7 +115,7 @@ class TestRunCv:
 
         monkeypatch.setattr(harness, "order_search_dp", search)
         with pytest.raises(error, match=match):
-            run_cv(toy_data(np.random.default_rng(7), n=40), [LearnConfig()], bootstrap_replicates=1, **args)
+            run_cv(toy_data(np.random.default_rng(7), n=40), [LearnConfig()], **{"bootstrap_replicates": 1, **args})
 
     def test_no_algorithms_rejected(self):
         rng = np.random.default_rng(4)

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from stagedtree import (
 from stagedtree import inference
 from stagedtree.dataset import MAX_CONTEXTS
 from stagedtree.inference import SWEEP_TIE, joint_level_iter
+from stagedtree.tree import context_shape
 
 from conftest import random_fitted_tree, staging_from_ids
 
@@ -51,25 +53,39 @@ def condition_by_hand(table, schema, evidence):
     return prob, out
 
 
+def reference_forward(tree, hard, last_depth=None):
+    """Oracle: the forward pass as it was before it gathered through stage
+    ids. Each depth's whole tensor of stage rows (every context) is built,
+    then sliced at the hard findings ``hard`` (variable index to level
+    index). Returns the joint over the kept variables after ``last_depth``
+    (default: all), axes in ordering position, and the kept variables in
+    that order. The joints of the pass must stay bit-equal to it."""
+    probs = tree.require_fitted()
+    depths = range(tree.p if last_depth is None else last_depth + 1)
+    kept = [tree.order[depth] for depth in depths if tree.order[depth] not in hard]
+    cells = math.prod(tree.schema.level_counts[var] for var in kept)
+    if cells > MAX_CONTEXTS:
+        raise ModelError(f"outcome space of {cells} cells exceeds {MAX_CONTEXTS}")
+    joint = np.ones(())
+    for depth in depths:
+        var = tree.order[depth]
+        shape = context_shape(tree.schema, tree.order, depth) + (tree.schema.level_counts[var],)
+        tensor = probs[depth][tree.stagings[depth].stage_of].reshape(shape)
+        if hard:
+            tensor = tensor[tuple(hard.get(v, slice(None)) for v in tree.order[:depth])]
+        if var in hard:
+            joint = joint * tensor[..., hard[var]]
+        else:
+            joint = joint[..., None] * tensor
+    return joint, kept
+
+
 def reference_condition_hard(tree, ev):
-    """Oracle: hard conditioning as its own forward pass, the way
+    """Oracle: hard conditioning on the reference forward pass, the way
     condition_hard computed it before all conditioning shared one core.
     ``ev`` maps variable index to level index. Hard-only results of the core
     must stay bit-equal to this."""
-    kept_vars = []
-    joint = np.ones(())
-    for depth in range(tree.p):
-        tensor = inference._depth_tensor(tree, depth)
-        var = tree.order[depth]
-        index = tuple(
-            ev[tree.order[i]] if tree.order[i] in ev else slice(None) for i in range(depth)
-        )
-        sliced = tensor[index]
-        if var in ev:
-            joint = joint * sliced[..., ev[var]]
-        else:
-            joint = joint[..., None] * sliced
-            kept_vars.append(var)
+    joint, kept_vars = reference_forward(tree, ev)
     prob = float(joint.sum())
     marginals = {}
     for axis, var in enumerate(kept_vars):
@@ -86,7 +102,7 @@ def former_marginal(tree, var):
     """Oracle: marginal as its own prefix pass, before every query without
     evidence read from one prefix table. Must stay bit-equal."""
     depth = tree.depth_of(tree.schema.index(var))
-    joint, _ = inference._forward(tree, {}, depth)
+    joint, _ = reference_forward(tree, {}, depth)
     return joint.sum(axis=tuple(range(depth)))
 
 
@@ -96,7 +112,7 @@ def former_mutual_information(tree, a, b):
     a, b = tree.schema.index(a), tree.schema.index(b)
     pos_a, pos_b = tree.depth_of(a), tree.depth_of(b)
     last = max(pos_a, pos_b)
-    joint, _ = inference._forward(tree, {}, last)
+    joint, _ = reference_forward(tree, {}, last)
     keep = sorted((pos_a, pos_b))
     other = tuple(i for i in range(last + 1) if i not in keep)
     pair = joint.sum(axis=other)
@@ -112,7 +128,20 @@ def former_mutual_information(tree, a, b):
 
 def former_joint_table(tree):
     """Oracle: the full forward pass with its axes put in schema order."""
-    return inference._schema_axes(*inference._forward(tree, {}))[0]
+    joint, kept = reference_forward(tree, {})
+    return np.ascontiguousarray(joint.transpose(np.argsort(kept)))
+
+
+def reference_prefix_table(tree, variables):
+    """Oracle: the joint of ``variables`` (indices), one axis each in the
+    given order, from its own reference pass over the ordering prefix that
+    ends at the deepest of them."""
+    depths = [tree.depth_of(v) for v in variables]
+    kept = sorted(depths)
+    joint, _ = reference_forward(tree, {}, kept[-1])
+    other = tuple(depth for depth in range(kept[-1] + 1) if depth not in kept)
+    table = joint.sum(axis=other) if other else joint
+    return table.transpose([kept.index(depth) for depth in depths])
 
 
 def reference_whatif_sweep(tree, target, predictors=None):
@@ -266,7 +295,52 @@ class TestConditioningCore:
         tree = StagedTree(schema, (0, 1, 2), stagings, (np.array([[0.5, 0.5]]), uniform, uniform))
         with pytest.raises(ModelError, match="exceeds"):
             condition_hard(tree, {"a": "x"})
-        assert condition_hard(tree, {"a": "x", "b": "7"}).marginals["c"][0] == pytest.approx(1 / 5000)
+        # The pass gathers only the kept contexts' stage rows, so memory stays
+        # at the 5000 kept cells, not the 2 x 5000 x 5000 tensor of depth c.
+        tracemalloc.start()
+        try:
+            result = condition_hard(tree, {"a": "x", "b": "7"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.marginals["c"][0] == pytest.approx(1 / 5000)
+        assert peak < 1 << 20
+
+
+class TestForwardPass:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_joint_bit_equal_to_the_reference_pass(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = with_zero_levels(rng, random_fitted_tree(rng, max_p=5))
+        hard = {v: int(rng.integers(tree.schema.level_counts[v])) for v in range(tree.p) if rng.random() < 0.4}
+        depth = -1
+        for depth, joint in enumerate(inference._forward(tree, hard)):
+            want, _ = reference_forward(tree, hard, depth)
+            assert type(joint) is type(want) and np.shape(joint) == np.shape(want)
+            assert np.asarray(joint).tobytes() == np.asarray(want).tobytes()
+        assert depth == tree.p - 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_tables_bit_equal_to_one_reference_prefix_per_group(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = with_zero_levels(rng, random_fitted_tree(rng, max_p=5))
+        target = int(rng.integers(tree.p))
+        # the sweep's groups (predictors before and after the target, with
+        # repeated end depths) plus random groups in random order
+        groups = [[pred, target] for pred in range(tree.p) if pred != target]
+        for _ in range(int(rng.integers(4))):
+            groups.append([int(v) for v in rng.permutation(tree.p)[: int(rng.integers(1, tree.p + 1))]])
+        groups = [groups[i] for i in rng.permutation(len(groups))]
+        tables = inference._tables(tree, groups)
+        assert len(tables) == len(groups)
+        for group, got in zip(groups, tables):
+            want = reference_prefix_table(tree, group)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_no_groups_no_tables(self, table_model):
+        assert inference._tables(table_model, []) == []
 
 
 class TestVariableIndices:
@@ -436,9 +510,30 @@ class TestConditionSoft:
             condition_soft(tree, {"u": np.array([0.5, 0.5])})
 
     def test_nonconvergence_reports_deviation(self, table_model):
+        targets = {"Length": np.array([0.9, 0.1]), "Satisfaction": np.array([0.1, 0.1, 0.8])}
         with pytest.raises(ConvergenceError) as exc:
-            condition_soft(table_model, {"Length": np.array([0.9, 0.1])}, max_iter=0)
+            condition_soft(table_model, targets, max_iter=1)
         assert exc.value.deviation > 0
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"tol": math.inf}, "tol must lie strictly between 0 and 1, got inf"),
+            ({"tol": 5.0}, "tol must lie strictly between 0 and 1, got 5.0"),
+            ({"tol": 1.0}, "tol must lie strictly between 0 and 1"),
+            ({"tol": 0.0}, "tol must lie strictly between 0 and 1"),
+            ({"tol": -1.0}, "tol must lie strictly between 0 and 1"),
+            ({"tol": math.nan}, "tol must lie strictly between 0 and 1, got nan"),
+            ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+            ({"max_iter": -3}, "max_iter must be at least 1, got -3"),
+        ],
+    )
+    def test_bad_tolerance_or_cycle_limit_rejected(self, table_model, kwargs, match):
+        target = {"Length": np.array([0.3, 0.7])}
+        with pytest.raises(ModelError, match=match):
+            condition_soft(table_model, target, **kwargs)
+        with pytest.raises(ModelError, match=match):
+            run_query(table_model, EvidenceSpec(hard={"Country": "SE"}, soft=target), **kwargs)
 
     def test_convergence_error_survives_pickle(self):
         error = ConvergenceError("IPF did not converge", 0.25)
@@ -563,7 +658,7 @@ class TestPrefixTable:
         table = joint_table(table_model)
         rest = tuple(v for v in range(4) if v not in variables)
         want = np.moveaxis(table.sum(axis=rest), range(len(variables)), np.argsort(np.argsort(variables)))
-        assert np.allclose(inference._table(table_model, variables), want, rtol=0, atol=1e-15)
+        assert np.allclose(inference._tables(table_model, [variables])[0], want, rtol=0, atol=1e-15)
 
 
 class TestWhatifSweep:
@@ -584,6 +679,27 @@ class TestWhatifSweep:
         for row, (_, _, max_change, direction) in zip(rows, expected):
             assert abs(row.max_change - max_change) <= 1e-12
             assert row.direction == direction
+            assert row.mutual_information == mutual_information(tree, row.predictor, target)
+
+    def test_one_forward_pass_per_sweep(self, table_model, monkeypatch):
+        passes, depths = [], []
+        forward = inference._forward
+
+        def counted(tree, hard, last_depth=None):
+            passes.append(last_depth)
+            for depth, joint in enumerate(forward(tree, hard, last_depth)):
+                depths.append(depth)
+                yield joint
+
+        monkeypatch.setattr(inference, "_forward", counted)
+        # Length sits at depth 1 of (Country, Length, Income, Satisfaction):
+        # one predictor before it, two after it
+        rows = whatif_sweep(table_model, "Length")
+        assert passes == [3] and depths == [0, 1, 2, 3]
+        assert {r.predictor for r in rows} == {"Country", "Income", "Satisfaction"}
+        depths.clear()
+        assert whatif_sweep(table_model, "Length", []) == []
+        assert depths == []
 
     def test_irrelevant_predictor_is_flat(self):
         # v depends on w only; u is independent of both, so fixing u moves
