@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Schema
+from .dataset import Dataset, Schema, cell_count
 from .errors import ModelError
 from .tree import (
     Ordering,
@@ -45,6 +45,11 @@ MERGE_TOLERANCE = 1e-9
 
 MAX_DP_VARIABLES = 12
 
+# Greedy merging builds its initial pair deltas in row blocks of at most this
+# many (level, pair) cells, so the temporaries stay small beside the k x k
+# delta table.
+MERGE_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class LearnConfig:
@@ -70,23 +75,33 @@ class LearnConfig:
 
 
 def _stage_loglik(counts: np.ndarray, smoothing: float) -> np.ndarray:
-    """Multinomial log-likelihood of each row of pooled counts at its own MLE
-    (or smoothed estimate)."""
-    counts = np.asarray(counts, dtype=float)
-    if counts.ndim == 1:
-        counts = counts[None, :]
-    levels = counts.shape[1]
-    totals = counts.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        probs = (counts + smoothing) / (totals + smoothing * levels)
-        terms = np.where(counts > 0, counts * np.log(probs), 0.0)
-    return terms.sum(axis=1)
+    """Multinomial log-likelihood of pooled counts at their MLE (or smoothed
+    estimate), with the levels on axis 0: one value per stage along the other
+    axes. Callers silence the 0/0 and log-0 warnings of empty cells, whose
+    terms are then set to 0.
+
+    Counts are integer-valued, so the totals are exact in any summation
+    order. The terms are not: below 8 levels numpy sums a row left to right,
+    which is what a reduction over axis 0 does; from 8 levels on it sums a
+    contiguous row pairwise, so the terms are summed as contiguous rows.
+    """
+    levels = counts.shape[0]
+    totals = counts.sum(axis=0)
+    terms = counts + smoothing
+    terms /= totals + smoothing * levels  # the stage probabilities
+    np.log(terms, out=terms)
+    terms *= counts
+    terms[counts <= 0] = 0.0
+    if levels < 8:
+        return terms.sum(axis=0)
+    return np.moveaxis(terms, 0, -1).copy().sum(axis=-1)
 
 
 def depth_bic(counts: np.ndarray, n_rows: int, smoothing: float) -> float:
     """BIC contribution of one depth given pooled per-stage counts."""
     levels = counts.shape[1]
-    loglik = float(_stage_loglik(counts, smoothing).sum())
+    with np.errstate(invalid="ignore", divide="ignore"):
+        loglik = float(_stage_loglik(np.asarray(counts, dtype=float).T, smoothing).sum())
     return -2.0 * loglik + counts.shape[0] * (levels - 1) * math.log(n_rows)
 
 
@@ -99,45 +114,72 @@ def _bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace=None) ->
     (i, j) ids wins, where ids index the initial rows and a merged pair keeps
     the lower id. Returns the final stage id of every initial row; ``trace``,
     if given, collects the accepted BIC deltas in order.
+
+    Every row caches its best partner (the lowest id among bit-equal deltas),
+    so the next merge is the first row minimum, and a row is rescanned only
+    when its partner merges. The k x k delta table is bounded by the
+    MAX_CONTEXTS guard.
     """
-    k = counts.shape[0]
-    assign = np.arange(k)
+    k, levels = counts.shape
+    parent = np.arange(k)
     if k < 2:
-        return assign
-    levels = counts.shape[1]
+        return parent
+    cell_count((k, k), f"cells in the merge table of a depth with {k} stages")
     param_gain = (levels - 1) * math.log(n_rows)
+    pooled = np.ascontiguousarray(counts.T, dtype=float)  # one column per stage
+    ids = np.arange(k)
+    closed = np.zeros(k)  # inf once a stage has merged away
+    delta = np.empty((k, k))
+    block = max(1, MERGE_BLOCK_CELLS // (levels * k))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ll = _stage_loglik(pooled, smoothing)
+        for start in range(0, k, block):
+            rows = ids[start:start + block, None]
+            pair_ll = _stage_loglik(pooled[:, rows] + pooled[:, None, :], smoothing)
+            # The log-likelihood of the lower id is subtracted first, as a
+            # merge subtracts that of the stage it just formed; the bits of
+            # a pair's delta depend on that order.
+            lower = rows < ids
+            first = np.where(lower, ll[rows], ll)
+            second = np.where(lower, ll, ll[rows])
+            delta[start:start + block] = -2.0 * (pair_ll - first - second) - param_gain
+        np.fill_diagonal(delta, np.inf)
+        partner = delta.argmin(axis=1)
+        best = delta.min(axis=1)
 
-    pooled = np.asarray(counts, dtype=float).copy()
-    ll = _stage_loglik(pooled, smoothing)
-    active = np.ones(k, dtype=bool)
+        while True:
+            i = int(best.argmin())
+            j = int(partner[i])
+            if best[i] >= -MERGE_TOLERANCE:
+                break
+            if trace is not None:
+                trace.append(float(best[i]))
+            parent[j] = i
+            pooled[:, i] += pooled[:, j]
+            pooled[:, j] = 0.0  # so column j of the merged row is stage i alone
+            closed[j] = np.inf
+            delta[j] = delta[:, j] = np.inf
+            best[j] = np.inf
+            partner[j] = -1  # never stale, never a tie winner
 
-    delta = np.full((k, k), np.inf)
-    for i in range(k - 1):
-        merged_ll = _stage_loglik(pooled[i] + pooled[i + 1:], smoothing)
-        delta[i, i + 1:] = -2.0 * (merged_ll - ll[i] - ll[i + 1:]) - param_gain
+            merged_ll = _stage_loglik(pooled[:, i, None] + pooled, smoothing)
+            ll[i] = merged_ll[j]
+            row = -2.0 * (merged_ll - ll[i] - ll) - param_gain + closed
+            row[i] = np.inf
+            delta[i] = delta[:, i] = row
 
-    while True:
-        flat = int(np.argmin(delta))
-        i, j = divmod(flat, k)
-        if delta[i, j] >= -MERGE_TOLERANCE:
-            break
-        if trace is not None:
-            trace.append(float(delta[i, j]))
-        pooled[i] += pooled[j]
-        ll[i] = float(_stage_loglik(pooled[i], smoothing)[0])
-        active[j] = False
-        delta[j, :] = np.inf
-        delta[:, j] = np.inf
-        assign[assign == j] = i
-        others = np.flatnonzero(active)
-        others = others[others != i]
-        if others.size:
-            merged_ll = _stage_loglik(pooled[i] + pooled[others], smoothing)
-            pair_delta = -2.0 * (merged_ll - ll[i] - ll[others]) - param_gain
-            lo = np.minimum(others, i)
-            hi = np.maximum(others, i)
-            delta[lo, hi] = pair_delta
-    return assign
+            stale = ((partner == i) | (partner == j)).nonzero()[0]
+            better = (row < best) | ((row == best) & (partner > i))
+            partner[better] = i
+            best[better] = row[better]
+            rescan = delta[stale]
+            partner[stale] = rescan.argmin(axis=1)
+            best[stale] = rescan.min(axis=1)
+    while True:  # a merged-away stage points at a lower id: resolve to roots
+        root = parent[parent]
+        if (root == parent).all():
+            return parent
+        parent = root
 
 
 def _stage_depth(

@@ -1,13 +1,15 @@
-"""The exhaustive staging search: the globally BIC-optimal staging of one
-depth, by enumerating every set partition of its contexts. Greedy merging is
-checked against it on small depths."""
+"""Staging oracles. The exhaustive staging search finds the globally
+BIC-optimal staging of one depth by enumerating every set partition of its
+contexts; greedy merging is checked against it on small depths. The reference
+greedy merge is the plain global-argmin form of backward hill climbing that
+the learner's merge must reproduce bit for bit."""
 
 import math
 
 import numpy as np
 
 from stagedtree import Dataset, ModelError, StageAssignment
-from stagedtree.learning import depth_bic
+from stagedtree.learning import MERGE_TOLERANCE, depth_bic
 from stagedtree.tree import (
     canonical_stage_assignment,
     context_counts,
@@ -55,3 +57,68 @@ def exhaustive_stage(d: Dataset, order, depth: int, smoothing: float = 0.0) -> S
             best_score = score
             best_code = code
     return canonical_stage_assignment(depth, np.asarray(best_code))
+
+
+def reference_stage_loglik(counts: np.ndarray, smoothing: float) -> np.ndarray:
+    """Multinomial log-likelihood of each row of pooled counts at its own MLE
+    (or smoothed estimate)."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim == 1:
+        counts = counts[None, :]
+    levels = counts.shape[1]
+    totals = counts.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        probs = (counts + smoothing) / (totals + smoothing * levels)
+        terms = np.where(counts > 0, counts * np.log(probs), 0.0)
+    return terms.sum(axis=1)
+
+
+def reference_bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace=None) -> np.ndarray:
+    """Greedy agglomeration of the rows of a pooled count matrix.
+
+    Starts from the given rows as stages and repeatedly applies the merge with
+    the best (most negative) BIC delta, found by a global argmin over the
+    upper triangle of a k x k delta matrix, until no merge improves the score
+    by more than MERGE_TOLERANCE. Among bit-equal deltas the pair with the
+    lowest (i, j) ids wins, where ids index the initial rows and a merged pair
+    keeps the lower id. Returns the final stage id of every initial row;
+    ``trace``, if given, collects the accepted BIC deltas in order.
+    """
+    k = counts.shape[0]
+    assign = np.arange(k)
+    if k < 2:
+        return assign
+    levels = counts.shape[1]
+    param_gain = (levels - 1) * math.log(n_rows)
+
+    pooled = np.asarray(counts, dtype=float).copy()
+    ll = reference_stage_loglik(pooled, smoothing)
+    active = np.ones(k, dtype=bool)
+
+    delta = np.full((k, k), np.inf)
+    for i in range(k - 1):
+        merged_ll = reference_stage_loglik(pooled[i] + pooled[i + 1:], smoothing)
+        delta[i, i + 1:] = -2.0 * (merged_ll - ll[i] - ll[i + 1:]) - param_gain
+
+    while True:
+        flat = int(np.argmin(delta))
+        i, j = divmod(flat, k)
+        if delta[i, j] >= -MERGE_TOLERANCE:
+            break
+        if trace is not None:
+            trace.append(float(delta[i, j]))
+        pooled[i] += pooled[j]
+        ll[i] = float(reference_stage_loglik(pooled[i], smoothing)[0])
+        active[j] = False
+        delta[j, :] = np.inf
+        delta[:, j] = np.inf
+        assign[assign == j] = i
+        others = np.flatnonzero(active)
+        others = others[others != i]
+        if others.size:
+            merged_ll = reference_stage_loglik(pooled[i] + pooled[others], smoothing)
+            pair_delta = -2.0 * (merged_ll - ll[i] - ll[others]) - param_gain
+            lo = np.minimum(others, i)
+            hi = np.maximum(others, i)
+            delta[lo, hi] = pair_delta
+    return assign

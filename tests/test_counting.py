@@ -41,6 +41,7 @@ from stagedtree.tree import (
 )
 
 from conftest import random_dataset, random_schema, staging_from_ids
+from staging_oracle import reference_bhc_merge
 
 
 # Reference counting: the row-wise code that each scorer ran before every
@@ -134,7 +135,7 @@ def reference_restricted_stage_depth(d, order, depth, parents, smoothing):
     init = reference_projection_staging(d, order, depth, parents)
     n_init = int(init.max()) + 1
     counts = reference_stage_counts(d, order, depth, init, n_init)
-    merged = _bhc_merge(counts, d.n, smoothing)
+    merged = reference_bhc_merge(counts, d.n, smoothing)
     return canonical_stage_assignment(depth, merged[init])
 
 
@@ -142,7 +143,7 @@ def reference_bhc_stage_depth(d, order, depth, smoothing):
     total = n_contexts(d.schema, order, depth)
     singleton = np.arange(total)
     counts = reference_stage_counts(d, order, depth, singleton, total)
-    assign = _bhc_merge(counts, d.n, smoothing)
+    assign = reference_bhc_merge(counts, d.n, smoothing)
     return canonical_stage_assignment(depth, assign)
 
 
@@ -256,6 +257,18 @@ class TestGuards:
         monkeypatch.setattr(np, "unravel_index", refuse)
         with pytest.raises(ModelError, match="desk scale"):
             _projection_staging(d.schema, order, 4, (0, 2))
+
+    def test_merge_table_guarded(self, monkeypatch):
+        d = self.binary(4)
+        learn(d, (0, 1, 2, 3), LearnConfig())
+        # Depth 3 has 8 contexts: its 16-cell count table passes the guard,
+        # its 8 x 8 merge table does not.
+        monkeypatch.setattr(dataset, "MAX_CONTEXTS", 60)
+        with pytest.raises(ModelError, match="desk scale") as err:
+            learn(d, (0, 1, 2, 3), LearnConfig())
+        assert "8 stages" in str(err.value)
+        with pytest.raises(ModelError, match="desk scale"):
+            _bhc_merge(np.ones((8, 2)), 10, 0.0)
 
 
 # -- new counting against the reference -------------------------------------------

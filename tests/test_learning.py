@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stagedtree import (
     Dataset,
@@ -23,11 +25,16 @@ from stagedtree import (
     variable_score,
 )
 from stagedtree import learning
-from stagedtree.learning import _stage_depth, depth_bic
+from stagedtree.learning import _bhc_merge, _stage_depth, depth_bic
 from stagedtree.tree import FitConfig, StagedTree, stage_counts
 
 from conftest import random_dataset
-from staging_oracle import exhaustive_stage, set_partitions
+from staging_oracle import (
+    exhaustive_stage,
+    reference_bhc_merge,
+    reference_stage_loglik,
+    set_partitions,
+)
 
 
 def binary_dataset(rng, p, n):
@@ -141,6 +148,53 @@ class TestBhc:
         tree = bhc(d, (0,))
         assert tree.stagings[0].n_stages == 1
         assert tree.is_fitted
+
+
+@st.composite
+def pooled_counts(draw):
+    """Stage count matrices for the merge oracle: 0 to 80 stages over 2 to 9
+    levels (numpy sums rows of 8 or more terms pairwise), drawn from a few
+    distinct rows so that duplicated rows, all-zero rows and bit-equal
+    deltas are common."""
+    k = draw(st.integers(0, 80))
+    levels = draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, max(k, 1)))
+    if draw(st.booleans()):
+        rows = rng.integers(0, draw(st.sampled_from([2, 6, 40])), size=(distinct, levels))
+    else:
+        probs = rng.dirichlet(np.ones(levels), size=3)
+        rows = np.stack([rng.multinomial(rng.integers(0, 120), probs[rng.integers(3)]) for _ in range(distinct)])
+    rows[rng.random(distinct) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    counts = rows[rng.integers(0, distinct, size=k)].reshape(k, levels)
+    n_rows = int(counts.sum()) + draw(st.integers(1, 60))
+    return counts, n_rows, draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+
+class TestMergeOracle:
+    """The row-minimum merge against the global-argmin merge it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=pooled_counts())
+    # A merged stage ties bit for bit with a row's cached best partner, and
+    # the lower id must win; random inputs rarely reach this.
+    @example(case=(np.array([[3, 3], [1, 1], [2, 2], [1, 0], [1, 1], [3, 2], [2, 3], [0, 1], [3, 3]]), 44, 0.0))
+    def test_assignment_and_trace_bit_equal(self, case):
+        counts, n_rows, smoothing = case
+        trace, expected_trace = [], []
+        assign = _bhc_merge(counts, n_rows, smoothing, trace=trace)
+        expected = reference_bhc_merge(counts, n_rows, smoothing, trace=expected_trace)
+        np.testing.assert_array_equal(assign, expected)
+        assert np.array(trace).tobytes() == np.array(expected_trace).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=pooled_counts())
+    def test_depth_bic_bit_equal(self, case):
+        counts, n_rows, smoothing = case
+        levels = counts.shape[1]
+        loglik = float(reference_stage_loglik(counts, smoothing).sum())
+        expected = -2.0 * loglik + counts.shape[0] * (levels - 1) * math.log(n_rows)
+        assert depth_bic(counts, n_rows, smoothing) == expected
 
 
 class TestExhaustive:
