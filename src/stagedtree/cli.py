@@ -9,7 +9,6 @@ outputs (timing files are opt-in via --timings for exactly this reason).
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from typing import NamedTuple
@@ -24,7 +23,7 @@ from .consensus import (
     run_bootstrap_consensus,
     staging_heatmap_export,
 )
-from .dataset import load_csv, schema_to_json
+from .dataset import _write_csv, load_csv, schema_to_json
 from .errors import StagedTreeError
 from .harness import report_export, run_cv
 from .inference import joint_level_iter
@@ -278,28 +277,6 @@ def _cmd_order(args) -> int:
     return 0
 
 
-def _write_votes_csv(votes, names, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable"] + list(names))
-        freq = votes.frequencies
-        for j, name in enumerate(names):
-            writer.writerow([name] + [repr(float(freq[j, k])) for k in range(len(names))])
-
-
-def _write_edge_csv(edge_table, path):
-    from .aldag import LABELS
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parent", "child", "strength"] + [f"freq_{label}" for label in LABELS])
-        for row in edge_table:
-            writer.writerow(
-                [row.parent, row.child, repr(row.strength)]
-                + [repr(row.label_fraction(label)) for label in LABELS]
-            )
-
-
 def _cmd_bootstrap(args) -> int:
     mode = _order_mode(args)
     cfg = _learn_config(args)
@@ -316,7 +293,12 @@ def _cmd_bootstrap(args) -> int:
         order = decision.order
         if decision.cyclic:
             print("warning: pairwise order votes are cyclic; Copeland order used", file=sys.stderr)
-        _write_votes_csv(votes, d.schema.names, os.path.join(args.outdir, "votes.csv"))
+        names = d.schema.names
+        _write_csv(
+            os.path.join(args.outdir, "votes.csv"),
+            ["variable"] + list(names),
+            ([name] + row.tolist() for name, row in zip(names, votes.frequencies)),
+        )
 
     result = run_bootstrap_consensus(
         d, order, plan, cfg, cut=args.cut, linkage=args.linkage, threads=args.threads
@@ -331,7 +313,14 @@ def _cmd_bootstrap(args) -> int:
             labels,
             os.path.join(args.outdir, f"dissimilarity_depth_{depth}.csv"),
         )
-    _write_edge_csv(result.edge_table, os.path.join(args.outdir, "edge_strength.csv"))
+    _write_csv(
+        os.path.join(args.outdir, "edge_strength.csv"),
+        ["parent", "child", "strength"] + [f"freq_{label}" for label in aldag_mod.LABELS],
+        (
+            [row.parent, row.child, row.strength] + [row.label_fraction(label) for label in aldag_mod.LABELS]
+            for row in result.edge_table
+        ),
+    )
     with open(os.path.join(args.outdir, "order.txt"), "w", encoding="utf-8") as fh:
         fh.write(",".join(d.schema.names[v] for v in order) + "\n")
     print(f"consensus results written to {args.outdir}", file=sys.stderr)
@@ -385,14 +374,13 @@ def _cmd_cv(args) -> int:
         report,
         os.path.join(args.outdir, "cv_records.csv"),
         os.path.join(args.outdir, "cv_summary.csv"),
-        include_timings=False,
     )
     if args.timings:
-        with open(os.path.join(args.outdir, "cv_timings.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fold", "algorithm", "wall_time"])
-            for r in report.records:
-                writer.writerow([r.fold, r.algorithm, repr(r.wall_time)])
+        _write_csv(
+            os.path.join(args.outdir, "cv_timings.csv"),
+            ["fold", "algorithm", "wall_time"],
+            ([r.fold, r.algorithm, r.wall_time] for r in report.records),
+        )
     print(f"cross-validation results written to {args.outdir}", file=sys.stderr)
     return 0
 
@@ -465,14 +453,12 @@ def _cmd_whatif(args) -> int:
     else:
         result = inference.run_query(tree, spec, **ipf)
     names = [args.target] if args.target else list(tree.schema.names)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "level", "probability"])
-        for name in names:
-            var = tree.schema.index(name)
-            vec = result.marginals[tree.schema.names[var]]
-            for level, level_name in enumerate(tree.schema.variables[var].levels):
-                writer.writerow([name, level_name, repr(float(vec[level]))])
+    posterior = []
+    for name in names:
+        var = tree.schema.index(name)
+        probs = result.marginals[tree.schema.names[var]].tolist()
+        posterior += ([name, level, prob] for level, prob in zip(tree.schema.variables[var].levels, probs))
+    _write_csv(args.output, ["variable", "level", "probability"], posterior)
     if result.evidence_probability is not None:
         print(f"evidence probability: {result.evidence_probability!r}", file=sys.stderr)
     if result.iterations is not None:
@@ -499,14 +485,11 @@ def _cmd_whatif(args) -> int:
 def _cmd_mi(args) -> int:
     tree = _load_model(args.model)
     rows = inference.whatif_sweep(tree, args.target)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["predictor", "target_level", "max_change", "direction", "mutual_information"])
-        for row in rows:
-            writer.writerow(
-                [row.predictor, row.target_level, repr(row.max_change), row.direction,
-                 repr(row.mutual_information)]
-            )
+    _write_csv(
+        args.output,
+        ["predictor", "target_level", "max_change", "direction", "mutual_information"],
+        ([r.predictor, r.target_level, r.max_change, r.direction, r.mutual_information] for r in rows),
+    )
     print(f"sensitivity table written to {args.output}", file=sys.stderr)
     return 0
 
@@ -526,11 +509,11 @@ def _cmd_export(args) -> int:
             fh.write(schema_to_json(tree.schema))
             fh.write("\n")
     elif args.what == "joint-csv":
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(tree.schema.names) + ["probability"])
-            for labels, prob in joint_level_iter(tree):
-                writer.writerow(list(labels) + [repr(prob)])
+        _write_csv(
+            args.output,
+            list(tree.schema.names) + ["probability"],
+            (list(labels) + [prob] for labels, prob in joint_level_iter(tree)),
+        )
     print(f"{args.what} written to {args.output}", file=sys.stderr)
     return 0
 

@@ -9,7 +9,6 @@ invariants like "the two directions of an order vote sum to M" hold exactly.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +19,7 @@ from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
 from .aldag import compress
-from .dataset import Dataset, ResamplePlan, bootstrap_replicate
+from .dataset import Dataset, ResamplePlan, _write_csv, bootstrap_replicate, cell_count
 from .errors import DataError, ModelError
 from .learning import LearnConfig, learn, order_search_dp
 from .tree import (
@@ -221,11 +220,13 @@ class StagingEnsemble:
         return len(self.z)
 
 
-def _disagreement(z: np.ndarray) -> np.ndarray:
+def _disagreement(z: np.ndarray, depth: int) -> np.ndarray:
     """Fraction of replicates (columns of ``z``) that stage each pair of
-    contexts apart, from integer counts added one replicate at a time, so
-    memory stays k x k whatever the replicate count."""
+    depth-``depth`` contexts apart, from integer counts added one replicate
+    at a time, so memory stays k x k whatever the replicate count. The k x k
+    tally is bounded by the MAX_CONTEXTS guard."""
     k, m = z.shape
+    cell_count((k, k), f"cells in the co-staging tally of depth {depth} with {k} contexts")
     apart = np.zeros((k, k), dtype=np.int64)
     for stage_of in z.T:
         apart += stage_of[:, None] != stage_of[None, :]
@@ -249,7 +250,7 @@ def ensemble_from_stagings(order, replicate_stagings) -> StagingEnsemble:
             stage_of = rep[depth].stage_of if isinstance(rep[depth], StageAssignment) else rep[depth]
             cols.append(np.asarray(stage_of, dtype=np.int64))
         z.append(np.column_stack(cols))
-    dissimilarity = tuple(_disagreement(mat) for mat in z)
+    dissimilarity = tuple(_disagreement(mat, depth) for depth, mat in enumerate(z))
     return StagingEnsemble(tuple(order), tuple(z), dissimilarity)
 
 
@@ -377,11 +378,8 @@ def staging_heatmap_export(d_matrix: np.ndarray, labels, path: str) -> None:
     labels = list(labels)
     if d_matrix.shape != (len(labels), len(labels)):
         raise DataError("label count does not match the matrix size")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["context"] + labels)
-        for i, row_label in enumerate(labels):
-            writer.writerow([row_label] + [repr(float(v)) for v in d_matrix[i]])
+    # One row at a time: a whole-matrix tolist() would hold k*k Python floats.
+    _write_csv(path, ["context"] + labels, ([label] + row.tolist() for label, row in zip(labels, d_matrix)))
     sidecar = {
         "kind": "heatmap",
         "source_csv": os.path.basename(path),

@@ -231,12 +231,20 @@ def load_csv(path: str, has_header: bool = True) -> Dataset:
     return Dataset(schema, rows)
 
 
-def save_csv(d: Dataset, path: str) -> None:
-    """Write a dataset back to CSV with a header row, decoding level labels."""
+def _write_csv(path: str, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV; every result file goes
+    through here. A float cell, numpy floats included, is written as
+    repr(float(v)), so a re-import is bit-exact."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(d.schema.names)
-        writer.writerows(d.decode())
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def save_csv(d: Dataset, path: str) -> None:
+    """Write a dataset back to CSV with a header row, decoding level labels."""
+    _write_csv(path, d.schema.names, d.decode())
 
 
 def bootstrap_replicate(d: Dataset, seed: int) -> Dataset:

@@ -8,14 +8,13 @@ test score to -inf). Test rows never reach any learner.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .consensus import run_bootstrap_consensus
-from .dataset import Dataset, ResamplePlan, derived_seed, kfold_split
+from .dataset import Dataset, ResamplePlan, _write_csv, derived_seed, kfold_split
 from .errors import DataError, ModelError
 from .learning import order_search_dp
 from .tree import FitConfig, StagedTree, bic, fit, log_likelihood, n_parameters
@@ -126,42 +125,32 @@ def run_cv(
 _METRICS = ("train_bic", "test_loglik", "n_parameters")
 
 
-def summarize(report: CvReport, include_timings: bool = False) -> list[SummaryRow]:
+def summarize(report: CvReport) -> list[SummaryRow]:
     """Quartile summary per algorithm and metric (linear interpolation)."""
-    metrics = _METRICS + (("wall_time",) if include_timings else ())
     algorithms = sorted({r.algorithm for r in report.records})
     rows = []
     for algorithm in algorithms:
         values = [r for r in report.records if r.algorithm == algorithm]
-        for metric in metrics:
+        for metric in _METRICS:
             data = np.asarray([getattr(r, metric) for r in values], dtype=float)
             q = np.percentile(data, [0, 25, 50, 75, 100])
             rows.append(SummaryRow(algorithm, metric, *(float(x) for x in q)))
     return rows
 
 
-def report_export(report: CvReport, records_path: str, summary_path: str, include_timings: bool = True) -> None:
+def report_export(report: CvReport, records_path: str, summary_path: str) -> None:
     """Write raw records and quartile summaries as CSV.
 
     Floats use full precision so recomputing the summary from the records
     file reproduces it exactly.
     """
-    with open(records_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["fold", "algorithm", "train_bic", "test_loglik", "n_parameters"]
-        if include_timings:
-            header.append("wall_time")
-        writer.writerow(header)
-        for r in report.records:
-            row = [r.fold, r.algorithm, repr(r.train_bic), repr(r.test_loglik), r.n_parameters]
-            if include_timings:
-                row.append(repr(r.wall_time))
-            writer.writerow(row)
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "metric", "min", "q1", "median", "q3", "max"])
-        for s in summarize(report, include_timings=include_timings):
-            writer.writerow(
-                [s.algorithm, s.metric]
-                + [repr(v) for v in (s.minimum, s.q1, s.median, s.q3, s.maximum)]
-            )
+    _write_csv(
+        records_path,
+        ["fold", "algorithm", "train_bic", "test_loglik", "n_parameters"],
+        ([r.fold, r.algorithm, r.train_bic, r.test_loglik, r.n_parameters] for r in report.records),
+    )
+    _write_csv(
+        summary_path,
+        ["algorithm", "metric", "min", "q1", "median", "q3", "max"],
+        ([s.algorithm, s.metric, s.minimum, s.q1, s.median, s.q3, s.maximum] for s in summarize(report)),
+    )

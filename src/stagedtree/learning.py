@@ -18,7 +18,6 @@ from .tree import (
     Ordering,
     StageAssignment,
     StagedTree,
-    canonical_stage_assignment,
     context_counts,
     context_shape,
     n_contexts,
@@ -105,15 +104,17 @@ def depth_bic(counts: np.ndarray, n_rows: int, smoothing: float) -> float:
     return -2.0 * loglik + counts.shape[0] * (levels - 1) * math.log(n_rows)
 
 
-def _bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace=None) -> np.ndarray:
+def _bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace=None) -> tuple[np.ndarray, np.ndarray]:
     """Greedy agglomeration of the rows of a pooled count matrix.
 
     Starts from the given rows as stages and repeatedly applies the merge with
     the best (most negative) BIC delta until no merge improves the score by
     more than MERGE_TOLERANCE. Among bit-equal deltas the pair with the lowest
     (i, j) ids wins, where ids index the initial rows and a merged pair keeps
-    the lower id. Returns the final stage id of every initial row; ``trace``,
-    if given, collects the accepted BIC deltas in order.
+    the lower id, so each final stage is held by its lowest row. Returns the
+    stage of every initial row, numbered by its lowest row, and the pooled
+    counts of those stages as integer-valued floats, (n_stages, levels);
+    ``trace``, if given, collects the accepted BIC deltas in order.
 
     Every row caches its best partner (the lowest id among bit-equal deltas),
     so the next merge is the first row minimum, and a row is rescanned only
@@ -123,7 +124,7 @@ def _bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace=None) ->
     k, levels = counts.shape
     parent = np.arange(k)
     if k < 2:
-        return parent
+        return parent, np.asarray(counts, dtype=float)
     cell_count((k, k), f"cells in the merge table of a depth with {k} stages")
     param_gain = (levels - 1) * math.log(n_rows)
     pooled = np.ascontiguousarray(counts.T, dtype=float)  # one column per stage
@@ -178,8 +179,10 @@ def _bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace=None) ->
     while True:  # a merged-away stage points at a lower id: resolve to roots
         root = parent[parent]
         if (root == parent).all():
-            return parent
+            break
         parent = root
+    is_root = parent == ids
+    return (np.cumsum(is_root) - 1)[parent], pooled.T[is_root]
 
 
 def _stage_depth(
@@ -192,6 +195,10 @@ def _stage_depth(
     to k parents chosen by conditional mutual information; merging only
     coarsens that partition. Returns the staging, its pooled counts and the
     parent set (all predecessors unless CMI chose fewer).
+
+    The merge numbers stages by their lowest start class, and the first
+    context of each start class comes in ascending class id, so its stage
+    ids are already the canonical ones, ordered by first context.
     """
     counts = context_counts(d, order, depth)
     parents = tuple(sorted(order[:depth]))
@@ -199,9 +206,8 @@ def _stage_depth(
     if k is not None and depth > k:
         parents = _greedy_parents(d, order[depth], order[:depth], k)
         start = _projection_staging(d.schema, order, depth, parents)
-    merged = _bhc_merge(pool_counts(counts, start, int(start.max()) + 1), d.n, smoothing)
-    staging = canonical_stage_assignment(depth, merged[start])
-    return staging, pool_counts(counts, staging.stage_of, staging.n_stages), parents
+    stage_of, pooled = _bhc_merge(pool_counts(counts, start, int(start.max()) + 1), d.n, smoothing)
+    return StageAssignment(depth, stage_of[start], pooled.shape[0]), pooled, parents
 
 
 def _learn(d: Dataset, order, k: int | None, smoothing: float):

@@ -96,7 +96,7 @@ class StageAssignment:
         arr = np.ascontiguousarray(self.stage_of, dtype=np.int64)
         if arr.ndim != 1 or arr.size < 1:
             raise ModelError("stage_of must be a non-empty 1-d array")
-        if not np.array_equal(np.unique(arr), np.arange(self.n_stages)):
+        if arr.min() < 0 or arr.max() >= self.n_stages or not np.bincount(arr, minlength=self.n_stages).all():
             raise ModelError(f"stage ids at depth {self.depth} must be contiguous from 0")
         arr.flags.writeable = False
         object.__setattr__(self, "stage_of", arr)

@@ -2,14 +2,15 @@
 BIC-optimal staging of one depth by enumerating every set partition of its
 contexts; greedy merging is checked against it on small depths. The reference
 greedy merge is the plain global-argmin form of backward hill climbing that
-the learner's merge must reproduce bit for bit."""
+the learner's merge must reproduce bit for bit. The reference stage depth is
+the relabel-and-repool path the learner's one-depth staging replaced."""
 
 import math
 
 import numpy as np
 
 from stagedtree import Dataset, ModelError, StageAssignment
-from stagedtree.learning import MERGE_TOLERANCE, depth_bic
+from stagedtree.learning import MERGE_TOLERANCE, _greedy_parents, _projection_staging, depth_bic
 from stagedtree.tree import (
     canonical_stage_assignment,
     context_counts,
@@ -122,3 +123,19 @@ def reference_bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace
             hi = np.maximum(others, i)
             delta[lo, hi] = pair_delta
     return assign
+
+
+def reference_stage_depth(d: Dataset, order, depth: int, k, smoothing: float):
+    """Stage one depth as ``_stage_depth`` did before the merge handed back
+    its stages: merge to root ids, relabel them by first context, then pool
+    the context counts again under the relabelled staging. Returns the
+    staging, its int64 pooled counts and the parent set."""
+    counts = context_counts(d, order, depth)
+    parents = tuple(sorted(order[:depth]))
+    start = np.arange(counts.shape[0])
+    if k is not None and depth > k:
+        parents = _greedy_parents(d, order[depth], order[:depth], k)
+        start = _projection_staging(d.schema, order, depth, parents)
+    roots = reference_bhc_merge(pool_counts(counts, start, int(start.max()) + 1), d.n, smoothing)
+    staging = canonical_stage_assignment(depth, roots[start])
+    return staging, pool_counts(counts, staging.stage_of, staging.n_stages), parents

@@ -501,6 +501,49 @@ class TestMiAndExport:
         assert abs(sum(float(r["probability"]) for r in rows) - 1.0) < 1e-9
 
 
+def assert_floats_reread_exactly(path):
+    """Every float cell of a result CSV is the repr of its float, so it
+    re-reads bit-exactly, and no cell is a numpy repr; returns how many
+    float cells the file holds."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    floats = 0
+    for row in rows:
+        for cell in row:
+            assert "np.float64(" not in cell, (path, cell)
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if cell.isdigit():  # an integer column: fold, n_parameters
+                continue
+            assert cell == repr(value), (path, cell)
+            floats += 1
+    return floats
+
+
+class TestResultCsvFloats:
+    """The float format of every result CSV the CLI writes."""
+
+    def test_every_result_file(self, toy_csv, model_json, tmp_path):
+        boot, cv = tmp_path / "boot", tmp_path / "cv"
+        outputs = {"mi": tmp_path / "mi.csv", "whatif": tmp_path / "whatif.csv", "joint": tmp_path / "joint.csv"}
+        commands = [
+            ["bootstrap", "--input", toy_csv, "--replicates", "6", "--seed", "2", "--outdir", str(boot)],
+            ["cv", "--input", toy_csv, "--folds", "2", "--replicates", "2", "--timings", "--outdir", str(cv)],
+            ["whatif", "--model", model_json, "--soft", "A=0.3,0.7", "--output", str(outputs["whatif"])],
+            ["mi", "--model", model_json, "--target", "C", "--output", str(outputs["mi"])],
+            ["export", "--model", model_json, "--what", "joint-csv", "--output", str(outputs["joint"])],
+        ]
+        for argv in commands:
+            assert main(argv) == 0, argv
+        files = [boot / "votes.csv", boot / "edge_strength.csv", boot / "dissimilarity_depth_1.csv",
+                 boot / "dissimilarity_depth_2.csv", cv / "cv_records.csv", cv / "cv_summary.csv",
+                 cv / "cv_timings.csv", *outputs.values()]
+        for path in files:
+            assert assert_floats_reread_exactly(path) > 0, path
+
+
 # The order flags each mode takes and the one it needs, as the README states.
 ORDER_TAKES = {
     "fixed": {"--order-spec"},

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,8 +151,22 @@ class TestDisagreementTally:
     @given(k=st.integers(1, 40), m=st.integers(1, 60), ids=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_bit_equal_to_3d_mean(self, k, m, ids, seed):
         z = np.random.default_rng(seed).integers(0, ids, size=(k, m))
-        got, want = _disagreement(z), disagreement_3d(z)
+        got, want = _disagreement(z, 0), disagreement_3d(z)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_tally_guarded_before_allocation(self):
+        # Depth 1 behind a first variable of 4096 levels: its 4096 x 4096
+        # tally holds more than MAX_CONTEXTS cells.
+        stagings = [(np.zeros(1, dtype=np.int64), np.zeros(4096, dtype=np.int64))]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match="desk scale") as err:
+                ensemble_from_stagings((0, 1), stagings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "depth 1 with 4096 contexts" in str(err.value)
+        assert peak < 1 << 20  # one 4096 x 4096 bool comparison alone takes 16 MB
 
 
 class TestConsensusStaging:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from stagedtree import (
     schema_from_json,
     schema_to_json,
 )
+from stagedtree.dataset import _write_csv
 
 
 def write_csv(path, lines):
@@ -102,6 +105,18 @@ class TestLoadCsv:
         again = load_csv(str(out))
         assert again.schema == d.schema
         assert np.array_equal(again.rows, d.rows)
+
+
+class TestWriteCsv:
+    def test_floats_written_as_repr(self, tmp_path):
+        path = tmp_path / "out.csv"
+        cells = [np.float64(0.1), -0.0, float("nan"), np.float64(1 / 3), 7, np.int64(8), "x,y"]
+        _write_csv(str(path), ["a", "b", "c", "d", "e", "f", "g"], [cells])
+        assert path.read_bytes() == b'a,b,c,d,e,f,g\r\n0.1,-0.0,nan,0.3333333333333333,7,8,"x,y"\r\n'
+        with open(path, newline="") as fh:
+            row = list(csv.reader(fh))[1]
+        for cell, value in zip(row[:4], cells[:4]):
+            assert np.array(float(cell)).tobytes() == np.array(value, dtype=float).tobytes()
 
 
 @settings(max_examples=50, deadline=None)

@@ -26,12 +26,13 @@ from stagedtree import (
 )
 from stagedtree import learning
 from stagedtree.learning import _bhc_merge, _stage_depth, depth_bic
-from stagedtree.tree import FitConfig, StagedTree, stage_counts
+from stagedtree.tree import FitConfig, StagedTree, pool_counts, probabilities_from_counts, stage_counts
 
 from conftest import random_dataset
 from staging_oracle import (
     exhaustive_stage,
     reference_bhc_merge,
+    reference_stage_depth,
     reference_stage_loglik,
     set_partitions,
 )
@@ -182,10 +183,16 @@ class TestMergeOracle:
     def test_assignment_and_trace_bit_equal(self, case):
         counts, n_rows, smoothing = case
         trace, expected_trace = [], []
-        assign = _bhc_merge(counts, n_rows, smoothing, trace=trace)
-        expected = reference_bhc_merge(counts, n_rows, smoothing, trace=expected_trace)
-        np.testing.assert_array_equal(assign, expected)
+        stage_of, pooled = _bhc_merge(counts, n_rows, smoothing, trace=trace)
+        roots = reference_bhc_merge(counts, n_rows, smoothing, trace=expected_trace)
+        # The reference names each stage by its lowest row; the merge numbers
+        # the stages in that order.
+        expected = np.unique(roots, return_inverse=True)[1]
+        np.testing.assert_array_equal(stage_of, expected)
         assert np.array(trace).tobytes() == np.array(expected_trace).tobytes()
+        n_stages = int(expected.max(initial=-1)) + 1
+        assert pooled.dtype == float
+        np.testing.assert_array_equal(pooled, pool_counts(counts, expected, n_stages))
 
     @settings(max_examples=100, deadline=None)
     @given(case=pooled_counts())
@@ -195,6 +202,39 @@ class TestMergeOracle:
         loglik = float(reference_stage_loglik(counts, smoothing).sum())
         expected = -2.0 * loglik + counts.shape[0] * (levels - 1) * math.log(n_rows)
         assert depth_bic(counts, n_rows, smoothing) == expected
+
+
+class TestStageDepthOracle:
+    """One depth staged from the stages the merge hands back, against the
+    former relabel-and-repool path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 5),
+        n=st.integers(1, 200),
+        k=st.sampled_from([None, 1, 2]),
+        smoothing=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_staging_counts_and_score_bit_equal(self, seed, p, n, k, smoothing):
+        rng = np.random.default_rng(seed)
+        d = random_dataset(rng, p=p, n=n)
+        order = tuple(int(v) for v in rng.permutation(p))
+        cfg = LearnConfig("bhc" if k is None else "kparents", k=k, smoothing=smoothing)
+        for depth in range(p):
+            staging, counts, parents = _stage_depth(d, order, depth, k, smoothing)
+            want, want_counts, want_parents = reference_stage_depth(d, order, depth, k, smoothing)
+            np.testing.assert_array_equal(staging.stage_of, want.stage_of)
+            assert staging.n_stages == want.n_stages and parents == want_parents
+            np.testing.assert_array_equal(counts, want_counts)
+            assert depth_bic(counts, d.n, smoothing) == depth_bic(want_counts, d.n, smoothing)
+            got_probs = probabilities_from_counts(counts, smoothing)
+            assert got_probs.tobytes() == probabilities_from_counts(want_counts, smoothing).tobytes()
+            # The score cache stages the variable behind its sorted predecessors.
+            var, predecessors = order[depth], tuple(sorted(order[:depth]))
+            score_order = predecessors + (var,) + order[depth + 1:]
+            _, want_counts, _ = reference_stage_depth(d, score_order, depth, k, smoothing)
+            assert variable_score(d, var, predecessors, cfg) == depth_bic(want_counts, d.n, smoothing)
 
 
 class TestExhaustive:

@@ -395,8 +395,10 @@ class TestValidation:
     def test_noncontiguous_stage_ids_rejected(self):
         from stagedtree.tree import StageAssignment
 
-        with pytest.raises(ModelError, match="contiguous"):
-            StageAssignment(0, np.array([0, 2]), 2)
+        # Ids past the count, an id below 0, and a stage in range left unused.
+        for ids, n_stages in (([0, 2], 2), ([0, 1, 2], 2), ([-1, 0], 1), ([0, 2], 3)):
+            with pytest.raises(ModelError, match="contiguous"):
+                StageAssignment(0, np.array(ids), n_stages)
 
     def test_bad_probability_rows_rejected(self):
         schema = Schema((Variable("u", ("a", "b")),))
