@@ -15,8 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
-from scipy.spatial.distance import squareform
 
 from .aldag import compress
 from .dataset import Dataset, ResamplePlan, _write_csv, bootstrap_replicate, cell_count
@@ -31,6 +29,7 @@ from .tree import (
     context_label,
     context_tuples,
     fit,
+    n_contexts,
     validate_order,
 )
 
@@ -220,13 +219,18 @@ class StagingEnsemble:
         return len(self.z)
 
 
+def _check_tally(k: int, depth: int) -> None:
+    """Refuse a k x k co-staging tally past MAX_CONTEXTS, naming its depth."""
+    cell_count((k, k), f"cells in the co-staging tally of depth {depth} with {k} contexts")
+
+
 def _disagreement(z: np.ndarray, depth: int) -> np.ndarray:
     """Fraction of replicates (columns of ``z``) that stage each pair of
     depth-``depth`` contexts apart, from integer counts added one replicate
     at a time, so memory stays k x k whatever the replicate count. The k x k
     tally is bounded by the MAX_CONTEXTS guard."""
     k, m = z.shape
-    cell_count((k, k), f"cells in the co-staging tally of depth {depth} with {k} contexts")
+    _check_tally(k, depth)
     apart = np.zeros((k, k), dtype=np.int64)
     for stage_of in z.T:
         apart += stage_of[:, None] != stage_of[None, :]
@@ -280,6 +284,10 @@ def consensus_staging(
         raise ModelError(f"unsupported linkage {linkage!r}")
     if k == 1:
         return StageAssignment(depth, np.zeros(1, dtype=np.int64), 1)
+    # Imported here, its one use, so that importing the package stays cheap.
+    from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
+    from scipy.spatial.distance import squareform
+
     merges = scipy_linkage(squareform(d_matrix, checks=False), method=linkage)
     labels = fcluster(merges, t=cut, criterion="distance")
     return canonical_stage_assignment(depth, labels)
@@ -355,9 +363,12 @@ def run_bootstrap_consensus(
 ) -> ConsensusResult:
     """Bootstrap stagings at a fixed ordering, cluster them into a consensus
     staging per depth, and fit the averaged tree on the full data. A ``cut``
-    outside (0, 1) is rejected before any replicate is drawn."""
+    outside (0, 1), or a depth whose co-staging tally is too large, is
+    rejected before any replicate is drawn."""
     _check_cut(cut)
     order = validate_order(d.schema, order)
+    for depth in range(len(order)):
+        _check_tally(n_contexts(d.schema, order, depth), depth)
     results = _map_replicates(d, plan, threads, _replicate_structure, order, cfg)
     ensemble = ensemble_from_stagings(order, [stages for stages, _ in results])
     stagings = tuple(

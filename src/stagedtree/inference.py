@@ -1,14 +1,19 @@
 """Exact queries on a fitted staged tree.
 
-Everything here works by forward passes that gather stage probabilities
-through stage ids into (part of) the joint outcome table, which is capped at
-desk scale. Queries never mutate the tree and may run concurrently.
+Conditioning on evidence works on the tree's chain-event-graph positions,
+compiled once per tree: a backward pass applies the findings and a forward
+pass gives every marginal. Queries without evidence (marginals, mutual
+information, the joint table and the what-if sweep) read ``_tables``, whose
+forward pass gathers stage probabilities through stage ids into (part of) the
+joint outcome table, capped at desk scale. Queries never mutate the tree and
+may run concurrently.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,30 +66,29 @@ class QueryResult:
     max_deviation: float | None = None
 
 
-def _forward(tree: StagedTree, hard: dict[int, int], last_depth: int | None = None):
-    """Forward pass over the depths up to ``last_depth`` (default: all),
-    yielding the joint after each depth, axes in ordering position.
-
-    Stage rows are gathered through the stage ids sliced at the hard findings
-    (a hard finding's own depth takes its level's column), so no array
-    exceeds the joint over the other variables, capped at MAX_CONTEXTS.
-    """
-    depths = range(tree.p if last_depth is None else last_depth + 1)
-    kept = [tree.order[depth] for depth in depths if tree.order[depth] not in hard]
-    cells = math.prod(tree.schema.level_counts[var] for var in kept)
+def _check_enumerable(tree: StagedTree, variables) -> None:
+    """Refuse an outcome space over ``variables`` (indices) past MAX_CONTEXTS."""
+    cells = math.prod(tree.schema.level_counts[var] for var in variables)
     if cells > MAX_CONTEXTS:
         raise ModelError(
             f"outcome space of {cells} cells exceeds {MAX_CONTEXTS}; exact enumeration refused"
         )
+
+
+def _forward(tree: StagedTree, last_depth: int | None = None):
+    """Forward pass over the depths up to ``last_depth`` (default: all),
+    yielding the joint after each depth, axes in ordering position.
+
+    Stage rows are gathered through the stage ids, so no array exceeds the
+    joint, capped at MAX_CONTEXTS cells.
+    """
+    depths = range(tree.p if last_depth is None else last_depth + 1)
+    _check_enumerable(tree, [tree.order[depth] for depth in depths])
     probs = tree.require_fitted()
     joint = np.ones(())
     for depth in depths:
-        var = tree.order[depth]
         ids = tree.stagings[depth].stage_of.reshape(context_shape(tree.schema, tree.order, depth))
-        ids = ids[tuple(hard.get(v, slice(None)) for v in tree.order[:depth])]
-        rows = probs[depth][:, hard[var]] if var in hard else probs[depth]
-        factor = rows[ids.ravel()].reshape(ids.shape + rows.shape[1:])
-        joint = joint * factor if var in hard else joint[..., None] * factor
+        joint = joint[..., None] * probs[depth][ids]
         yield joint
 
 
@@ -98,7 +102,7 @@ def _tables(tree: StagedTree, groups) -> list[np.ndarray]:
     groups = [[tree.depth_of(v) for v in group] for group in groups]
     ends = [max(depths) for depths in groups]
     tables = [None] * len(groups)
-    for depth, joint in enumerate(_forward(tree, {}, max(ends, default=-1))):
+    for depth, joint in enumerate(_forward(tree, max(ends, default=-1))):
         for i, depths in enumerate(groups):
             if ends[i] == depth:
                 kept = sorted(depths)
@@ -170,46 +174,99 @@ def _coerce_virtual(tree: StagedTree, weights: dict) -> dict[int, np.ndarray]:
     return out
 
 
-def _ipf(joint: np.ndarray, targets: list[tuple[int, np.ndarray]], tol: float, max_iter: int):
-    """Cyclically rescale the joint until every target marginal is matched.
+@dataclass(frozen=True, eq=False)
+class _Positions:
+    """The chain-event-graph positions of a fitted tree (Smith & Anderson):
+    the contexts whose futures, probabilities included, are identical.
 
-    ``targets`` holds (axis of ``joint``, target marginal) pairs; each cycle
-    visits them in the given order. Returns (joint, iterations, deviation).
+    ``rows[d]`` holds the stage probabilities of each depth-d position and
+    ``child[d]`` the depth-(d+1) position each of its levels leads to. Past
+    the last depth there is one terminal position, 0.
     """
 
-    def deviation() -> float:
-        worst = 0.0
-        for axis, target in targets:
-            other = tuple(a for a in range(joint.ndim) if a != axis)
-            worst = max(worst, float(np.abs(joint.sum(axis=other) - target).max()))
-        return worst
+    rows: tuple[np.ndarray, ...]
+    child: tuple[np.ndarray, ...]
 
-    dev = deviation()
-    if dev < tol:
-        return joint, 0, dev
-    for iteration in range(1, max_iter + 1):
-        for axis, target in targets:
-            other = tuple(a for a in range(joint.ndim) if a != axis)
-            current = joint.sum(axis=other)
-            impossible = (current == 0) & (target > 0)
-            if impossible.any():
-                raise ModelError(
-                    f"soft target puts mass on a level the model assigns probability zero "
-                    f"(axis {axis}, levels {np.flatnonzero(impossible).tolist()})"
-                )
-            with np.errstate(invalid="ignore", divide="ignore"):
-                scale = np.where(current > 0, target / current, 0.0)
-            shape = [1] * joint.ndim
-            shape[axis] = scale.size
-            joint = joint * scale.reshape(shape)
-        dev = deviation()
-        if dev < tol:
-            return joint, iteration, dev
-    raise ConvergenceError(
-        f"soft-evidence update failed to converge after {max_iter} cycles "
-        f"(deviation {dev:.3e}, tolerance {tol:.3e})",
-        dev,
-    )
+
+# Trees are frozen and their arrays read-only, so a tree's positions never
+# go stale; the entry goes when the tree does.
+_POSITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _positions(tree: StagedTree) -> _Positions:
+    """The tree's positions, compiled on first use."""
+    found = _POSITIONS.get(tree)
+    if found is None:
+        found = _POSITIONS[tree] = _compile(tree)
+    return found
+
+
+def _compile(tree: StagedTree) -> _Positions:
+    """One backward pass. At the last depth a position is a stage; at each
+    shallower depth it is a distinct (stage id, child positions) row, coded
+    as one int64 a child column at a time and re-ranked before a column
+    could overflow the code.
+    """
+    probs = tree.require_fitted()
+    last = tree.p - 1
+    rows = [probs[last]]
+    child = [np.zeros(probs[last].shape, dtype=np.int64)]
+    position_of = tree.stagings[last].stage_of
+    n_next = tree.stagings[last].n_stages
+    for depth in range(last - 1, -1, -1):
+        staging = tree.stagings[depth]
+        children = position_of.reshape(staging.stage_of.size, -1)
+        code, bound = staging.stage_of, staging.n_stages
+        for column in children.T:
+            if bound * n_next > 2**62:
+                ranks, code = np.unique(code, return_inverse=True)
+                bound = ranks.size
+            code = code * n_next + column
+            bound *= n_next
+        _, first, position_of = np.unique(code, return_index=True, return_inverse=True)
+        rows.append(probs[depth][staging.stage_of[first]])
+        child.append(children[first])
+        n_next = first.size
+    return _Positions(tuple(reversed(rows)), tuple(reversed(child)))
+
+
+def _reweigh(positions: _Positions, rows, factors: dict[int, np.ndarray], deepest: int):
+    """Backward pass (Thwaites, Smith & Cowell): multiply the rows of each
+    depth in ``factors`` by its factor, then, from ``deepest`` up to the
+    root, renormalize every position's rows into its conditional
+    probabilities given the findings below it. No factor may lie deeper
+    than ``deepest``, whose deeper rows must already sum to one. Returns the
+    new rows and the mass the factors leave.
+    """
+    rows = list(rows)
+    below = None
+    for depth in range(deepest, -1, -1):
+        weighted = rows[depth] * factors[depth] if depth in factors else rows[depth]
+        if below is not None:
+            weighted = weighted * below[positions.child[depth]]
+        below = weighted.sum(axis=1)
+        rows[depth] = weighted / np.where(below > 0, below, 1.0)[:, None]
+    return rows, float(below[0])
+
+
+def _marginals(positions: _Positions, rows) -> list[np.ndarray]:
+    """Forward pass: each depth's marginal, from the probability of reaching
+    each position, which the next depth's positions gather by bincount."""
+    sums = []
+    reach = np.ones(1)
+    for depth, conditional in enumerate(rows):
+        sums.append(reach @ conditional)
+        if depth + 1 < len(rows):
+            reach = np.bincount(
+                positions.child[depth].ravel(),
+                (reach[:, None] * conditional).ravel(),
+                minlength=rows[depth + 1].shape[0],
+            )
+    return sums
+
+
+def _one_hot(tree: StagedTree, var: int, level: int) -> np.ndarray:
+    return (np.arange(tree.schema.level_counts[var]) == level).astype(float)
 
 
 def _condition(
@@ -222,11 +279,13 @@ def _condition(
 ) -> QueryResult:
     """The one conditioning core, on coerced findings keyed by variable index.
 
-    Hard findings fix their axes in the forward pass, whose joint keeps its
-    axes in ordering position. Virtual weights then rescale it, and soft
-    targets are matched by IPF, which visits them in ascending schema index.
-    The evidence probability is the mass left after the hard findings and
-    the weights; soft findings alone have none.
+    Every finding is a factor on its variable's depth in passes over the
+    tree's positions: a hard finding is one-hot, virtual weights are
+    themselves. The backward pass that applies them leaves the positions'
+    conditional probabilities given the evidence, and the evidence
+    probability is the mass it leaves (soft findings alone have none). Soft
+    targets are then matched by IPF, which visits them in ascending schema
+    index; each step is one pass that rescales the target's depth.
     """
     names = tree.schema.names
     if not 0 < tol < 1:
@@ -235,39 +294,54 @@ def _condition(
         raise ModelError(f"max_iter must be at least 1, got {max_iter}")
     if len(set(hard) | set(soft) | set(weights)) < len(hard) + len(soft) + len(weights):
         raise ModelError("a variable may carry only one kind of evidence")
-    for joint in _forward(tree, hard):
-        pass
-    kept = [var for var in tree.order if var not in hard]
-    for var, factor in weights.items():
-        shape = [1] * joint.ndim
-        shape[kept.index(var)] = factor.size
-        joint = joint * factor.reshape(shape)
-    prob = float(joint.sum())
+    _check_enumerable(tree, [var for var in range(tree.p) if var not in hard])
+    positions = _positions(tree)
+    factors = {tree.depth_of(var): _one_hot(tree, var, level) for var, level in hard.items()}
+    factors.update((tree.depth_of(var), factor) for var, factor in weights.items())
+    rows, prob = _reweigh(positions, positions.rows, factors, tree.p - 1)
     if prob == 0.0:
         findings = {names[v]: tree.schema.variables[v].levels[level] for v, level in hard.items()}
         findings.update((names[v], "virtual") for v in weights)
         raise ModelError(f"evidence has probability zero (removed all probability mass): {findings}")
-    has_probability = bool(hard or weights)
-    scale = prob
+    sums = _marginals(positions, rows)
     iterations = dev = None
-    if soft or weights:
-        if has_probability:
-            joint = joint / prob
-        if soft:
-            targets = [(kept.index(var), soft[var]) for var in sorted(soft)]
-            joint, iterations, dev = _ipf(joint, targets, tol, max_iter)
-        scale = 1.0
-    marginals: dict[str, np.ndarray] = {}
-    for axis, var in enumerate(kept):
-        other = tuple(a for a in range(len(kept)) if a != axis)
-        marginals[names[var]] = joint.sum(axis=other) / scale
+    if soft:
+        targets = [(var, tree.depth_of(var), soft[var]) for var in sorted(soft)]
+
+        def deviation() -> float:
+            return max(float(np.abs(sums[depth] - target).max()) for _, depth, target in targets)
+
+        iterations, dev = 0, deviation()
+        while not dev < tol:  # a NaN deviation is no convergence
+            if iterations == max_iter:
+                raise ConvergenceError(
+                    f"soft-evidence update failed to converge after {max_iter} cycles "
+                    f"(deviation {dev:.3e}, tolerance {tol:.3e})",
+                    dev,
+                )
+            iterations += 1
+            for i, (var, depth, target) in enumerate(targets):
+                if i:
+                    sums = _marginals(positions, rows)
+                current = sums[depth]
+                impossible = (current == 0) & (target > 0)
+                if impossible.any():
+                    levels = [tree.schema.variables[var].levels[level] for level in np.flatnonzero(impossible)]
+                    raise ModelError(
+                        f"soft target for {names[var]!r} puts mass on levels {levels} "
+                        f"the model assigns probability zero"
+                    )
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    step = np.where(current > 0, target / current, 0.0)
+                rows, _ = _reweigh(positions, rows, {depth: step}, depth)
+            sums = _marginals(positions, rows)
+            dev = deviation()
+    marginals = {names[var]: sums[tree.depth_of(var)] for var in range(tree.p)}
     for var, level in hard.items():
-        one_hot = np.zeros(tree.schema.level_counts[var])
-        one_hot[level] = 1.0
-        marginals[names[var]] = one_hot
+        marginals[names[var]] = _one_hot(tree, var, level)
     return QueryResult(
-        {name: marginals[name] for name in names},
-        evidence_probability=prob if has_probability else None,
+        marginals,
+        evidence_probability=prob if hard or weights else None,
         iterations=iterations,
         max_deviation=dev,
     )
@@ -276,8 +350,8 @@ def _condition(
 def condition_hard(tree: StagedTree, evidence: dict) -> QueryResult:
     """Exact conditioning on observed levels.
 
-    Evidence axes are fixed during the forward pass, so memory scales with
-    the non-evidence outcome space only.
+    Each finding is a one-hot factor in passes over the tree's positions,
+    so memory scales with the positions, not the outcome space.
     """
     ev = _coerce_hard(tree, evidence)
     if not ev:
@@ -305,8 +379,8 @@ def condition_virtual(tree: StagedTree, weights: dict, evidence: dict | None = N
     and renormalize, instead of pinning posterior marginals.
 
     Offered as the alternative reading of a soft finding; the factors need not
-    sum to one. Hard findings in ``evidence`` (observed levels) fix their
-    axes first, as in ``condition_hard``.
+    sum to one. Hard findings in ``evidence`` (observed levels) apply
+    together with them, as in ``condition_hard``.
     """
     factors = _coerce_virtual(tree, weights)
     hard = _coerce_hard(tree, evidence or {})

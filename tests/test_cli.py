@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +34,17 @@ def model_json(toy_csv, tmp_path):
     out = tmp_path / "model.json"
     assert main(["learn", "--input", toy_csv, "--output", str(out)]) == 0
     return str(out)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only consensus clustering; commands that never cluster
+    # should not pay for its import.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = "import sys, stagedtree, stagedtree.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    ran = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -169,6 +169,24 @@ class TestDisagreementTally:
         assert peak < 1 << 20  # one 4096 x 4096 bool comparison alone takes 16 MB
 
 
+    def test_tally_refused_before_any_replicate(self, monkeypatch):
+        # 13 binary variables at a fixed order: depth 12 has 4096 contexts,
+        # whose tally holds more than MAX_CONTEXTS cells.
+        schema = Schema(tuple(Variable(f"X{j}", ("a", "b")) for j in range(13)))
+        d = Dataset(schema, np.random.default_rng(0).integers(0, 2, size=(50, 13)))
+        drawn = []
+        real = consensus.bootstrap_replicate
+
+        def counted(data, seed):
+            drawn.append(seed)
+            return real(data, seed)
+
+        monkeypatch.setattr(consensus, "bootstrap_replicate", counted)
+        with pytest.raises(ModelError, match="tally of depth 12 with 4096 contexts"):
+            run_bootstrap_consensus(d, range(13), ResamplePlan(4, seed=1), LearnConfig("kparents", 1))
+        assert drawn == []
+
+
 class TestConsensusStaging:
     def test_perfect_agreement_single_stage(self):
         d = np.zeros((4, 4))

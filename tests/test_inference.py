@@ -1,7 +1,9 @@
+import gc
 import math
 import pickle
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from stagedtree.dataset import MAX_CONTEXTS
 from stagedtree.inference import SWEEP_TIE, joint_level_iter
 from stagedtree.tree import context_shape
 
-from conftest import random_fitted_tree, staging_from_ids
+from conftest import random_fitted_tree, reference_tree, staging_from_ids
 
 
 def independent_tree(p_u=(0.3, 0.7), p_v=(0.6, 0.4)):
@@ -96,6 +98,113 @@ def reference_condition_hard(tree, ev):
         one_hot[level] = 1.0
         marginals[tree.schema.names[var]] = one_hot
     return marginals, prob
+
+
+def reference_ipf(joint, targets, tol, max_iter, labels):
+    """Oracle: cyclically rescale the joint until every target marginal is
+    matched. ``targets`` holds (axis of ``joint``, target marginal, variable
+    index) triples, visited in the given order; ``labels`` maps each
+    variable index to its (name, level labels) for the error message.
+    Returns (joint, iterations, deviation)."""
+
+    def deviation():
+        worst = 0.0
+        for axis, target, _ in targets:
+            other = tuple(a for a in range(joint.ndim) if a != axis)
+            worst = max(worst, float(np.abs(joint.sum(axis=other) - target).max()))
+        return worst
+
+    dev = deviation()
+    if dev < tol:
+        return joint, 0, dev
+    for iteration in range(1, max_iter + 1):
+        for axis, target, var in targets:
+            other = tuple(a for a in range(joint.ndim) if a != axis)
+            current = joint.sum(axis=other)
+            impossible = (current == 0) & (target > 0)
+            if impossible.any():
+                name, level_labels = labels[var]
+                levels = [level_labels[level] for level in np.flatnonzero(impossible)]
+                raise ModelError(
+                    f"soft target for {name!r} puts mass on levels {levels} "
+                    f"the model assigns probability zero"
+                )
+            with np.errstate(invalid="ignore", divide="ignore"):
+                scale = np.where(current > 0, target / current, 0.0)
+            shape = [1] * joint.ndim
+            shape[axis] = scale.size
+            joint = joint * scale.reshape(shape)
+        dev = deviation()
+        if dev < tol:
+            return joint, iteration, dev
+    raise ConvergenceError(
+        f"soft-evidence update failed to converge after {max_iter} cycles "
+        f"(deviation {dev:.3e}, tolerance {tol:.3e})",
+        dev,
+    )
+
+
+def reference_condition(tree, hard, soft, weights, tol=1e-9, max_iter=1000):
+    """Oracle: conditioning on the joint over the non-evidence variables,
+    the way the core computed it before it worked on positions. Hard
+    findings fix their axes in the reference forward pass, virtual weights
+    rescale the joint, and IPF matches the soft targets in ascending schema
+    index. Findings are keyed by variable index, as ``inference._condition``
+    takes them."""
+    names = tree.schema.names
+    if not 0 < tol < 1:
+        raise ModelError(f"tol must lie strictly between 0 and 1, got {tol}")
+    if max_iter < 1:
+        raise ModelError(f"max_iter must be at least 1, got {max_iter}")
+    if len(set(hard) | set(soft) | set(weights)) < len(hard) + len(soft) + len(weights):
+        raise ModelError("a variable may carry only one kind of evidence")
+    joint, kept = reference_forward(tree, hard)
+    for var, factor in weights.items():
+        shape = [1] * joint.ndim
+        shape[kept.index(var)] = factor.size
+        joint = joint * factor.reshape(shape)
+    prob = float(joint.sum())
+    if prob == 0.0:
+        findings = {names[v]: tree.schema.variables[v].levels[level] for v, level in hard.items()}
+        findings.update((names[v], "virtual") for v in weights)
+        raise ModelError(f"evidence has probability zero (removed all probability mass): {findings}")
+    has_probability = bool(hard or weights)
+    scale = prob
+    iterations = dev = None
+    if soft or weights:
+        if has_probability:
+            joint = joint / prob
+        if soft:
+            targets = [(kept.index(var), soft[var], var) for var in sorted(soft)]
+            labels = {var: (names[var], tree.schema.variables[var].levels) for var in soft}
+            joint, iterations, dev = reference_ipf(joint, targets, tol, max_iter, labels)
+        scale = 1.0
+    marginals = {}
+    for axis, var in enumerate(kept):
+        other = tuple(a for a in range(len(kept)) if a != axis)
+        marginals[names[var]] = joint.sum(axis=other) / scale
+    for var, level in hard.items():
+        marginals[names[var]] = np.eye(tree.schema.level_counts[var])[level]
+    return marginals, (prob if has_probability else None), iterations
+
+
+def reference_position_counts(tree):
+    """Oracle: the number of positions at each depth, by naming every
+    context's future as (stage id, names of its children's futures), one
+    context at a time from the last depth up."""
+    counts = []
+    below = None
+    for depth in reversed(range(tree.p)):
+        stage_of = tree.stagings[depth].stage_of
+        levels = tree.schema.level_counts[tree.order[depth]]
+        futures = [
+            (int(stage),) if below is None else (int(stage),) + tuple(below[c * levels : (c + 1) * levels])
+            for c, stage in enumerate(stage_of)
+        ]
+        names = {future: i for i, future in enumerate(sorted(set(futures)))}
+        below = [names[future] for future in futures]
+        counts.append(len(names))
+    return counts[::-1]
 
 
 def former_marginal(tree, var):
@@ -264,9 +373,41 @@ class TestConditioningCore:
         if hard:
             hard_only = inference._condition(tree, hard, {}, {})
             marginals, prob = reference_condition_hard(tree, hard)
-            assert hard_only.evidence_probability == prob
+            assert hard_only.evidence_probability == pytest.approx(prob, rel=1e-12)
             for name in tree.schema.names:
-                assert np.array_equal(hard_only.marginals[name], marginals[name])
+                assert np.allclose(hard_only.marginals[name], marginals[name], rtol=0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_positions_match_the_joint_table_core(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = with_zero_levels(rng, random_fitted_tree(rng, max_p=5))
+        hard, soft, weights = {}, {}, {}
+        for var, kind in enumerate(rng.integers(0, 4, size=tree.p)):
+            levels = tree.schema.level_counts[var]
+            if kind == 1:
+                hard[var] = int(rng.integers(0, levels))
+            elif kind == 2:
+                soft[var] = rng.dirichlet(np.ones(levels))
+            elif kind == 3:
+                weights[var] = rng.random(levels)
+        assert [rows.shape[0] for rows in inference._positions(tree).rows] == reference_position_counts(tree)
+        try:
+            marginals, prob, iterations = reference_condition(tree, hard, soft, weights)
+        except ModelError as expected:
+            with pytest.raises(type(expected)) as got:
+                inference._condition(tree, hard, soft, weights)
+            assert str(got.value) == str(expected)
+            return
+        result = inference._condition(tree, hard, soft, weights)
+        assert result.iterations == iterations
+        if prob is None:
+            assert result.evidence_probability is None
+        else:
+            assert result.evidence_probability == pytest.approx(prob, rel=1e-12)
+        assert list(result.marginals) == list(tree.schema.names)
+        for name in tree.schema.names:
+            assert np.allclose(result.marginals[name], marginals[name], rtol=0, atol=1e-12)
 
     def test_one_kind_of_evidence_per_variable(self, table_model):
         with pytest.raises(ModelError, match="one kind of evidence"):
@@ -307,16 +448,89 @@ class TestConditioningCore:
         assert peak < 1 << 20
 
 
+class TestPositions:
+    def planted_tree(self):
+        # u=a and u=b share a stage and their futures; u=c shares the stage
+        # too, but its children's stages are swapped, so it is a position of
+        # its own.
+        schema = Schema((Variable("u", ("a", "b", "c")), Variable("v", ("x", "y")), Variable("w", ("lo", "hi"))))
+        stagings = (staging_from_ids(0, [0]), staging_from_ids(1, [0, 0, 0]), staging_from_ids(2, [0, 1, 0, 1, 1, 0]))
+        probs = (np.array([[0.2, 0.3, 0.5]]), np.array([[0.4, 0.6]]), np.array([[0.1, 0.9], [0.7, 0.3]]))
+        return StagedTree(schema, (0, 1, 2), stagings, probs)
+
+    def test_identical_futures_collapse(self):
+        tree = self.planted_tree()
+        positions = inference._positions(tree)
+        assert [rows.shape[0] for rows in positions.rows] == [1, 2, 2] == reference_position_counts(tree)
+        # the root reaches one position along a and b, the other along c
+        assert positions.child[0].tolist() == [[0, 0, 1]]
+        assert sorted(positions.child[1].tolist()) == [[0, 1], [1, 0]]
+        for hard in ({0: 2}, {1: 0}, {2: 1}, {0: 0, 2: 0}):
+            result = inference._condition(tree, hard, {}, {})
+            marginals, prob, _ = reference_condition(tree, hard, {}, {})
+            assert result.evidence_probability == pytest.approx(prob, rel=1e-12)
+            for name in tree.schema.names:
+                assert np.allclose(result.marginals[name], marginals[name], rtol=0, atol=1e-12)
+
+    def test_codes_past_int64_are_reranked(self):
+        # Depth 1 has 10 stages and 100 child positions along each of 10
+        # levels: 10 * 100**10 codes do not fit an int64, so the code is
+        # re-ranked part way. Contexts a and a + 10 share their futures.
+        rng = np.random.default_rng(5)
+        schema = Schema(
+            (Variable("a", tuple(f"a{i:02d}" for i in range(20))), Variable("b", tuple("bcdefghijk")), Variable("c", ("x", "y")))
+        )
+        a, b = np.divmod(np.arange(200), 10)
+        stagings = (staging_from_ids(0, [0]), staging_from_ids(1, np.arange(20) % 10), staging_from_ids(2, (a % 10) * 10 + b))
+        probs = (rng.dirichlet(np.ones(20))[None], rng.dirichlet(np.ones(10), size=10), rng.dirichlet(np.ones(2), size=100))
+        tree = StagedTree(schema, (0, 1, 2), stagings, probs)
+        assert 10 * 100**10 > 2**63
+        counts = [rows.shape[0] for rows in inference._positions(tree).rows]
+        assert counts == [1, 10, 100] == reference_position_counts(tree)
+        for hard, weights in (({1: 3}, {}), ({2: 0}, {0: rng.random(20)}), ({}, {1: rng.random(10), 2: rng.random(2)})):
+            result = inference._condition(tree, hard, {}, weights)
+            marginals, prob, _ = reference_condition(tree, hard, {}, weights)
+            assert result.evidence_probability == pytest.approx(prob, rel=1e-12)
+            for name in tree.schema.names:
+                assert np.allclose(result.marginals[name], marginals[name], rtol=0, atol=1e-12)
+
+    def test_compiled_once_per_tree_object(self, table_model, monkeypatch):
+        compiled = []
+        compile_positions = inference._compile
+
+        def counted(tree):
+            compiled.append(tree)
+            return compile_positions(tree)
+
+        monkeypatch.setattr(inference, "_compile", counted)
+        condition_hard(table_model, {"Length": "Low"})
+        condition_soft(table_model, {"Length": (0.5, 0.5)})
+        condition_virtual(table_model, {"Income": (0.2, 1.0)}, {"Country": "SE"})
+        run_query(table_model, EvidenceSpec(hard={"Country": "SE"}, soft={"Length": (0.5, 0.5)}))
+        # queries without evidence read the prefix table, not the positions
+        marginal(table_model, "Length")
+        whatif_sweep(table_model, "Satisfaction")
+        assert compiled == [table_model]
+        other = reference_tree()
+        condition_hard(other, {"Length": "Low"})
+        assert compiled == [table_model, other]
+        # the cache holds no tree alive
+        compiled.clear()
+        gone = weakref.ref(other)
+        del other
+        gc.collect()
+        assert gone() is None
+
+
 class TestForwardPass:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_every_joint_bit_equal_to_the_reference_pass(self, seed):
         rng = np.random.default_rng(seed)
         tree = with_zero_levels(rng, random_fitted_tree(rng, max_p=5))
-        hard = {v: int(rng.integers(tree.schema.level_counts[v])) for v in range(tree.p) if rng.random() < 0.4}
         depth = -1
-        for depth, joint in enumerate(inference._forward(tree, hard)):
-            want, _ = reference_forward(tree, hard, depth)
+        for depth, joint in enumerate(inference._forward(tree)):
+            want, _ = reference_forward(tree, {}, depth)
             assert type(joint) is type(want) and np.shape(joint) == np.shape(want)
             assert np.asarray(joint).tobytes() == np.asarray(want).tobytes()
         assert depth == tree.p - 1
@@ -506,7 +720,7 @@ class TestConditionSoft:
 
     def test_zero_mass_target_rejected(self):
         tree = independent_tree(p_u=(1.0, 0.0))
-        with pytest.raises(ModelError, match="probability zero"):
+        with pytest.raises(ModelError, match=r"soft target for 'u' puts mass on levels \['b'\] .*probability zero"):
             condition_soft(tree, {"u": np.array([0.5, 0.5])})
 
     def test_nonconvergence_reports_deviation(self, table_model):
@@ -685,9 +899,9 @@ class TestWhatifSweep:
         passes, depths = [], []
         forward = inference._forward
 
-        def counted(tree, hard, last_depth=None):
+        def counted(tree, last_depth=None):
             passes.append(last_depth)
-            for depth, joint in enumerate(forward(tree, hard, last_depth)):
+            for depth, joint in enumerate(forward(tree, last_depth)):
                 depths.append(depth)
                 yield joint
 
