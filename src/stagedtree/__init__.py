@@ -16,7 +16,6 @@ from .aldag import (
     aldag_to_json,
     compress,
     dependence_subtree,
-    render_dot,
     to_dot,
 )
 from .consensus import (
@@ -25,7 +24,6 @@ from .consensus import (
     EdgeStrengthRow,
     OrderVoteMatrix,
     StagingEnsemble,
-    averaged_tree,
     bootstrap_orders,
     consensus_order,
     consensus_staging,
@@ -44,8 +42,6 @@ from .dataset import (
     dichotomize,
     kfold_split,
     load_csv,
-    save_csv,
-    schema_from_json,
     schema_to_json,
 )
 from .errors import ConvergenceError, DataError, ModelError, StagedTreeError
@@ -65,7 +61,6 @@ from .inference import (
 )
 from .learning import (
     LearnConfig,
-    bhc,
     cmi,
     kparents_learn,
     learn,
@@ -85,7 +80,6 @@ from .tree import (
     log_likelihood,
     log_likelihood_by_depth,
     n_parameters,
-    saturated_tree,
     tree_from_json,
     tree_to_json,
 )

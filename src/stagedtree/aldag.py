@@ -45,7 +45,6 @@ __all__ = [
     "DependenceSubtree",
     "compress",
     "dependence_subtree",
-    "render_dot",
     "to_dot",
     "aldag_to_json",
 ]
@@ -88,18 +87,6 @@ class Aldag:
         position = {v: i for i, v in enumerate(self.order)}
         pars = [e.parent for e in self.edges if e.child == child]
         return tuple(sorted(pars, key=lambda v: position[v]))
-
-    def in_degree(self, child: int) -> int:
-        return sum(1 for e in self.edges if e.child == child)
-
-    def max_in_degree(self) -> int:
-        return max((self.in_degree(v) for v in range(len(self.schema))), default=0)
-
-    def edge(self, parent: int, child: int) -> AldagEdge | None:
-        for e in self.edges:
-            if e.parent == parent and e.child == child:
-                return e
-        return None
 
 
 def _label_axes(grid: np.ndarray) -> list[tuple[str, tuple[str, ...]]]:
@@ -195,10 +182,6 @@ class DependenceSubtree:
     stage_grid: np.ndarray = field(repr=False)
     probs: dict[int, np.ndarray] = field(repr=False)
     schema: object = None
-
-    def stage_and_probs(self, parent_levels: tuple[int, ...]) -> tuple[int, np.ndarray]:
-        sid = int(self.stage_grid[tuple(parent_levels)])
-        return sid, self.probs[sid]
 
     def items(self):
         for combo in itertools.product(*(range(n) for n in self.stage_grid.shape)):
@@ -307,19 +290,17 @@ def _subtree_dot(sub: DependenceSubtree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_dot(obj, highlight=frozenset(), annotations=None) -> str:
-    """Deterministic DOT text for an ALDAG, staged tree, or dependence subtree."""
-    if isinstance(obj, Aldag):
-        return _aldag_dot(obj, highlight=highlight, annotations=annotations)
-    if isinstance(obj, StagedTree):
-        return _tree_dot(obj)
-    if isinstance(obj, DependenceSubtree):
-        return _subtree_dot(obj)
-    raise ModelError(f"cannot render {type(obj).__name__} as DOT")
-
-
 def to_dot(obj, path: str, highlight=frozenset(), annotations=None) -> None:
-    text = render_dot(obj, highlight=highlight, annotations=annotations)
+    """Write deterministic DOT text for an ALDAG, staged tree, or dependence
+    subtree; ``highlight`` and ``annotations`` apply to an ALDAG only."""
+    if isinstance(obj, Aldag):
+        text = _aldag_dot(obj, highlight=highlight, annotations=annotations)
+    elif isinstance(obj, StagedTree):
+        text = _tree_dot(obj)
+    elif isinstance(obj, DependenceSubtree):
+        text = _subtree_dot(obj)
+    else:
+        raise ModelError(f"cannot render {type(obj).__name__} as DOT")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -391,6 +391,9 @@ def _load_model(path):
 
 
 def _cmd_aldag(args) -> int:
+    if (args.subtree is None) != (args.subtree_dot is None):
+        given, missing = ("--subtree-dot", "--subtree") if args.subtree is None else ("--subtree", "--subtree-dot")
+        raise _UsageError(f"{given} needs {missing}")
     tree = _load_model(args.model)
     graph = aldag_mod.compress(tree)
     if args.dot:
@@ -401,14 +404,12 @@ def _cmd_aldag(args) -> int:
             fh.write(aldag_mod.aldag_to_json(graph))
             fh.write("\n")
         print(f"JSON written to {args.json}", file=sys.stderr)
-    if args.subtree:
-        if not args.subtree_dot:
-            raise StagedTreeError("--subtree requires --subtree-dot PATH")
+    if args.subtree is not None:
         child = tree.schema.index(args.subtree)
         sub = aldag_mod.dependence_subtree(tree, graph, child)
         aldag_mod.to_dot(sub, args.subtree_dot)
         print(f"dependence subtree written to {args.subtree_dot}", file=sys.stderr)
-    if not (args.dot or args.json or args.subtree):
+    if not (args.dot or args.json or args.subtree is not None):
         for e in sorted(graph.edges, key=lambda e: (e.parent, e.child)):
             names = tree.schema.names
             print(f"{names[e.parent]} -> {names[e.child]} [{e.label}]")
@@ -439,6 +440,8 @@ def _parse_soft(pairs):
 
 
 def _cmd_whatif(args) -> int:
+    if not (args.evidence or args.soft):
+        raise _UsageError("whatif needs --evidence or --soft")
     ipf = {key: value for key, value in (("tol", args.tol), ("max_iter", args.max_iter)) if value is not None}
     for key in ipf:
         flag = "--" + key.replace("_", "-")

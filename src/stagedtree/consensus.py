@@ -44,7 +44,6 @@ __all__ = [
     "consensus_order",
     "ensemble_from_stagings",
     "consensus_staging",
-    "averaged_tree",
     "staging_heatmap_export",
     "run_bootstrap_consensus",
 ]
@@ -293,12 +292,6 @@ def consensus_staging(
     return canonical_stage_assignment(depth, labels)
 
 
-def averaged_tree(d: Dataset, order, stagings, smoothing: float = 0.0) -> StagedTree:
-    """Fit stage probabilities on the full dataset under consensus stagings."""
-    skeleton = StagedTree(d.schema, tuple(order), tuple(stagings))
-    return fit(skeleton, d, FitConfig(smoothing))
-
-
 @dataclass(frozen=True)
 class EdgeStrengthRow:
     """How often an edge appeared across replicates, and with which labels.
@@ -375,7 +368,7 @@ def run_bootstrap_consensus(
         consensus_staging(ensemble.dissimilarity[depth], cut, depth, linkage)
         for depth in range(len(order))
     )
-    averaged = averaged_tree(d, order, stagings, cfg.smoothing)
+    averaged = fit(StagedTree(d.schema, order, stagings), d, FitConfig(cfg.smoothing))
     edge_table = _edge_table_from_lists([edges for _, edges in results], d.schema.names)
     return ConsensusResult(averaged, stagings, ensemble, edge_table)
 

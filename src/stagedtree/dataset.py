@@ -17,13 +17,11 @@ __all__ = [
     "Dataset",
     "ResamplePlan",
     "load_csv",
-    "save_csv",
     "bootstrap_replicate",
     "kfold_split",
     "dichotomize",
     "derived_seed",
     "schema_to_json",
-    "schema_from_json",
 ]
 
 # Most contexts of one depth, or cells of one count table, any array may hold.
@@ -123,13 +121,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.rows.shape[1]
-
-    def decode(self) -> list[list[str]]:
-        """Return the rows as lists of level labels (inverse of CSV encoding)."""
-        out = []
-        for row in self.rows:
-            out.append([self.schema.variables[j].levels[row[j]] for j in range(self.p)])
-        return out
 
     def select_columns(self, cols: list[int]) -> "Dataset":
         """Project onto a subset of variables, keeping their relative order."""
@@ -242,11 +233,6 @@ def _write_csv(path: str, header, rows) -> None:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
-def save_csv(d: Dataset, path: str) -> None:
-    """Write a dataset back to CSV with a header row, decoding level labels."""
-    _write_csv(path, d.schema.names, d.decode())
-
-
 def bootstrap_replicate(d: Dataset, seed: int) -> Dataset:
     """Resample N rows uniformly with replacement; deterministic in the seed."""
     rng = np.random.default_rng(seed)
@@ -304,9 +290,3 @@ def dichotomize(column, labels: tuple[str, str] = ("low", "high")) -> list[str]:
 def schema_to_json(schema: Schema) -> str:
     payload = {"variables": [{"name": v.name, "levels": list(v.levels)} for v in schema.variables]}
     return json.dumps(payload, indent=2)
-
-
-def schema_from_json(text: str) -> Schema:
-    payload = json.loads(text)
-    variables = tuple(Variable(v["name"], tuple(v["levels"])) for v in payload["variables"])
-    return Schema(variables)

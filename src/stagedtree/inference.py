@@ -66,24 +66,19 @@ class QueryResult:
     max_deviation: float | None = None
 
 
-def _check_enumerable(tree: StagedTree, variables) -> None:
-    """Refuse an outcome space over ``variables`` (indices) past MAX_CONTEXTS."""
-    cells = math.prod(tree.schema.level_counts[var] for var in variables)
-    if cells > MAX_CONTEXTS:
-        raise ModelError(
-            f"outcome space of {cells} cells exceeds {MAX_CONTEXTS}; exact enumeration refused"
-        )
-
-
 def _forward(tree: StagedTree, last_depth: int | None = None):
     """Forward pass over the depths up to ``last_depth`` (default: all),
     yielding the joint after each depth, axes in ordering position.
 
     Stage rows are gathered through the stage ids, so no array exceeds the
-    joint, capped at MAX_CONTEXTS cells.
+    joint, whose outcome space is refused past MAX_CONTEXTS cells.
     """
     depths = range(tree.p if last_depth is None else last_depth + 1)
-    _check_enumerable(tree, [tree.order[depth] for depth in depths])
+    cells = math.prod(tree.schema.level_counts[tree.order[depth]] for depth in depths)
+    if cells > MAX_CONTEXTS:
+        raise ModelError(
+            f"outcome space of {cells} cells exceeds {MAX_CONTEXTS}; exact enumeration refused"
+        )
     probs = tree.require_fitted()
     joint = np.ones(())
     for depth in depths:
@@ -285,7 +280,9 @@ def _condition(
     conditional probabilities given the evidence, and the evidence
     probability is the mass it leaves (soft findings alone have none). Soft
     targets are then matched by IPF, which visits them in ascending schema
-    index; each step is one pass that rescales the target's depth.
+    index; each step is one pass that rescales the target's depth. No array
+    of the passes outgrows the tree's contexts, which ``StagedTree`` guards,
+    so no outcome space is refused here.
     """
     names = tree.schema.names
     if not 0 < tol < 1:
@@ -294,7 +291,6 @@ def _condition(
         raise ModelError(f"max_iter must be at least 1, got {max_iter}")
     if len(set(hard) | set(soft) | set(weights)) < len(hard) + len(soft) + len(weights):
         raise ModelError("a variable may carry only one kind of evidence")
-    _check_enumerable(tree, [var for var in range(tree.p) if var not in hard])
     positions = _positions(tree)
     factors = {tree.depth_of(var): _one_hot(tree, var, level) for var, level in hard.items()}
     factors.update((tree.depth_of(var), factor) for var, factor in weights.items())

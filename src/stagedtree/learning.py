@@ -28,7 +28,6 @@ from .tree import (
 
 __all__ = [
     "LearnConfig",
-    "bhc",
     "kparents_learn",
     "learn",
     "cmi",
@@ -225,12 +224,6 @@ def _learn(d: Dataset, order, k: int | None, smoothing: float):
         tuple(probabilities_from_counts(counts, smoothing) for _, counts, _ in depths),
     )
     return tree, tuple(parents for _, _, parents in depths)
-
-
-def bhc(d: Dataset, order, smoothing: float = 0.0) -> StagedTree:
-    """Full backward hill-climbing learner: stages every depth independently,
-    then fits the stage probabilities."""
-    return _learn(d, order, None, smoothing)[0]
 
 
 def cmi(d: Dataset, i: int, s: int, conditioning=()) -> float:

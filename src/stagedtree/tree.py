@@ -25,7 +25,6 @@ __all__ = [
     "StageAssignment",
     "StagedTree",
     "FitConfig",
-    "saturated_tree",
     "fit",
     "log_likelihood",
     "log_likelihood_by_depth",
@@ -101,12 +100,6 @@ class StageAssignment:
         arr.flags.writeable = False
         object.__setattr__(self, "stage_of", arr)
 
-    def as_dict(self, schema: Schema, order: Ordering) -> dict[tuple[int, ...], int]:
-        return {
-            ctx: int(self.stage_of[i])
-            for i, ctx in enumerate(context_tuples(schema, order, self.depth))
-        }
-
 
 def canonical_stage_assignment(depth: int, raw_ids: np.ndarray) -> StageAssignment:
     """Relabel arbitrary stage ids to contiguous ids ordered by first context."""
@@ -170,10 +163,6 @@ class StagedTree:
             object.__setattr__(self, "probs", tuple(frozen))
 
     @property
-    def is_fitted(self) -> bool:
-        return self.probs is not None
-
-    @property
     def p(self) -> int:
         return len(self.schema)
 
@@ -187,16 +176,6 @@ class StagedTree:
         if self.probs is None:
             raise ModelError("tree is not fitted; call fit() first")
         return self.probs
-
-
-def saturated_tree(schema: Schema, order) -> StagedTree:
-    """Unfitted tree where every context is its own stage."""
-    order = validate_order(schema, order)
-    stagings = []
-    for depth in range(len(schema)):
-        count = n_contexts(schema, order, depth)
-        stagings.append(StageAssignment(depth, np.arange(count), count))
-    return StagedTree(schema, order, tuple(stagings))
 
 
 def context_counts(d: Dataset, order: Ordering, depth: int) -> np.ndarray:

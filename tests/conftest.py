@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stagedtree import Dataset, ModelError, Schema, StagedTree, Variable, consensus, encode_bn
-from stagedtree.tree import StageAssignment, canonical_stage_assignment, n_contexts
+from stagedtree.tree import StageAssignment, canonical_stage_assignment, n_contexts, validate_order
 
 
 def reference_schema() -> Schema:
@@ -127,6 +127,21 @@ def random_fitted_tree(rng, max_p: int = 4, max_levels: int = 3) -> StagedTree:
 
 def staging_from_ids(depth: int, ids) -> StageAssignment:
     return canonical_stage_assignment(depth, np.asarray(ids))
+
+
+def saturated_tree(schema: Schema, order) -> StagedTree:
+    """Unfitted tree where every context is its own stage."""
+    order = validate_order(schema, order)
+    stagings = []
+    for depth in range(len(schema)):
+        count = n_contexts(schema, order, depth)
+        stagings.append(StageAssignment(depth, np.arange(count), count))
+    return StagedTree(schema, order, tuple(stagings))
+
+
+def max_in_degree(graph) -> int:
+    """Largest number of parents any variable has in a labeled DAG."""
+    return max((sum(e.child == v for e in graph.edges) for v in range(len(graph.schema))), default=0)
 
 
 def fail_replicate(monkeypatch, plan, index):

@@ -23,7 +23,6 @@ from stagedtree import (
     Schema,
     Variable,
     atom_probability,
-    bhc,
     cmi,
     compress,
     condition_hard,
@@ -34,12 +33,12 @@ from stagedtree import (
     ensemble_from_stagings,
     joint_table,
     kparents_learn,
+    learn,
     marginal,
     n_parameters,
     order_search_dp,
     ordering_score,
     run_bootstrap_consensus,
-    saturated_tree,
     tally_orders,
 )
 from stagedtree.learning import depth_bic
@@ -47,9 +46,11 @@ from stagedtree.tree import canonical_stage_assignment, stage_counts
 
 from conftest import (
     local_variant_tree,
+    max_in_degree,
     random_dataset,
     random_fitted_tree,
     reference_tree,
+    saturated_tree,
 )
 from staging_oracle import exhaustive_stage
 
@@ -180,7 +181,7 @@ def test_06_staging_search_oracles():
             schema = Schema(tuple(Variable(f"X{i+1}", ("a", "b")) for i in range(3)))
             d = Dataset(schema, rng.integers(0, 2, size=(200, 3)))
             for depth in (1, 2):
-                greedy = bhc(d, order).stagings[depth]
+                greedy = learn(d, order, LearnConfig()).stagings[depth]
                 oracle = exhaustive_stage(d, order, depth)
 
                 def staging_score(staging):
@@ -227,7 +228,7 @@ def test_08_kparents_guarantee():
             for k in (1, 2, 3):
                 tree, parent_sets = kparents_learn(d, tuple(range(6)), k=k)
                 assert all(len(parents) <= max(k, depth) for depth, parents in enumerate(parent_sets))
-                assert compress(tree).max_in_degree() <= k
+                assert max_in_degree(compress(tree)) <= k
 
 
 def test_09_consensus_properties():

@@ -17,14 +17,20 @@ from stagedtree import (
     condition_hard,
     dependence_subtree,
     encode_bn,
-    render_dot,
-    saturated_tree,
+    to_dot,
 )
 
 from stagedtree.aldag import _label_axes, _reduced_grid
 from stagedtree.tree import n_contexts
 
-from conftest import local_variant_tree, random_dataset, random_schema, staging_from_ids
+from conftest import (
+    local_variant_tree,
+    max_in_degree,
+    random_dataset,
+    random_schema,
+    saturated_tree,
+    staging_from_ids,
+)
 
 
 # Reference labeller: the per-axis classification that compress used before
@@ -354,16 +360,16 @@ class TestDependenceSubtree:
         graph = compress(table_model)
         sub = dependence_subtree(table_model, graph, child=3)
         assert sub.parents == (1, 2)  # Length, Income in ordering positions
-        stages = {sub.stage_and_probs((l, i))[0] for l in range(2) for i in range(2)}
+        stages = {int(sub.stage_grid[l, i]) for l in range(2) for i in range(2)}
         assert len(stages) == 3
         # (Low, High) and (Low, Low) pooled
-        assert sub.stage_and_probs((1, 0))[0] == sub.stage_and_probs((1, 1))[0]
+        assert sub.stage_grid[1, 0] == sub.stage_grid[1, 1]
 
     def test_parentless_variable(self, table_model):
         graph = compress(table_model)
         sub = dependence_subtree(table_model, graph, child=0)
         assert sub.parents == ()
-        sid, vec = sub.stage_and_probs(())
+        vec = sub.probs[int(sub.stage_grid[()])]
         assert vec.tolist() == [0.35, 0.25, 0.15, 0.25]
 
     def test_subtree_matches_full_tree_conditionals(self, table_model):
@@ -372,7 +378,7 @@ class TestDependenceSubtree:
         schema = table_model.schema
         for l in range(2):
             for i in range(2):
-                _, vec = sub.stage_and_probs((l, i))
+                vec = sub.probs[int(sub.stage_grid[l, i])]
                 evidence = {
                     "Length": schema.variables[1].levels[l],
                     "Income": schema.variables[2].levels[i],
@@ -387,34 +393,46 @@ class TestDependenceSubtree:
             dependence_subtree(table_model, other, child=3)
 
 
-class TestRendering:
-    def test_aldag_dot_deterministic(self, table_model):
-        graph = compress(table_model)
-        assert render_dot(graph) == render_dot(graph)
+def render_dot(obj, tmp_path, name="out.dot", **kwargs) -> str:
+    """The DOT text ``to_dot`` writes for ``obj``."""
+    path = tmp_path / name
+    to_dot(obj, str(path), **kwargs)
+    return path.read_text(encoding="utf-8")
 
-    def test_empty_edge_set_renders_nodes_only(self):
+
+class TestRendering:
+    def test_aldag_dot_deterministic(self, table_model, tmp_path):
+        graph = compress(table_model)
+        assert render_dot(graph, tmp_path, "a.dot") == render_dot(graph, tmp_path, "b.dot")
+
+    def test_empty_edge_set_renders_nodes_only(self, tmp_path):
         schema = Schema((Variable("u", ("a", "b")), Variable("v", ("x", "y"))))
         stagings = (staging_from_ids(0, [0]), staging_from_ids(1, [0, 0]))
-        text = render_dot(compress(StagedTree(schema, (0, 1), stagings)))
+        text = render_dot(compress(StagedTree(schema, (0, 1), stagings)), tmp_path)
         assert '"u"' in text and '"v"' in text and "->" not in text
 
-    def test_reference_aldag_colors(self, table_model):
-        text = render_dot(compress(table_model))
+    def test_reference_aldag_colors(self, table_model, tmp_path):
+        text = render_dot(compress(table_model), tmp_path)
         assert "color=blue" in text  # partial
         assert "color=red" in text  # context-specific
         assert "color=black" in text  # symmetric
 
-    def test_evidence_highlight_and_annotations(self, table_model):
+    def test_evidence_highlight_and_annotations(self, table_model, tmp_path):
         graph = compress(table_model)
-        text = render_dot(graph, highlight={"Length"}, annotations={"Length": "p=0.4"})
+        text = render_dot(graph, tmp_path, highlight={"Length"}, annotations={"Length": "p=0.4"})
         assert "gray80" in text and "p=0.4" in text
 
-    def test_tree_and_subtree_render(self, table_model):
-        tree_text = render_dot(table_model)
+    def test_tree_and_subtree_render(self, table_model, tmp_path):
+        tree_text = render_dot(table_model, tmp_path, "tree.dot")
         assert tree_text.startswith("digraph staged_tree")
         sub = dependence_subtree(table_model, compress(table_model), child=3)
-        sub_text = render_dot(sub)
+        sub_text = render_dot(sub, tmp_path, "sub.dot")
         assert "stage" in sub_text
+
+    def test_other_objects_rejected(self, tmp_path):
+        with pytest.raises(ModelError, match="cannot render dict"):
+            to_dot({}, str(tmp_path / "x.dot"))
+        assert not (tmp_path / "x.dot").exists()
 
     def test_json_export(self, table_model):
         import json
@@ -437,4 +455,4 @@ class TestKParentsCompression:
         d = Dataset(schema, rows)
         for k in (1, 2):
             tree, _ = kparents_learn(d, tuple(range(5)), k=k)
-            assert compress(tree).max_in_degree() <= k
+            assert max_in_degree(compress(tree)) <= k

@@ -256,7 +256,7 @@ class TestLearn:
     def test_writes_loadable_model(self, model_json):
         with open(model_json) as fh:
             tree = tree_from_json(fh.read())
-        assert tree.is_fitted
+        assert tree.probs is not None
         assert tree.schema.names == ("A", "B", "C")
 
     def test_fixed_order_respected(self, toy_csv, tmp_path):
@@ -412,8 +412,26 @@ class TestAldagCommand:
         assert code == 0
         assert "digraph" in sub.read_text()
 
+    @pytest.mark.parametrize("flag, missing", [("--subtree-dot", "--subtree"), ("--subtree", "--subtree-dot")])
+    def test_subtree_flags_need_each_other(self, tmp_path, capsys, flag, missing):
+        sub = tmp_path / "sub.dot"
+        argv = ["aldag", "--model", str(tmp_path / "nosuch.json"), flag, str(sub) if flag == "--subtree-dot" else "C"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} needs {missing}" in err and "nosuch.json" not in err
+        assert not sub.exists()
+
 
 class TestWhatif:
+    @pytest.mark.parametrize("extra", [[], ["--virtual"]])
+    def test_no_findings_rejected_before_the_model_is_read(self, tmp_path, capsys, extra):
+        out = tmp_path / "post.csv"
+        argv = ["whatif", "--model", str(tmp_path / "nosuch.json"), "--output", str(out)] + extra
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--evidence" in err and "--soft" in err and "nosuch.json" not in err
+        assert not out.exists()
+
     def test_hard_evidence_posterior(self, model_json, tmp_path):
         out = tmp_path / "post.csv"
         code = main(["whatif", "--model", model_json, "--evidence", "A=lo", "--output", str(out)])

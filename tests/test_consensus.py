@@ -15,23 +15,21 @@ from stagedtree import (
     Schema,
     StagedTree,
     Variable,
-    averaged_tree,
-    bhc,
     bootstrap_orders,
     compress,
     consensus_order,
     consensus_staging,
     ensemble_from_stagings,
     fit,
+    learn,
     run_bootstrap_consensus,
-    saturated_tree,
     staging_heatmap_export,
     tally_orders,
 )
 from stagedtree import consensus
 from stagedtree.consensus import _disagreement, _edge_table_from_lists, context_labels_for_depth
 
-from conftest import fail_replicate, random_dataset, staging_from_ids
+from conftest import fail_replicate, random_dataset, saturated_tree, staging_from_ids
 
 
 def chain_data(rng, n=400, p=3):
@@ -236,12 +234,15 @@ class TestConsensusStaging:
 
 
 class TestAveragedTree:
-    def test_saturated_consensus_equals_saturated_fit(self):
+    def test_saturated_consensus_equals_saturated_fit(self, monkeypatch):
         rng = np.random.default_rng(4)
         d = random_dataset(rng, p=3, n=200)
         order = (0, 1, 2)
         sat = saturated_tree(d.schema, order)
-        result = averaged_tree(d, order, sat.stagings)
+        # Every depth's consensus is the saturated staging, so the averaged
+        # model is the saturated tree refit on the full data.
+        monkeypatch.setattr(consensus, "consensus_staging", lambda d_matrix, cut, depth, linkage: sat.stagings[depth])
+        result = run_bootstrap_consensus(d, order, ResamplePlan(2, seed=4), LearnConfig()).averaged
         direct = fit(sat, d)
         for a, b in zip(result.probs, direct.probs):
             assert np.array_equal(a, b)
@@ -249,7 +250,7 @@ class TestAveragedTree:
     def test_unanimous_ensemble_reproduces_staging(self):
         rng = np.random.default_rng(5)
         d = chain_data(rng)
-        tree = bhc(d, (0, 1, 2))
+        tree = learn(d, (0, 1, 2), LearnConfig())
         reps = [[s.stage_of for s in tree.stagings]] * 4
         ensemble = ensemble_from_stagings((0, 1, 2), reps)
         for depth in range(3):
@@ -276,7 +277,7 @@ class TestEdgeStrength:
     def test_always_present_symmetric_edge(self):
         rng = np.random.default_rng(6)
         d = chain_data(rng, n=600)
-        graphs = [compress(bhc(d, (0, 1, 2)))] * 5
+        graphs = [compress(learn(d, (0, 1, 2), LearnConfig()))] * 5
         table = edge_table(graphs)
         by_pair = {(r.parent, r.child): r for r in table}
         row = by_pair[("X1", "X2")]

@@ -12,23 +12,22 @@ from stagedtree import (
     ModelError,
     Schema,
     Variable,
-    bhc,
     bic,
     cmi,
     compress,
     fit,
     kparents_learn,
+    learn,
     order_search_dp,
     order_search_grouped,
     ordering_score,
-    saturated_tree,
     variable_score,
 )
 from stagedtree import learning
 from stagedtree.learning import _bhc_merge, _stage_depth, depth_bic
 from stagedtree.tree import FitConfig, StagedTree, pool_counts, probabilities_from_counts, stage_counts
 
-from conftest import random_dataset
+from conftest import max_in_degree, random_dataset, saturated_tree
 from staging_oracle import (
     exhaustive_stage,
     reference_bhc_merge,
@@ -124,7 +123,7 @@ class TestBhc:
         for _ in range(5):
             d = random_dataset(rng, p=3, n=150)
             order = tuple(rng.permutation(3))
-            learned = bhc(d, order)
+            learned = learn(d, order, LearnConfig())
             sat = fit(saturated_tree(d.schema, order), d)
             assert bic(learned, d) <= bic(sat, d) + 1e-9
 
@@ -146,9 +145,9 @@ class TestBhc:
         rng = np.random.default_rng(1)
         schema = Schema((Variable("u", ("a", "b")),))
         d = Dataset(schema, rng.integers(0, 2, size=(30, 1)))
-        tree = bhc(d, (0,))
+        tree = learn(d, (0,), LearnConfig())
         assert tree.stagings[0].n_stages == 1
-        assert tree.is_fitted
+        assert tree.probs is not None
 
 
 @st.composite
@@ -301,7 +300,7 @@ class TestKParents:
     def test_unrestricted_k_equals_bhc(self):
         rng = np.random.default_rng(6)
         d = random_dataset(rng, p=3, n=150)
-        full = bhc(d, (0, 1, 2))
+        full = learn(d, (0, 1, 2), LearnConfig())
         restricted, parents = kparents_learn(d, (0, 1, 2), k=2)
         for a, b in zip(full.stagings, restricted.stagings):
             assert np.array_equal(a.stage_of, b.stage_of)
@@ -318,7 +317,7 @@ class TestKParents:
         for k in (1, 2):
             d = binary_dataset(rng, 5, 300)
             tree, _ = kparents_learn(d, tuple(range(5)), k=k)
-            assert compress(tree).max_in_degree() <= k
+            assert max_in_degree(compress(tree)) <= k
 
     def test_larger_k_never_scores_worse(self):
         rng = np.random.default_rng(14)
@@ -434,7 +433,7 @@ class TestOrderSearch:
         d = random_dataset(rng, p=3, n=100)
         cfg = LearnConfig()
         order, score = order_search_dp(d, cfg)
-        assert score == pytest.approx(bic(bhc(d, order), d), rel=1e-9)
+        assert score == pytest.approx(bic(learn(d, order, cfg), d), rel=1e-9)
 
     def test_deterministic(self):
         rng = np.random.default_rng(35)
@@ -505,7 +504,7 @@ class TestLearnConfig:
             with pytest.raises(ModelError, match="smoothing must be non-negative"):
                 config(smoothing=smoothing)
         with pytest.raises(ModelError, match="smoothing must be non-negative"):
-            bhc(random_dataset(np.random.default_rng(51), p=2, n=20), (0, 1), smoothing)
+            kparents_learn(random_dataset(np.random.default_rng(51), p=2, n=20), (0, 1), 1, smoothing)
 
 
 class TestVariableScoreCache:

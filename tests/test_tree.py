@@ -21,7 +21,6 @@ from stagedtree import (
     log_likelihood,
     log_likelihood_by_depth,
     n_parameters,
-    saturated_tree,
     tree_from_json,
     tree_to_json,
 )
@@ -31,6 +30,7 @@ from conftest import (
     random_dataset,
     reference_bn_inputs,
     reference_tree,
+    saturated_tree,
     staging_from_ids,
 )
 
@@ -41,6 +41,13 @@ def one_var_dataset(labels):
     return Dataset(schema, rows), schema
 
 
+def staging_dict(staging, schema, order):
+    """Map each context tuple of the staging's depth to its stage id."""
+    return {
+        ctx: int(staging.stage_of[i]) for i, ctx in enumerate(context_tuples(schema, order, staging.depth))
+    }
+
+
 def atoms_by_hand(tree):
     """Independent joint-table builder: walk the staging dictionaries."""
     schema = tree.schema
@@ -49,7 +56,7 @@ def atoms_by_hand(tree):
         prob = 1.0
         for depth in range(tree.p):
             context = tuple(combo[tree.order[i]] for i in range(depth))
-            stage = tree.stagings[depth].as_dict(schema, tree.order)[context]
+            stage = staging_dict(tree.stagings[depth], schema, tree.order)[context]
             prob *= tree.probs[depth][stage][combo[tree.order[depth]]]
         joint[combo] = prob
     return joint
