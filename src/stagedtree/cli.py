@@ -390,16 +390,25 @@ def _load_model(path):
         return tree_from_json(fh.read())
 
 
+def _refuse_empty(args, *flags) -> None:
+    """Refuse an empty value of any of ``flags``, which name files or a
+    variable, rather than ignore it."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) == "":
+            raise _UsageError(f"{flag} needs a non-empty value")
+
+
 def _cmd_aldag(args) -> int:
+    _refuse_empty(args, "--dot", "--json")
     if (args.subtree is None) != (args.subtree_dot is None):
         given, missing = ("--subtree-dot", "--subtree") if args.subtree is None else ("--subtree", "--subtree-dot")
         raise _UsageError(f"{given} needs {missing}")
     tree = _load_model(args.model)
     graph = aldag_mod.compress(tree)
-    if args.dot:
+    if args.dot is not None:
         aldag_mod.to_dot(graph, args.dot)
         print(f"DOT written to {args.dot}", file=sys.stderr)
-    if args.json:
+    if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(aldag_mod.aldag_to_json(graph))
             fh.write("\n")
@@ -409,7 +418,7 @@ def _cmd_aldag(args) -> int:
         sub = aldag_mod.dependence_subtree(tree, graph, child)
         aldag_mod.to_dot(sub, args.subtree_dot)
         print(f"dependence subtree written to {args.subtree_dot}", file=sys.stderr)
-    if not (args.dot or args.json or args.subtree is not None):
+    if args.dot is None and args.json is None and args.subtree is None:
         for e in sorted(graph.edges, key=lambda e: (e.parent, e.child)):
             names = tree.schema.names
             print(f"{names[e.parent]} -> {names[e.child]} [{e.label}]")
@@ -440,6 +449,7 @@ def _parse_soft(pairs):
 
 
 def _cmd_whatif(args) -> int:
+    _refuse_empty(args, "--target", "--dot")
     if not (args.evidence or args.soft):
         raise _UsageError("whatif needs --evidence or --soft")
     ipf = {key: value for key, value in (("tol", args.tol), ("max_iter", args.max_iter)) if value is not None}
@@ -455,7 +465,7 @@ def _cmd_whatif(args) -> int:
         result = inference.condition_virtual(tree, spec.soft, spec.hard)
     else:
         result = inference.run_query(tree, spec, **ipf)
-    names = [args.target] if args.target else list(tree.schema.names)
+    names = [args.target] if args.target is not None else list(tree.schema.names)
     posterior = []
     for name in names:
         var = tree.schema.index(name)
@@ -470,7 +480,7 @@ def _cmd_whatif(args) -> int:
             f"(deviation {result.max_deviation!r})",
             file=sys.stderr,
         )
-    if args.dot:
+    if args.dot is not None:
         graph = aldag_mod.compress(tree)
         evidence_vars = set(spec.hard) | set(spec.soft)
         annotations = {}

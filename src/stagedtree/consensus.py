@@ -382,8 +382,7 @@ def staging_heatmap_export(d_matrix: np.ndarray, labels, path: str) -> None:
     labels = list(labels)
     if d_matrix.shape != (len(labels), len(labels)):
         raise DataError("label count does not match the matrix size")
-    # One row at a time: a whole-matrix tolist() would hold k*k Python floats.
-    _write_csv(path, ["context"] + labels, ([label] + row.tolist() for label, row in zip(labels, d_matrix)))
+    _write_csv(path, ["context"] + labels, ([label] + _float_texts(row) for label, row in zip(labels, d_matrix)))
     sidecar = {
         "kind": "heatmap",
         "source_csv": os.path.basename(path),
@@ -395,6 +394,15 @@ def staging_heatmap_export(d_matrix: np.ndarray, labels, path: str) -> None:
     with open(path + ".plot.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
+
+
+def _float_texts(row: np.ndarray) -> list[str]:
+    """repr(float(v)) of every value of ``row``, formatting each distinct
+    value once: a dissimilarity is apart / M, so a row holds at most M + 1
+    of them. Values are told apart by bit pattern, so -0.0 keeps its sign.
+    One row at a time keeps the temporaries at O(k) beside the k x k matrix."""
+    bits, inverse = np.unique(row.view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[inverse].tolist()
 
 
 def context_labels_for_depth(schema, order, depth: int) -> list[str]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataset
 from .dataset import Dataset, Schema, cell_count
 from .errors import ModelError
 from .tree import (
@@ -184,28 +185,134 @@ def _bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace=None) ->
     return (np.cumsum(is_root) - 1)[parent], pooled.T[is_root]
 
 
+def _bhc_scores(counts: np.ndarray, n_rows: int, smoothing: float) -> np.ndarray:
+    """``depth_bic`` of the greedy merge of each of B start tables of one
+    shape, ``counts`` being (B, k, levels); returns B floats.
+
+    The problems merge in lockstep on a (B, k, k) delta table: each step
+    takes one row-minimum merge per problem, and a problem drops out once no
+    merge improves it. Every element sees the arithmetic of ``_bhc_merge``
+    (subtraction order, summation rule and tie rule), so each problem takes
+    the merges ``_bhc_merge`` would, and its roots' pooled counts are scored
+    as ``depth_bic`` scores them. ``_bhc_merge`` stays for ``_stage_depth``,
+    which needs the staging and merges one problem at a time, where this
+    loop is slower than it (about 1.6 to 2 times, on the depths of 10 binary
+    variables). The caller keeps B k^2 within MAX_CONTEXTS.
+    """
+    n_problems, k, levels = counts.shape
+    cell_count((k, k), f"cells in the merge table of a depth with {k} stages")
+    pooled = np.ascontiguousarray(counts.transpose(2, 0, 1), dtype=float)  # (levels, B, k)
+    closed = np.zeros((n_problems, k))  # inf once a stage has merged away
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if k >= 2:
+            _merge_lockstep(pooled, closed, n_rows, smoothing)
+        is_root = closed == 0
+        n_stages = is_root.sum(axis=1)
+        root_ll = _stage_loglik(pooled.transpose(1, 2, 0)[is_root].T, smoothing)
+    # Each problem's roots are a contiguous run of root_ll; runs of one
+    # length are summed as rows, which numpy sums as it sums a 1-d run.
+    first = np.cumsum(n_stages) - n_stages
+    loglik = np.empty(n_problems)
+    for size in np.unique(n_stages):
+        rows = (n_stages == size).nonzero()[0]
+        loglik[rows] = root_ll[first[rows, None] + np.arange(size)].sum(axis=1)
+    return -2.0 * loglik + n_stages * (levels - 1) * math.log(n_rows)
+
+
+def _merge_lockstep(pooled: np.ndarray, closed: np.ndarray, n_rows: int, smoothing: float) -> None:
+    """The merges of ``_bhc_scores``, in place: ``pooled`` (levels, B, k)
+    ends holding each stage's pooled counts and ``closed`` (B, k) is inf at
+    every stage merged away. The statements follow ``_bhc_merge`` one for
+    one, each applied to the still active problems at once."""
+    levels, n_problems, k = pooled.shape
+    param_gain = (levels - 1) * math.log(n_rows)
+    ids = np.arange(k)
+    ll = _stage_loglik(pooled, smoothing)
+    delta = np.empty((n_problems, k, k))
+    flat = delta.reshape(n_problems * k, k)
+    block = max(1, MERGE_BLOCK_CELLS // (levels * k))
+    for start in range(0, n_problems * k, block):
+        problem, row = np.divmod(np.arange(start, min(start + block, n_problems * k)), k)
+        pair_ll = _stage_loglik(pooled[:, problem, row, None] + pooled[:, problem], smoothing)
+        own = ll[problem, row, None]
+        lower = row[:, None] < ids
+        first = np.where(lower, own, ll[problem])
+        second = np.where(lower, ll[problem], own)
+        flat[start:start + len(row)] = -2.0 * (pair_ll - first - second) - param_gain
+    delta[:, ids, ids] = np.inf
+    partner = delta.argmin(axis=2)
+    best = delta.min(axis=2)
+
+    active = np.arange(n_problems)
+    while True:
+        i = best[active].argmin(axis=1)
+        go = ~(best[active, i] >= -MERGE_TOLERANCE)
+        active, i = active[go], i[go]
+        if not active.size:
+            return
+        at = np.arange(active.size)
+        j = partner[active, i]
+        pooled[:, active, i] += pooled[:, active, j]
+        pooled[:, active, j] = 0.0
+        closed[active, j] = np.inf
+        delta[active, j] = np.inf
+        delta[active, :, j] = np.inf
+        best[active, j] = np.inf
+        partner[active, j] = -1
+
+        merged_ll = _stage_loglik(pooled[:, active, i, None] + pooled[:, active], smoothing)
+        ll[active, i] = merged_ll[at, j]
+        row = -2.0 * (merged_ll - ll[active, i, None] - ll[active]) - param_gain + closed[active]
+        row[at, i] = np.inf
+        delta[active, i] = row
+        delta[active, :, i] = row
+
+        rows_partner = partner[active]
+        rows_best = best[active]
+        stale = ((rows_partner == i[:, None]) | (rows_partner == j[:, None])).nonzero()
+        better = (row < rows_best) | ((row == rows_best) & (rows_partner > i[:, None]))
+        rows_partner = np.where(better, i[:, None], rows_partner)
+        rows_best = np.where(better, row, rows_best)
+        rescan = delta[active[stale[0]], stale[1]]
+        rows_partner[stale] = rescan.argmin(axis=1)
+        rows_best[stale] = rescan.min(axis=1)
+        partner[active] = rows_partner
+        best[active] = rows_best
+
+
+def _start_table(
+    d: Dataset, order, depth: int, counts: np.ndarray, k: int | None
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Start partition of greedy merging at one depth, from its context counts.
+
+    Merging starts from singleton contexts, except for kparents (``k`` given)
+    above depth k, where it starts from the projection onto up to k parents
+    chosen by conditional mutual information; merging only coarsens that
+    partition. Returns the start class of every context, the pooled counts of
+    the start classes and the parent set (all predecessors unless CMI chose
+    fewer). Only ``order[:depth + 1]`` is read.
+    """
+    parents = tuple(sorted(order[:depth]))
+    if k is None or depth <= k:
+        return np.arange(counts.shape[0]), counts, parents
+    parents = _greedy_parents(d, order[depth], order[:depth], k)
+    start = _projection_staging(d.schema, order, depth, parents)
+    return start, pool_counts(counts, start, int(start.max()) + 1), parents
+
+
 def _stage_depth(
     d: Dataset, order: Ordering, depth: int, k: int | None, smoothing: float
 ) -> tuple[StageAssignment, np.ndarray, tuple[int, ...]]:
-    """Stage one depth from a single tally of its context counts.
-
-    Greedy merging starts from singleton contexts, except for kparents
-    (``k`` given) above depth k, where it starts from the projection onto up
-    to k parents chosen by conditional mutual information; merging only
-    coarsens that partition. Returns the staging, its pooled counts and the
-    parent set (all predecessors unless CMI chose fewer).
+    """Stage one depth from a single tally of its context counts, merging
+    greedily from the start partition of ``_start_table``. Returns the
+    staging, its pooled counts and the parent set.
 
     The merge numbers stages by their lowest start class, and the first
     context of each start class comes in ascending class id, so its stage
     ids are already the canonical ones, ordered by first context.
     """
-    counts = context_counts(d, order, depth)
-    parents = tuple(sorted(order[:depth]))
-    start = np.arange(counts.shape[0])
-    if k is not None and depth > k:
-        parents = _greedy_parents(d, order[depth], order[:depth], k)
-        start = _projection_staging(d.schema, order, depth, parents)
-    stage_of, pooled = _bhc_merge(pool_counts(counts, start, int(start.max()) + 1), d.n, smoothing)
+    start, counts, parents = _start_table(d, order, depth, context_counts(d, order, depth), k)
+    stage_of, pooled = _bhc_merge(counts, d.n, smoothing)
     return StageAssignment(depth, stage_of[start], pooled.shape[0]), pooled, parents
 
 
@@ -338,6 +445,46 @@ def ordering_score(d: Dataset, order, cfg: LearnConfig, cache=None) -> float:
     return math.fsum(terms)
 
 
+def _score_subsets(d: Dataset, variables, cfg: LearnConfig, cache: dict) -> None:
+    """Put ``variable_score`` of every variable of ``variables`` given every
+    subset of the others into ``cache``, from one tally of their joint counts.
+
+    A subset's counts are the joint's sums over the absent variables (int64,
+    so bit-equal to a tally of their own), made one layer of subsets at a
+    time from the layer above. The pairs of one predecessor-set size are
+    grouped by start-table shape, and each group is scored by
+    ``_bhc_scores`` in chunks whose delta tables stay within MAX_CONTEXTS.
+    """
+    levels = d.schema.level_counts
+    joint = tuple(sorted(int(v) for v in variables))
+    layer = {joint: d.counts(joint)}
+    for size in range(len(joint), 0, -1):
+        groups: dict[tuple[int, ...], tuple[list, list]] = {}
+        for subset, table in layer.items():
+            for axis, var in enumerate(subset):
+                predecessors = subset[:axis] + subset[axis + 1:]
+                if (var, predecessors) in cache:
+                    continue
+                others = tuple(a for a in range(size) if a != axis)
+                counts = table.transpose(others + (axis,)).reshape(-1, levels[var])
+                _, start, _ = _start_table(d, predecessors + (var,), size - 1, counts, cfg.k)
+                keys, tables = groups.setdefault(start.shape, ([], []))
+                keys.append((var, predecessors))
+                tables.append(start)
+        for (k, _), (keys, tables) in groups.items():
+            chunk = max(1, dataset.MAX_CONTEXTS // (k * k))
+            for at in range(0, len(keys), chunk):
+                scores = _bhc_scores(np.stack(tables[at:at + chunk]), d.n, cfg.smoothing)
+                cache.update(zip(keys[at:at + chunk], scores.tolist()))
+        below: dict[tuple[int, ...], np.ndarray] = {}
+        for subset, table in layer.items():
+            for axis in range(size):
+                smaller = subset[:axis] + subset[axis + 1:]
+                if smaller not in below:
+                    below[smaller] = table.sum(axis=axis)
+        layer = below
+
+
 def _subset_dp(d: Dataset, variables: list[int], cfg: LearnConfig, cache: dict) -> Ordering:
     """Minimum-score arrangement of ``variables`` by dynamic programming over
     their subsets, scored on the full data.
@@ -345,7 +492,8 @@ def _subset_dp(d: Dataset, variables: list[int], cfg: LearnConfig, cache: dict) 
     The per-variable score is order-invariant within a predecessor set, so the
     best arrangement of each subset extends optimal arrangements of its
     one-smaller subsets. Ties resolve to the lexicographically smallest
-    arrangement of the (sorted) variable list.
+    arrangement of the (sorted) variable list. Every score is computed
+    before the recursion (``_score_subsets``), which then reads ``cache``.
     """
     m = len(variables)
     if m > MAX_DP_VARIABLES:
@@ -353,6 +501,7 @@ def _subset_dp(d: Dataset, variables: list[int], cfg: LearnConfig, cache: dict) 
             f"{m} variables exceed the dynamic-programming guard ({MAX_DP_VARIABLES}); "
             "use grouped order search instead"
         )
+    _score_subsets(d, variables, cfg, cache)
     full = (1 << m) - 1
     # rem_terms[mask] holds the per-depth scores of the best arrangement of
     # the variables outside ``mask``; candidates are compared through
@@ -366,15 +515,14 @@ def _subset_dp(d: Dataset, variables: list[int], cfg: LearnConfig, cache: dict) 
 
     for size in range(m - 1, -1, -1):
         for mask in masks_by_size[size]:
-            prefix = tuple(variables[b] for b in range(m) if mask >> b & 1)
+            prefix = tuple(sorted(variables[b] for b in range(m) if mask >> b & 1))
             best = math.inf
             choice = -1
             chosen_terms: tuple[float, ...] = ()
             for b in range(m):
                 if mask >> b & 1:
                     continue
-                term = variable_score(d, variables[b], prefix, cfg, cache)
-                terms = (term,) + rem_terms[mask | (1 << b)]
+                terms = (cache[variables[b], prefix],) + rem_terms[mask | (1 << b)]
                 value = math.fsum(terms)
                 if value < best:
                     best = value

@@ -421,6 +421,13 @@ class TestAldagCommand:
         assert f"{flag} needs {missing}" in err and "nosuch.json" not in err
         assert not sub.exists()
 
+    @pytest.mark.parametrize("flag", ["--dot", "--json"])
+    def test_empty_file_flag_rejected_before_the_model_is_read(self, tmp_path, capsys, flag):
+        argv = ["aldag", "--model", str(tmp_path / "nosuch.json"), flag, ""]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} needs a non-empty value" in err and "nosuch.json" not in err
+
 
 class TestWhatif:
     @pytest.mark.parametrize("extra", [[], ["--virtual"]])
@@ -430,6 +437,15 @@ class TestWhatif:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "--evidence" in err and "--soft" in err and "nosuch.json" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--target", "--dot"])
+    def test_empty_flag_rejected_before_the_model_is_read(self, tmp_path, capsys, flag):
+        out = tmp_path / "post.csv"
+        argv = ["whatif", "--model", str(tmp_path / "nosuch.json"), "--evidence", "A=lo", "--output", str(out), flag, ""]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} needs a non-empty value" in err and "nosuch.json" not in err
         assert not out.exists()
 
     def test_hard_evidence_posterior(self, model_json, tmp_path):

@@ -424,6 +424,20 @@ class TestHeatmapExport:
         assert np.array_equal(got, d)
         assert (tmp_path / "diss.csv.plot.json").exists()
 
+    def test_cells_match_per_cell_repr(self, tmp_path):
+        # Each distinct value is formatted once; the text must be what a
+        # per-cell repr(float(v)) writes, with -0.0 kept apart from 0.0.
+        rng = np.random.default_rng(14)
+        values = np.array([0.0, -0.0, 0.125, 1 / 3, 1.0, np.inf, np.nan])
+        d = values[rng.integers(0, values.size, size=(6, 6))]
+        labels = [f"c{i}" for i in range(6)]
+        path = tmp_path / "diss.csv"
+        staging_heatmap_export(d, labels, str(path))
+        want = ["context," + ",".join(labels)]
+        want += [",".join([label] + [repr(float(v)) for v in row]) for label, row in zip(labels, d)]
+        assert path.read_text().splitlines() == want
+        assert "-0.0" in path.read_text()
+
     def test_two_by_two_has_three_lines(self, tmp_path):
         path = tmp_path / "d.csv"
         staging_heatmap_export(np.array([[0.0, 0.4], [0.4, 0.0]]), ["a", "b"], str(path))

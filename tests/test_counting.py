@@ -16,6 +16,7 @@ from stagedtree import (
     cmi,
     dataset,
     learn,
+    learning,
     order_search_dp,
     order_search_grouped,
     ordering_score,
@@ -23,6 +24,7 @@ from stagedtree import (
 )
 from stagedtree.learning import (
     _bhc_merge,
+    _bhc_scores,
     _greedy_parents,
     _projection_staging,
     _subset_dp,
@@ -180,6 +182,42 @@ def reference_order_search_grouped(d, groups, cfg):
     return internal, best_order, best_score
 
 
+def reference_subset_dp(d, variables, cfg, cache):
+    """The subset DP as it ran before its scores were batched: the recursion
+    scores each (variable, predecessor set) pair with variable_score, one
+    tally and one greedy merge per pair, when it first reads it."""
+    m = len(variables)
+    full = (1 << m) - 1
+    rem_terms = [()] * (1 << m)
+    best_next = np.full(1 << m, -1, dtype=np.int64)
+    masks_by_size = [[] for _ in range(m + 1)]
+    for mask in range(1 << m):
+        masks_by_size[bin(mask).count("1")].append(mask)
+    for size in range(m - 1, -1, -1):
+        for mask in masks_by_size[size]:
+            prefix = tuple(variables[b] for b in range(m) if mask >> b & 1)
+            best, choice, chosen_terms = math.inf, -1, ()
+            for b in range(m):
+                if mask >> b & 1:
+                    continue
+                terms = (variable_score(d, variables[b], prefix, cfg, cache),) + rem_terms[mask | (1 << b)]
+                value = math.fsum(terms)
+                if value < best:
+                    best, choice, chosen_terms = value, b, terms
+            rem_terms[mask] = chosen_terms
+            best_next[mask] = choice
+    order, mask = [], 0
+    while mask != full:
+        b = int(best_next[mask])
+        order.append(variables[b])
+        mask |= 1 << b
+    return tuple(order)
+
+
+def cache_bits(cache):
+    return {key: float(value).hex() for key, value in cache.items()}
+
+
 # -- strategies ----------------------------------------------------------------
 
 
@@ -269,6 +307,8 @@ class TestGuards:
         assert "8 stages" in str(err.value)
         with pytest.raises(ModelError, match="desk scale"):
             _bhc_merge(np.ones((8, 2)), 10, 0.0)
+        with pytest.raises(ModelError, match="8 stages"):
+            _bhc_scores(np.ones((1, 8, 2)), 10, 0.0)
 
 
 # -- new counting against the reference -------------------------------------------
@@ -382,6 +422,72 @@ class TestLearnFromStagingCounts:
         monkeypatch.setattr(Dataset, "counts", lambda self, cols: calls.append(tuple(cols)) or real(self, cols))
         learn(d, (2, 0, 3, 1), LearnConfig())
         assert calls == [(2,), (2, 0), (2, 0, 3), (2, 0, 3, 1)]
+
+
+class TestBatchedSubsetDp:
+    """Every score computed before the recursion, from one tally and one
+    batched merge per start-table shape, against the per-pair DP."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=datasets(max_p=5, max_rows=150),
+        k=st.integers(1, 2),
+        smoothing=st.sampled_from([0.0, 0.5]),
+        drop=st.booleans(),
+    )
+    def test_orders_and_cache_bit_equal(self, d, k, smoothing, drop):
+        variables = list(range(d.p - 1 if drop else d.p))
+        for cfg in learn_configs(k, smoothing):
+            cache, want = {}, {}
+            assert _subset_dp(d, variables, cfg, cache) == reference_subset_dp(d, variables, cfg, want)
+            assert all(type(value) is float for value in cache.values())
+            assert cache_bits(cache) == cache_bits(want)
+
+    def test_several_shape_groups(self, monkeypatch):
+        # Levels 2, 3 and 4 give predecessor sets of one size several
+        # context counts, so one layer is scored in several groups.
+        schema = Schema(tuple(Variable(f"X{j}", tuple("abcd"[:size])) for j, size in enumerate((2, 3, 4, 2))))
+        rng = np.random.default_rng(21)
+        d = Dataset(schema, np.column_stack([rng.integers(0, size, 300) for size in (2, 3, 4, 2)]))
+        shapes = []
+        real = learning._bhc_scores
+        monkeypatch.setattr(learning, "_bhc_scores", lambda c, n, s: shapes.append(c.shape) or real(c, n, s))
+        for cfg in learn_configs(1, 0.0):
+            shapes.clear()
+            cache, want = {}, {}
+            assert _subset_dp(d, [0, 1, 2, 3], cfg, cache) == reference_subset_dp(d, [0, 1, 2, 3], cfg, want)
+            assert cache_bits(cache) == cache_bits(want)
+            assert len({shape[1:] for shape in shapes}) >= 5 and len(shapes) > 5
+
+    def test_bhc_dp_counts_once(self, monkeypatch):
+        d = random_dataset(np.random.default_rng(22), p=5, n=120)
+        calls = []
+        real = Dataset.counts
+        monkeypatch.setattr(Dataset, "counts", lambda self, cols: calls.append(tuple(cols)) or real(self, cols))
+        _subset_dp(d, [3, 0, 4, 1], LearnConfig(), {})
+        assert calls == [(0, 1, 3, 4)]
+
+    def test_chunks_stay_within_the_cell_limit(self, monkeypatch):
+        # Four binary variables: a 16-cell joint and merge tables of up to
+        # 8 x 8 cells, so a limit of 64 splits the groups of 4 and 8 stages.
+        schema = Schema(tuple(Variable(f"X{j}", ("a", "b")) for j in range(4)))
+        d = Dataset(schema, np.random.default_rng(23).integers(0, 2, size=(200, 4)))
+        want = {}
+        order = _subset_dp(d, [0, 1, 2, 3], LearnConfig(), want)
+        shapes = []
+        real = learning._bhc_scores
+        monkeypatch.setattr(learning, "_bhc_scores", lambda c, n, s: shapes.append(c.shape) or real(c, n, s))
+        monkeypatch.setattr(dataset, "MAX_CONTEXTS", 64)
+        cache = {}
+        assert _subset_dp(d, [0, 1, 2, 3], LearnConfig(), cache) == order
+        assert cache_bits(cache) == cache_bits(want)
+        assert all(b * k * k <= 64 for b, k, _ in shapes)
+        assert max(k for _, k, _ in shapes) == 8 and max(b for b, _, _ in shapes) > 1
+        assert sum(b for b, _, _ in shapes) == len(want)
+        # One 8 x 8 table alone passes a limit of 60 cells no longer.
+        monkeypatch.setattr(dataset, "MAX_CONTEXTS", 60)
+        with pytest.raises(ModelError, match="8 stages"):
+            _subset_dp(d, [0, 1, 2, 3], LearnConfig(), {})
 
 
 class TestGroupedAgainstColumnCopies:

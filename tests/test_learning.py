@@ -24,7 +24,7 @@ from stagedtree import (
     variable_score,
 )
 from stagedtree import learning
-from stagedtree.learning import _bhc_merge, _stage_depth, depth_bic
+from stagedtree.learning import _bhc_merge, _bhc_scores, _stage_depth, depth_bic
 from stagedtree.tree import FitConfig, StagedTree, pool_counts, probabilities_from_counts, stage_counts
 
 from conftest import max_in_degree, random_dataset, saturated_tree
@@ -201,6 +201,55 @@ class TestMergeOracle:
         loglik = float(reference_stage_loglik(counts, smoothing).sum())
         expected = -2.0 * loglik + counts.shape[0] * (levels - 1) * math.log(n_rows)
         assert depth_bic(counts, n_rows, smoothing) == expected
+
+
+@st.composite
+def merge_batches(draw):
+    """B start tables of one shape (k, levels) for the batched merge: 2 to 10
+    levels, each table drawn from a few distinct rows on its own count scale,
+    so the problems stop after different numbers of merges and bit-equal
+    deltas are common."""
+    batch = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 40))
+    levels = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, k))
+    tables = []
+    for _ in range(batch):
+        rows = rng.integers(0, rng.choice([2, 6, 40, 400]), size=(distinct, levels))
+        rows[rng.random(distinct) < 0.3] = 0
+        tables.append(rows[rng.integers(0, distinct, size=k)])
+    counts = np.stack(tables)
+    n_rows = int(counts.sum(axis=(1, 2)).max()) + draw(st.integers(1, 60))
+    return counts, n_rows, draw(st.sampled_from([0.0, 0.5]))
+
+
+class TestBatchedMergeOracle:
+    """The lockstep merge scores every problem of a batch as the one-problem
+    merge and depth_bic score it alone."""
+
+    @staticmethod
+    def one_by_one(counts, n_rows, smoothing):
+        return [depth_bic(_bhc_merge(c, n_rows, smoothing)[1], n_rows, smoothing) for c in counts]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=merge_batches())
+    def test_scores_bit_equal(self, case):
+        counts, n_rows, smoothing = case
+        got = _bhc_scores(counts, n_rows, smoothing)
+        assert got.tobytes() == np.array(self.one_by_one(counts, n_rows, smoothing)).tobytes()
+
+    def test_problems_stopping_at_different_steps(self):
+        # The tie case of TestMergeOracle (it merges to one stage) beside a
+        # table that cannot merge and one that merges into two stages.
+        tie = np.array([[3, 3], [1, 1], [2, 2], [1, 0], [1, 1], [3, 2], [2, 3], [0, 1], [3, 3]])
+        apart = np.array([[1000 - 100 * i, 100 * i] for i in range(9)])
+        two = np.array([[100, 0]] * 4 + [[0, 100]] * 5)
+        counts = np.stack([tie, apart, two])
+        stages = [_bhc_merge(c, 44, 0.0)[1].shape[0] for c in counts]
+        assert len(set(stages)) == 3
+        got = _bhc_scores(counts, 44, 0.0)
+        assert got.tobytes() == np.array(self.one_by_one(counts, 44, 0.0)).tobytes()
 
 
 class TestStageDepthOracle:
