@@ -1,7 +1,8 @@
 """Robust structure learning by bootstrap aggregation.
 
-One replicate pipeline = resample, learn, summarize. Replicates run as a
-parallel map with per-replicate seeds derived from the master seed, then a
+Replicates are resampled and counted (or ordered) in a parallel map with
+per-replicate seeds derived from the master seed; the stagings of all
+replicates are then merged together in the calling process, and a
 single-threaded reduce tallies orderings, co-staging disagreement, and edge
 labels. All aggregate statistics are kept as integer counts internally so
 invariants like "the two directions of an order vote sum to M" hold exactly.
@@ -19,7 +20,7 @@ import numpy as np
 from .aldag import compress
 from .dataset import Dataset, ResamplePlan, _write_csv, bootstrap_replicate, cell_count
 from .errors import DataError, ModelError
-from .learning import LearnConfig, learn, order_search_dp
+from .learning import LearnConfig, _dp_order, _stage_tables, _start_tables
 from .tree import (
     FitConfig,
     Ordering,
@@ -143,14 +144,6 @@ def _map_replicates(d: Dataset, plan: ResamplePlan, threads: int, task, *args) -
         return list(pool.map(_worker_replicate, jobs, chunksize=chunksize))
 
 
-def _replicate_structure(replicate: Dataset, order: Ordering, cfg: LearnConfig):
-    """The replicate's stage ids per depth and its compressed edge list."""
-    tree = learn(replicate, order, cfg)
-    stages = tuple(s.stage_of for s in tree.stagings)
-    edges = tuple((e.parent, e.child, e.label) for e in compress(tree).edges)
-    return stages, edges
-
-
 def bootstrap_orders(
     d: Dataset,
     plan: ResamplePlan,
@@ -160,8 +153,8 @@ def bootstrap_orders(
 ) -> OrderVoteMatrix:
     """Learn one optimal ordering per bootstrap replicate and tally pairwise
     precedence frequencies."""
-    searches = _map_replicates(d, plan, threads, order_search_dp, cfg, fixed_last)
-    return tally_orders((order for order, _ in searches), len(d.schema))
+    orders = _map_replicates(d, plan, threads, _dp_order, cfg, fixed_last)
+    return tally_orders(orders, len(d.schema))
 
 
 def consensus_order(votes: OrderVoteMatrix, tie_seed: int | None = None) -> ConsensusOrder:
@@ -357,19 +350,29 @@ def run_bootstrap_consensus(
     """Bootstrap stagings at a fixed ordering, cluster them into a consensus
     staging per depth, and fit the averaged tree on the full data. A ``cut``
     outside (0, 1), or a depth whose co-staging tally is too large, is
-    rejected before any replicate is drawn."""
+    rejected before any replicate is drawn.
+
+    Each replicate is drawn and counted into its start tables in the
+    replicate map; the start tables of one depth of every replicate share a
+    shape and merge together, and each replicate's unfitted tree is
+    compressed for the edge table, both in the calling process."""
     _check_cut(cut)
     order = validate_order(d.schema, order)
     for depth in range(len(order)):
         _check_tally(n_contexts(d.schema, order, depth), depth)
-    results = _map_replicates(d, plan, threads, _replicate_structure, order, cfg)
-    ensemble = ensemble_from_stagings(order, [stages for stages, _ in results])
+    starts = _map_replicates(d, plan, threads, _start_tables, order, cfg.k)
+    trees = [
+        StagedTree(d.schema, order, tuple(staging for staging, _ in staged))
+        for staged in _stage_tables(starts, d.n, cfg.smoothing)
+    ]
+    ensemble = ensemble_from_stagings(order, [tree.stagings for tree in trees])
     stagings = tuple(
         consensus_staging(ensemble.dissimilarity[depth], cut, depth, linkage)
         for depth in range(len(order))
     )
     averaged = fit(StagedTree(d.schema, order, stagings), d, FitConfig(cfg.smoothing))
-    edge_table = _edge_table_from_lists([edges for _, edges in results], d.schema.names)
+    edge_lists = [tuple((e.parent, e.child, e.label) for e in compress(tree).edges) for tree in trees]
+    edge_table = _edge_table_from_lists(edge_lists, d.schema.names)
     return ConsensusResult(averaged, stagings, ensemble, edge_table)
 
 

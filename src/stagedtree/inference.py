@@ -51,7 +51,7 @@ class EvidenceSpec:
             raise ModelError(f"variables {sorted(overlap)} appear as both hard and soft evidence")
         for name, target in self.soft.items():
             arr = np.asarray(target, dtype=float)
-            if (arr < 0).any() or abs(float(arr.sum()) - 1.0) > 1e-9:
+            if not _is_distribution(arr):
                 raise ModelError(f"soft target for {name!r} is not a probability distribution")
 
 
@@ -147,13 +147,18 @@ def _coerce_hard(tree: StagedTree, evidence: dict) -> dict[int, int]:
     return {var: tree.schema.level_index(var, label) for var, label in _by_index(tree, evidence).items()}
 
 
+def _is_distribution(arr: np.ndarray) -> bool:
+    """Finite, non-negative and summing to one within 1e-9."""
+    return bool(np.isfinite(arr).all() and (arr >= 0).all() and abs(float(arr.sum()) - 1.0) <= 1e-9)
+
+
 def _coerce_soft(tree: StagedTree, soft: dict) -> dict[int, np.ndarray]:
     out = {}
     for var, target in _by_index(tree, soft).items():
         arr = np.asarray(target, dtype=float)
         if arr.shape != (tree.schema.level_counts[var],):
             raise ModelError(f"soft target for {tree.schema.names[var]!r} has wrong length")
-        if (arr < 0).any() or abs(float(arr.sum()) - 1.0) > 1e-9:
+        if not _is_distribution(arr):
             raise ModelError(f"soft target for {tree.schema.names[var]!r} is not a distribution")
         out[var] = arr
     return out
@@ -163,7 +168,7 @@ def _coerce_virtual(tree: StagedTree, weights: dict) -> dict[int, np.ndarray]:
     out = {}
     for var, factor in _by_index(tree, weights).items():
         arr = np.asarray(factor, dtype=float)
-        if arr.shape != (tree.schema.level_counts[var],) or (arr < 0).any():
+        if arr.shape != (tree.schema.level_counts[var],) or not (np.isfinite(arr).all() and (arr >= 0).all()):
             raise ModelError(f"virtual-evidence weights for {tree.schema.names[var]!r} are invalid")
         out[var] = arr
     return out

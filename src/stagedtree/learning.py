@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataset
 from .dataset import Dataset, Schema, cell_count
 from .errors import ModelError
 from .tree import (
@@ -48,6 +47,11 @@ MAX_DP_VARIABLES = 12
 # many (level, pair) cells, so the temporaries stay small beside the k x k
 # delta table.
 MERGE_BLOCK_CELLS = 1 << 16
+
+# Start tables of one shape merge in batches whose (B, k, k) delta table holds
+# at most this many cells (4 MB of floats), or one table; the MAX_CONTEXTS
+# guard bounds a single k x k table.
+MERGE_BATCH_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -96,144 +100,67 @@ def _stage_loglik(counts: np.ndarray, smoothing: float) -> np.ndarray:
     return np.moveaxis(terms, 0, -1).copy().sum(axis=-1)
 
 
-def depth_bic(counts: np.ndarray, n_rows: int, smoothing: float) -> float:
-    """BIC contribution of one depth given pooled per-stage counts."""
-    levels = counts.shape[1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        loglik = float(_stage_loglik(np.asarray(counts, dtype=float).T, smoothing).sum())
-    return -2.0 * loglik + counts.shape[0] * (levels - 1) * math.log(n_rows)
+def _merge_lockstep(counts: np.ndarray, n_rows: int, smoothing: float, trace: bool = False):
+    """Greedy agglomeration of the rows of each of B pooled count tables of
+    one shape, ``counts`` being (B, k, levels).
 
-
-def _bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace=None) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy agglomeration of the rows of a pooled count matrix.
-
-    Starts from the given rows as stages and repeatedly applies the merge with
-    the best (most negative) BIC delta until no merge improves the score by
-    more than MERGE_TOLERANCE. Among bit-equal deltas the pair with the lowest
-    (i, j) ids wins, where ids index the initial rows and a merged pair keeps
-    the lower id, so each final stage is held by its lowest row. Returns the
-    stage of every initial row, numbered by its lowest row, and the pooled
-    counts of those stages as integer-valued floats, (n_stages, levels);
-    ``trace``, if given, collects the accepted BIC deltas in order.
-
-    Every row caches its best partner (the lowest id among bit-equal deltas),
-    so the next merge is the first row minimum, and a row is rescanned only
-    when its partner merges. The k x k delta table is bounded by the
-    MAX_CONTEXTS guard.
-    """
-    k, levels = counts.shape
-    parent = np.arange(k)
-    if k < 2:
-        return parent, np.asarray(counts, dtype=float)
-    cell_count((k, k), f"cells in the merge table of a depth with {k} stages")
-    param_gain = (levels - 1) * math.log(n_rows)
-    pooled = np.ascontiguousarray(counts.T, dtype=float)  # one column per stage
-    ids = np.arange(k)
-    closed = np.zeros(k)  # inf once a stage has merged away
-    delta = np.empty((k, k))
-    block = max(1, MERGE_BLOCK_CELLS // (levels * k))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ll = _stage_loglik(pooled, smoothing)
-        for start in range(0, k, block):
-            rows = ids[start:start + block, None]
-            pair_ll = _stage_loglik(pooled[:, rows] + pooled[:, None, :], smoothing)
-            # The log-likelihood of the lower id is subtracted first, as a
-            # merge subtracts that of the stage it just formed; the bits of
-            # a pair's delta depend on that order.
-            lower = rows < ids
-            first = np.where(lower, ll[rows], ll)
-            second = np.where(lower, ll, ll[rows])
-            delta[start:start + block] = -2.0 * (pair_ll - first - second) - param_gain
-        np.fill_diagonal(delta, np.inf)
-        partner = delta.argmin(axis=1)
-        best = delta.min(axis=1)
-
-        while True:
-            i = int(best.argmin())
-            j = int(partner[i])
-            if best[i] >= -MERGE_TOLERANCE:
-                break
-            if trace is not None:
-                trace.append(float(best[i]))
-            parent[j] = i
-            pooled[:, i] += pooled[:, j]
-            pooled[:, j] = 0.0  # so column j of the merged row is stage i alone
-            closed[j] = np.inf
-            delta[j] = delta[:, j] = np.inf
-            best[j] = np.inf
-            partner[j] = -1  # never stale, never a tie winner
-
-            merged_ll = _stage_loglik(pooled[:, i, None] + pooled, smoothing)
-            ll[i] = merged_ll[j]
-            row = -2.0 * (merged_ll - ll[i] - ll) - param_gain + closed
-            row[i] = np.inf
-            delta[i] = delta[:, i] = row
-
-            stale = ((partner == i) | (partner == j)).nonzero()[0]
-            better = (row < best) | ((row == best) & (partner > i))
-            partner[better] = i
-            best[better] = row[better]
-            rescan = delta[stale]
-            partner[stale] = rescan.argmin(axis=1)
-            best[stale] = rescan.min(axis=1)
-    while True:  # a merged-away stage points at a lower id: resolve to roots
-        root = parent[parent]
-        if (root == parent).all():
-            break
-        parent = root
-    is_root = parent == ids
-    return (np.cumsum(is_root) - 1)[parent], pooled.T[is_root]
-
-
-def _bhc_scores(counts: np.ndarray, n_rows: int, smoothing: float) -> np.ndarray:
-    """``depth_bic`` of the greedy merge of each of B start tables of one
-    shape, ``counts`` being (B, k, levels); returns B floats.
+    Each problem starts from its rows as stages and repeatedly applies the
+    merge with the best (most negative) BIC delta until no merge improves
+    the score by more than MERGE_TOLERANCE. Among bit-equal deltas the pair
+    with the lowest (i, j) ids wins, where ids index the initial rows and a
+    merged pair keeps the lower id, so each final stage is held by its
+    lowest row. Every row caches its best partner (the lowest id among
+    bit-equal deltas), so the next merge is the first row minimum, and a row
+    is rescanned only when its partner merges (after Muellner).
 
     The problems merge in lockstep on a (B, k, k) delta table: each step
-    takes one row-minimum merge per problem, and a problem drops out once no
-    merge improves it. Every element sees the arithmetic of ``_bhc_merge``
-    (subtraction order, summation rule and tie rule), so each problem takes
-    the merges ``_bhc_merge`` would, and its roots' pooled counts are scored
-    as ``depth_bic`` scores them. ``_bhc_merge`` stays for ``_stage_depth``,
-    which needs the staging and merges one problem at a time, where this
-    loop is slower than it (about 1.6 to 2 times, on the depths of 10 binary
-    variables). The caller keeps B k^2 within MAX_CONTEXTS.
+    takes one merge per still active problem, and a problem drops out once
+    no merge improves it. Each element's arithmetic does not depend on the
+    batch, so every problem takes the merges it would take alone. A k x k
+    table is bounded by the MAX_CONTEXTS guard; callers bound B k^2 with
+    ``_batched``.
+
+    Returns the stage of every row, (B, k), numbered by its lowest row; the
+    pooled counts of the stages as integer-valued floats, (total stages,
+    levels), problem after problem; the stage count of each problem; and,
+    with ``trace``, each problem's accepted BIC deltas in order (else None).
     """
     n_problems, k, levels = counts.shape
     cell_count((k, k), f"cells in the merge table of a depth with {k} stages")
     pooled = np.ascontiguousarray(counts.transpose(2, 0, 1), dtype=float)  # (levels, B, k)
-    closed = np.zeros((n_problems, k))  # inf once a stage has merged away
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if k >= 2:
-            _merge_lockstep(pooled, closed, n_rows, smoothing)
-        is_root = closed == 0
-        n_stages = is_root.sum(axis=1)
-        root_ll = _stage_loglik(pooled.transpose(1, 2, 0)[is_root].T, smoothing)
-    # Each problem's roots are a contiguous run of root_ll; runs of one
-    # length are summed as rows, which numpy sums as it sums a 1-d run.
-    first = np.cumsum(n_stages) - n_stages
-    loglik = np.empty(n_problems)
-    for size in np.unique(n_stages):
-        rows = (n_stages == size).nonzero()[0]
-        loglik[rows] = root_ll[first[rows, None] + np.arange(size)].sum(axis=1)
-    return -2.0 * loglik + n_stages * (levels - 1) * math.log(n_rows)
+    ids = np.arange(k)
+    parent = np.tile(ids, (n_problems, 1))
+    deltas = [[] for _ in range(n_problems)] if trace else None
+    if k >= 2:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            _merge_steps(pooled, parent, n_rows, smoothing, deltas)
+    while True:  # a merged-away stage points at a lower id: resolve to roots
+        root = np.take_along_axis(parent, parent, axis=1)
+        if (root == parent).all():
+            break
+        parent = root
+    is_root = parent == ids
+    stage_of = np.take_along_axis(np.cumsum(is_root, axis=1) - 1, parent, axis=1)
+    return stage_of, pooled.transpose(1, 2, 0)[is_root], is_root.sum(axis=1), deltas
 
 
-def _merge_lockstep(pooled: np.ndarray, closed: np.ndarray, n_rows: int, smoothing: float) -> None:
-    """The merges of ``_bhc_scores``, in place: ``pooled`` (levels, B, k)
-    ends holding each stage's pooled counts and ``closed`` (B, k) is inf at
-    every stage merged away. The statements follow ``_bhc_merge`` one for
-    one, each applied to the still active problems at once."""
-    levels, n_problems, k = pooled.shape
+def _merge_steps(out: np.ndarray, parent: np.ndarray, n_rows: int, smoothing: float, deltas) -> None:
+    """The merges of ``_merge_lockstep``, in place: ``out`` (levels, B, k)
+    ends holding each stage's pooled counts (0 once merged away), and
+    ``parent`` (B, k) the stage each merged-away stage joined."""
+    levels, n_problems, k = out.shape
     param_gain = (levels - 1) * math.log(n_rows)
     ids = np.arange(k)
-    ll = _stage_loglik(pooled, smoothing)
+    ll = _stage_loglik(out, smoothing)
     delta = np.empty((n_problems, k, k))
     flat = delta.reshape(n_problems * k, k)
     block = max(1, MERGE_BLOCK_CELLS // (levels * k))
     for start in range(0, n_problems * k, block):
         problem, row = np.divmod(np.arange(start, min(start + block, n_problems * k)), k)
-        pair_ll = _stage_loglik(pooled[:, problem, row, None] + pooled[:, problem], smoothing)
+        pair_ll = _stage_loglik(out[:, problem, row, None] + out[:, problem], smoothing)
+        # The log-likelihood of the lower id is subtracted first, as a merge
+        # subtracts that of the stage it just formed; the bits of a pair's
+        # delta depend on that order.
         own = ll[problem, row, None]
         lower = row[:, None] < ids
         first = np.where(lower, own, ll[problem])
@@ -243,41 +170,85 @@ def _merge_lockstep(pooled: np.ndarray, closed: np.ndarray, n_rows: int, smoothi
     partner = delta.argmin(axis=2)
     best = delta.min(axis=2)
 
-    active = np.arange(n_problems)
+    # Row a of pooled, ll, closed, partner and best belongs to the active
+    # problem live[a], whose delta table is delta[live[a]]; a problem's
+    # counts go back to ``out`` when it stops.
+    live = at = np.arange(n_problems)
+    pooled = out
+    closed = np.zeros((n_problems, k))  # inf once a stage has merged away
     while True:
-        i = best[active].argmin(axis=1)
-        go = ~(best[active, i] >= -MERGE_TOLERANCE)
-        active, i = active[go], i[go]
-        if not active.size:
-            return
-        at = np.arange(active.size)
-        j = partner[active, i]
-        pooled[:, active, i] += pooled[:, active, j]
-        pooled[:, active, j] = 0.0
-        closed[active, j] = np.inf
-        delta[active, j] = np.inf
-        delta[active, :, j] = np.inf
-        best[active, j] = np.inf
-        partner[active, j] = -1
+        i = best.argmin(axis=1)
+        go = ~(best[at, i] >= -MERGE_TOLERANCE)
+        if not go.all():
+            out[:, live[~go]] = pooled[:, ~go]
+            live, i = live[go], i[go]
+            if not live.size:
+                return
+            pooled, ll, closed, partner, best = pooled[:, go], ll[go], closed[go], partner[go], best[go]
+            at = np.arange(live.size)
+        j = partner[at, i]
+        if deltas is not None:
+            for problem, value in zip(live.tolist(), best[at, i].tolist()):
+                deltas[problem].append(value)
+        parent[live, j] = i
+        pooled[:, at, i] += pooled[:, at, j]
+        pooled[:, at, j] = 0.0  # so column j of the merged row is stage i alone
+        closed[at, j] = np.inf
+        delta[live, j] = np.inf
+        delta[live, :, j] = np.inf
+        best[at, j] = np.inf
+        partner[at, j] = -1  # never stale, never a tie winner
 
-        merged_ll = _stage_loglik(pooled[:, active, i, None] + pooled[:, active], smoothing)
-        ll[active, i] = merged_ll[at, j]
-        row = -2.0 * (merged_ll - ll[active, i, None] - ll[active]) - param_gain + closed[active]
+        merged_ll = _stage_loglik(pooled[:, at, i, None] + pooled, smoothing)
+        ll[at, i] = merged_ll[at, j]
+        row = -2.0 * (merged_ll - ll[at, i, None] - ll) - param_gain + closed
         row[at, i] = np.inf
-        delta[active, i] = row
-        delta[active, :, i] = row
+        delta[live, i] = row
+        delta[live, :, i] = row
 
-        rows_partner = partner[active]
-        rows_best = best[active]
-        stale = ((rows_partner == i[:, None]) | (rows_partner == j[:, None])).nonzero()
-        better = (row < rows_best) | ((row == rows_best) & (rows_partner > i[:, None]))
-        rows_partner = np.where(better, i[:, None], rows_partner)
-        rows_best = np.where(better, row, rows_best)
-        rescan = delta[active[stale[0]], stale[1]]
-        rows_partner[stale] = rescan.argmin(axis=1)
-        rows_best[stale] = rescan.min(axis=1)
-        partner[active] = rows_partner
-        best[active] = rows_best
+        stale = ((partner == i[:, None]) | (partner == j[:, None])).nonzero()
+        better = (row < best) | ((row == best) & (partner > i[:, None]))
+        np.copyto(partner, i[:, None], where=better)
+        np.copyto(best, row, where=better)
+        rescan = delta[live[stale[0]], stale[1]]
+        partner[stale] = rescan.argmin(axis=1)
+        best[stale] = rescan.min(axis=1)
+
+
+def _bhc_scores(counts: np.ndarray, n_rows: int, smoothing: float) -> list[float]:
+    """BIC contribution of the greedy merge of each of B start tables of one
+    shape, ``counts`` being (B, k, levels); returns B floats. A problem's
+    stage log-likelihoods are summed as one 1-d run of floats."""
+    levels = counts.shape[2]
+    _, roots, n_stages, _ = _merge_lockstep(counts, n_rows, smoothing)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root_ll = _stage_loglik(roots.T, smoothing)
+    # Each problem's roots are a contiguous run of root_ll; runs of one
+    # length are summed as rows, which numpy sums as it sums a 1-d run.
+    first = np.cumsum(n_stages) - n_stages
+    loglik = np.empty(len(n_stages))
+    for size in np.unique(n_stages):
+        rows = (n_stages == size).nonzero()[0]
+        loglik[rows] = root_ll[first[rows, None] + np.arange(size)].sum(axis=1)
+    return (-2.0 * loglik + n_stages * (levels - 1) * math.log(n_rows)).tolist()
+
+
+def _batched(tables: list[np.ndarray], merge) -> list:
+    """``merge`` of every start table of ``tables``, in their order. Tables
+    of one shape (k, levels) are stacked and merged together in chunks whose
+    (B, k, k) delta tables hold at most MERGE_BATCH_CELLS cells, or one
+    table; ``merge`` maps a (B, k, levels) stack to its B results."""
+    results = [None] * len(tables)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for at, table in enumerate(tables):
+        groups.setdefault(table.shape, []).append(at)
+    for (k, _), members in groups.items():
+        size = max(1, MERGE_BATCH_CELLS // (k * k))
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            for at, result in zip(chunk, merge(np.stack([tables[a] for a in chunk]))):
+                results[at] = result
+    return results
 
 
 def _start_table(
@@ -300,37 +271,54 @@ def _start_table(
     return start, pool_counts(counts, start, int(start.max()) + 1), parents
 
 
-def _stage_depth(
-    d: Dataset, order: Ordering, depth: int, k: int | None, smoothing: float
-) -> tuple[StageAssignment, np.ndarray, tuple[int, ...]]:
-    """Stage one depth from a single tally of its context counts, merging
-    greedily from the start partition of ``_start_table``. Returns the
-    staging, its pooled counts and the parent set.
+def _start_tables(d: Dataset, order: Ordering, k: int | None) -> list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]]:
+    """``_start_table`` of every depth of ``order``, from one tally of its
+    context counts each."""
+    return [_start_table(d, order, depth, context_counts(d, order, depth), k) for depth in range(len(order))]
+
+
+def _stage_tables(datasets, n_rows: int, smoothing: float) -> list[list[tuple[StageAssignment, np.ndarray]]]:
+    """Stage every depth of each of ``datasets``, given as its
+    ``_start_tables`` (datasets of ``n_rows`` rows each), by greedy merging
+    from its start table; the tables of one shape, of any depth and
+    dataset, merge together in ``_batched`` chunks. Returns per dataset the
+    staging and the pooled counts of every depth.
 
     The merge numbers stages by their lowest start class, and the first
     context of each start class comes in ascending class id, so its stage
     ids are already the canonical ones, ordered by first context.
     """
-    start, counts, parents = _start_table(d, order, depth, context_counts(d, order, depth), k)
-    stage_of, pooled = _bhc_merge(counts, d.n, smoothing)
-    return StageAssignment(depth, stage_of[start], pooled.shape[0]), pooled, parents
+
+    def merge(stack):
+        stage_of, pooled, n_stages, _ = _merge_lockstep(stack, n_rows, smoothing)
+        return zip(stage_of, np.split(pooled, np.cumsum(n_stages)[:-1]))
+
+    merged = iter(_batched([table for starts in datasets for _, table, _ in starts], merge))
+    return [
+        [
+            (StageAssignment(depth, stage_of[start], len(pooled)), pooled)
+            for depth, ((start, _, _), (stage_of, pooled)) in enumerate(zip(starts, merged))
+        ]
+        for starts in datasets
+    ]
 
 
 def _learn(d: Dataset, order, k: int | None, smoothing: float):
-    """Stage every depth with ``_stage_depth`` and estimate its probabilities
-    from the pooled counts it returns; returns the fitted tree and the parent
-    set of every depth."""
+    """Stage every depth with ``_stage_tables`` and estimate its
+    probabilities from the pooled counts it returns; returns the fitted tree
+    and the parent set of every depth."""
     if not smoothing >= 0:
         raise ModelError("smoothing must be non-negative")
     order = validate_order(d.schema, order)
-    depths = [_stage_depth(d, order, depth, k, smoothing) for depth in range(len(order))]
+    starts = _start_tables(d, order, k)
+    (staged,) = _stage_tables([starts], d.n, smoothing)
     tree = StagedTree(
         d.schema,
         order,
-        tuple(staging for staging, _, _ in depths),
-        tuple(probabilities_from_counts(counts, smoothing) for _, counts, _ in depths),
+        tuple(staging for staging, _ in staged),
+        tuple(probabilities_from_counts(counts, smoothing) for _, counts in staged),
     )
-    return tree, tuple(parents for _, _, parents in depths)
+    return tree, tuple(parents for _, _, parents in starts)
 
 
 def cmi(d: Dataset, i: int, s: int, conditioning=()) -> float:
@@ -416,16 +404,17 @@ def variable_score(d: Dataset, var: int, predecessors, cfg: LearnConfig, cache=N
     The contribution depends on the set only (context counts pool the same
     rows under any internal order), which is what makes subset dynamic
     programming over orderings exact. It is scored as depth
-    ``len(predecessors)`` of the ordering predecessors (sorted), var, rest.
+    ``len(predecessors)`` of the ordering predecessors (sorted), var: one
+    greedy merge of that depth's start table.
     """
     predecessors = tuple(sorted(int(v) for v in predecessors))
     key = (var, predecessors)
     if cache is not None and key in cache:
         return cache[key]
-    rest = tuple(v for v in range(d.p) if v != var and v not in predecessors)
-    order = predecessors + (int(var),) + rest
-    _, counts, _ = _stage_depth(d, order, len(predecessors), cfg.k, cfg.smoothing)
-    score = depth_bic(counts, d.n, cfg.smoothing)
+    order = predecessors + (int(var),)
+    depth = len(predecessors)
+    _, table, _ = _start_table(d, order, depth, context_counts(d, order, depth), cfg.k)
+    score = _bhc_scores(table[None], d.n, cfg.smoothing)[0]
     if cache is not None:
         cache[key] = score
     return score
@@ -451,15 +440,14 @@ def _score_subsets(d: Dataset, variables, cfg: LearnConfig, cache: dict) -> None
 
     A subset's counts are the joint's sums over the absent variables (int64,
     so bit-equal to a tally of their own), made one layer of subsets at a
-    time from the layer above. The pairs of one predecessor-set size are
-    grouped by start-table shape, and each group is scored by
-    ``_bhc_scores`` in chunks whose delta tables stay within MAX_CONTEXTS.
+    time from the layer above. The start tables of one predecessor-set size
+    are scored by ``_bhc_scores`` in ``_batched`` chunks.
     """
     levels = d.schema.level_counts
     joint = tuple(sorted(int(v) for v in variables))
     layer = {joint: d.counts(joint)}
     for size in range(len(joint), 0, -1):
-        groups: dict[tuple[int, ...], tuple[list, list]] = {}
+        keys, tables = [], []
         for subset, table in layer.items():
             for axis, var in enumerate(subset):
                 predecessors = subset[:axis] + subset[axis + 1:]
@@ -467,15 +455,9 @@ def _score_subsets(d: Dataset, variables, cfg: LearnConfig, cache: dict) -> None
                     continue
                 others = tuple(a for a in range(size) if a != axis)
                 counts = table.transpose(others + (axis,)).reshape(-1, levels[var])
-                _, start, _ = _start_table(d, predecessors + (var,), size - 1, counts, cfg.k)
-                keys, tables = groups.setdefault(start.shape, ([], []))
                 keys.append((var, predecessors))
-                tables.append(start)
-        for (k, _), (keys, tables) in groups.items():
-            chunk = max(1, dataset.MAX_CONTEXTS // (k * k))
-            for at in range(0, len(keys), chunk):
-                scores = _bhc_scores(np.stack(tables[at:at + chunk]), d.n, cfg.smoothing)
-                cache.update(zip(keys[at:at + chunk], scores.tolist()))
+                tables.append(_start_table(d, predecessors + (var,), size - 1, counts, cfg.k)[1])
+        cache.update(zip(keys, _batched(tables, lambda stack: _bhc_scores(stack, d.n, cfg.smoothing))))
         below: dict[tuple[int, ...], np.ndarray] = {}
         for subset, table in layer.items():
             for axis in range(size):
@@ -540,6 +522,15 @@ def _subset_dp(d: Dataset, variables: list[int], cfg: LearnConfig, cache: dict) 
     return tuple(order)
 
 
+def _dp_order(d: Dataset, cfg: LearnConfig, fixed_last: int | None = None, cache: dict | None = None) -> Ordering:
+    """The ordering of ``order_search_dp``, without its score."""
+    p = len(d.schema)
+    if fixed_last is not None and not 0 <= fixed_last < p:
+        raise ModelError(f"fixed_last={fixed_last} out of range")
+    order = _subset_dp(d, [v for v in range(p) if v != fixed_last], cfg, {} if cache is None else cache)
+    return order if fixed_last is None else order + (fixed_last,)
+
+
 def order_search_dp(d: Dataset, cfg: LearnConfig, fixed_last: int | None = None) -> tuple[Ordering, float]:
     """Exact minimum-score ordering by dynamic programming over subsets.
 
@@ -547,13 +538,8 @@ def order_search_dp(d: Dataset, cfg: LearnConfig, fixed_last: int | None = None)
     response variable is pinned to the last position and the search runs over
     the rest.
     """
-    p = len(d.schema)
-    if fixed_last is not None and not 0 <= fixed_last < p:
-        raise ModelError(f"fixed_last={fixed_last} out of range")
     cache: dict = {}
-    order = _subset_dp(d, [v for v in range(p) if v != fixed_last], cfg, cache)
-    if fixed_last is not None:
-        order += (fixed_last,)
+    order = _dp_order(d, cfg, fixed_last, cache)
     return order, ordering_score(d, order, cfg, cache)
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from stagedtree import Dataset, ModelError, StageAssignment
-from stagedtree.learning import MERGE_TOLERANCE, _greedy_parents, _projection_staging, depth_bic
+from stagedtree.learning import MERGE_TOLERANCE, _greedy_parents, _projection_staging, _stage_loglik
 from stagedtree.tree import (
     canonical_stage_assignment,
     context_counts,
@@ -58,6 +58,16 @@ def exhaustive_stage(d: Dataset, order, depth: int, smoothing: float = 0.0) -> S
             best_score = score
             best_code = code
     return canonical_stage_assignment(depth, np.asarray(best_code))
+
+
+def depth_bic(counts: np.ndarray, n_rows: int, smoothing: float) -> float:
+    """BIC contribution of one depth given pooled per-stage counts, its
+    stage log-likelihoods summed as one 1-d run: the score the batched merge
+    must give each of its problems."""
+    levels = counts.shape[1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        loglik = float(_stage_loglik(np.asarray(counts, dtype=float).T, smoothing).sum())
+    return -2.0 * loglik + counts.shape[0] * (levels - 1) * math.log(n_rows)
 
 
 def reference_stage_loglik(counts: np.ndarray, smoothing: float) -> np.ndarray:

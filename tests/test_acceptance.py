@@ -41,7 +41,6 @@ from stagedtree import (
     run_bootstrap_consensus,
     tally_orders,
 )
-from stagedtree.learning import depth_bic
 from stagedtree.tree import canonical_stage_assignment, stage_counts
 
 from conftest import (
@@ -52,7 +51,7 @@ from conftest import (
     reference_tree,
     saturated_tree,
 )
-from staging_oracle import exhaustive_stage
+from staging_oracle import depth_bic, exhaustive_stage
 
 
 @contextmanager

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stagedtree.cli import _build_parser, main
-from stagedtree import ResamplePlan, tree_from_json, tree_to_json
+from stagedtree import ResamplePlan, inference, tree_from_json, tree_to_json
 
 from conftest import fail_replicate, reference_tree
 
@@ -446,6 +446,20 @@ class TestWhatif:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"{flag} needs a non-empty value" in err and "nosuch.json" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--virtual"]])
+    def test_non_finite_soft_finding_rejected(self, model_json, tmp_path, capsys, monkeypatch, extra):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a non-finite finding reached conditioning")
+
+        monkeypatch.setattr(inference, "_condition", refuse)
+        out = tmp_path / "post.csv"
+        argv = ["whatif", "--model", model_json, "--soft", "B=nan,nan", "--output", str(out)] + extra
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "soft target for 'B' is not a probability distribution" in err
+        assert "cycles" not in err and "evidence probability" not in err
         assert not out.exists()
 
     def test_hard_evidence_posterior(self, model_json, tmp_path):

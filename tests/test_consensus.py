@@ -22,14 +22,17 @@ from stagedtree import (
     ensemble_from_stagings,
     fit,
     learn,
+    order_search_dp,
     run_bootstrap_consensus,
     staging_heatmap_export,
     tally_orders,
 )
-from stagedtree import consensus
+from stagedtree import consensus, learning
 from stagedtree.consensus import _disagreement, _edge_table_from_lists, context_labels_for_depth
+from stagedtree.dataset import bootstrap_replicate
 
 from conftest import fail_replicate, random_dataset, saturated_tree, staging_from_ids
+from staging_oracle import reference_stage_depth
 
 
 def chain_data(rng, n=400, p=3):
@@ -326,6 +329,24 @@ class TestBootstrapPipeline:
         # the pinned variable loses every pairwise vote it could have won
         assert votes.counts[2, 0] == 0 and votes.counts[2, 1] == 0
 
+    def test_orders_are_not_scored(self, monkeypatch):
+        # The vote needs each replicate's ordering only, so no ordering is
+        # scored and the pinned variable is never scored given the rest.
+        d = chain_data(np.random.default_rng(19), n=200, p=4)
+        plan = ResamplePlan(4, seed=3)
+        orders = [
+            order_search_dp(bootstrap_replicate(d, plan.replicate_seed(i)), LearnConfig(), fixed_last=3)[0]
+            for i in range(plan.replicates)
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bootstrap_orders scored an ordering")
+
+        monkeypatch.setattr(learning, "ordering_score", refuse)
+        monkeypatch.setattr(learning, "variable_score", refuse)
+        votes = bootstrap_orders(d, plan, LearnConfig(), fixed_last=3)
+        assert np.array_equal(votes.counts, tally_orders(orders, 4).counts)
+
     def test_duplication_invariance_end_to_end(self):
         rng = np.random.default_rng(10)
         d = chain_data(rng, n=250)
@@ -358,6 +379,55 @@ class TestBootstrapPipeline:
         refit = fit(result.averaged, d)
         for a, b in zip(result.averaged.probs, refit.probs):
             assert np.array_equal(a, b)
+
+
+class TestBatchedReplicateStaging:
+    """The depths of all replicates merge together in the calling process:
+    the result does not depend on the batch cap, and each replicate gets the
+    stagings and edges it gets when learned alone."""
+
+    @pytest.mark.parametrize("k", [None, 1])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5])
+    def test_cap_free_and_equal_to_replicates_alone(self, monkeypatch, k, smoothing):
+        d = chain_data(np.random.default_rng(18), n=300, p=5)
+        order = (3, 0, 4, 1, 2)
+        cfg = LearnConfig("bhc" if k is None else "kparents", k=k, smoothing=smoothing)
+        plan = ResamplePlan(6, seed=9)
+        chunks = []
+        real = learning._merge_lockstep
+        monkeypatch.setattr(learning, "_merge_lockstep", lambda c, n, s: chunks.append(c.shape[0]) or real(c, n, s))
+        default = run_bootstrap_consensus(d, order, plan, cfg)
+        # One chunk per start-table shape: a depth of every replicate, or
+        # (kparents) every depth past the first, whose start tables all
+        # have two classes.
+        assert sum(chunks) == 5 * plan.replicates
+        assert all(size % plan.replicates == 0 for size in chunks)
+        whole = len(chunks)
+        # Under 64 cells the 8- and 16-context depths (bhc) merge one
+        # replicate at a time, and the 24 two-class tables (kparents) go in
+        # chunks of 16 and 8.
+        chunks.clear()
+        monkeypatch.setattr(learning, "MERGE_BATCH_CELLS", 64)
+        small = run_bootstrap_consensus(d, order, plan, cfg)
+        assert len(chunks) > whole and max(chunks) > 1
+
+        def arrays(result):
+            ensemble = result.ensemble
+            stages = tuple(s.stage_of for s in result.stagings)
+            return [a.tobytes() for a in ensemble.z + ensemble.dissimilarity + stages + result.averaged.probs]
+
+        assert arrays(small) == arrays(default)
+        assert default.edge_table == small.edge_table
+
+        edge_lists = []
+        for i in range(plan.replicates):
+            replicate = bootstrap_replicate(d, plan.replicate_seed(i))
+            stagings = tuple(reference_stage_depth(replicate, order, depth, k, smoothing)[0] for depth in range(5))
+            for depth, staging in enumerate(stagings):
+                np.testing.assert_array_equal(default.ensemble.z[depth][:, i], staging.stage_of)
+            tree = StagedTree(d.schema, order, stagings)
+            edge_lists.append(tuple((e.parent, e.child, e.label) for e in compress(tree).edges))
+        assert _edge_table_from_lists(edge_lists, d.schema.names) == default.edge_table
 
 
 class TestCutHeight:

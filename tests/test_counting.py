@@ -23,12 +23,11 @@ from stagedtree import (
     variable_score,
 )
 from stagedtree.learning import (
-    _bhc_merge,
     _bhc_scores,
     _greedy_parents,
+    _merge_lockstep,
     _projection_staging,
     _subset_dp,
-    depth_bic,
 )
 from stagedtree.tree import (
     FitConfig,
@@ -43,7 +42,7 @@ from stagedtree.tree import (
 )
 
 from conftest import random_dataset, random_schema, staging_from_ids
-from staging_oracle import reference_bhc_merge
+from staging_oracle import depth_bic, reference_bhc_merge
 
 
 # Reference counting: the row-wise code that each scorer ran before every
@@ -306,7 +305,7 @@ class TestGuards:
             learn(d, (0, 1, 2, 3), LearnConfig())
         assert "8 stages" in str(err.value)
         with pytest.raises(ModelError, match="desk scale"):
-            _bhc_merge(np.ones((8, 2)), 10, 0.0)
+            _merge_lockstep(np.ones((1, 8, 2)), 10, 0.0)
         with pytest.raises(ModelError, match="8 stages"):
             _bhc_scores(np.ones((1, 8, 2)), 10, 0.0)
 
@@ -469,7 +468,8 @@ class TestBatchedSubsetDp:
 
     def test_chunks_stay_within_the_cell_limit(self, monkeypatch):
         # Four binary variables: a 16-cell joint and merge tables of up to
-        # 8 x 8 cells, so a limit of 64 splits the groups of 4 and 8 stages.
+        # 8 x 8 cells, so a batch cap of 64 splits the groups of 4 and 8
+        # stages.
         schema = Schema(tuple(Variable(f"X{j}", ("a", "b")) for j in range(4)))
         d = Dataset(schema, np.random.default_rng(23).integers(0, 2, size=(200, 4)))
         want = {}
@@ -477,7 +477,7 @@ class TestBatchedSubsetDp:
         shapes = []
         real = learning._bhc_scores
         monkeypatch.setattr(learning, "_bhc_scores", lambda c, n, s: shapes.append(c.shape) or real(c, n, s))
-        monkeypatch.setattr(dataset, "MAX_CONTEXTS", 64)
+        monkeypatch.setattr(learning, "MERGE_BATCH_CELLS", 64)
         cache = {}
         assert _subset_dp(d, [0, 1, 2, 3], LearnConfig(), cache) == order
         assert cache_bits(cache) == cache_bits(want)

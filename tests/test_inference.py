@@ -814,6 +814,33 @@ class TestRunQuery:
             run_query(table_model, EvidenceSpec())
 
 
+NON_FINITE = [(math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0), (1.0, -math.inf)]
+
+
+class TestNonFiniteFindings:
+    """NaN passes every comparison, so each check refuses non-finite values
+    outright, before any conditioning pass or IPF cycle."""
+
+    @pytest.fixture
+    def no_conditioning(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a non-finite finding reached conditioning")
+
+        monkeypatch.setattr(inference, "_condition", refuse)
+
+    @pytest.mark.parametrize("values", NON_FINITE)
+    def test_soft_target_rejected(self, table_model, no_conditioning, values):
+        with pytest.raises(ModelError, match="'Length' is not a probability distribution"):
+            EvidenceSpec(soft={"Length": values})
+        with pytest.raises(ModelError, match="'Length' is not a distribution"):
+            condition_soft(table_model, {"Length": np.array(values)})
+
+    @pytest.mark.parametrize("values", NON_FINITE + [(math.inf, 1.0)])
+    def test_virtual_weights_rejected(self, table_model, no_conditioning, values):
+        with pytest.raises(ModelError, match="weights for 'Length' are invalid"):
+            condition_virtual(table_model, {"Length": np.array(values)})
+
+
 class TestMutualInformation:
     def test_independent_variables_zero(self):
         assert mutual_information(independent_tree(), "u", "v") <= 1e-12

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,11 +25,19 @@ from stagedtree import (
     variable_score,
 )
 from stagedtree import learning
-from stagedtree.learning import _bhc_merge, _bhc_scores, _stage_depth, depth_bic
+from stagedtree.learning import (
+    _batched,
+    _bhc_scores,
+    _learn,
+    _merge_lockstep,
+    _stage_tables,
+    _start_tables,
+)
 from stagedtree.tree import FitConfig, StagedTree, pool_counts, probabilities_from_counts, stage_counts
 
 from conftest import max_in_degree, random_dataset, saturated_tree
 from staging_oracle import (
+    depth_bic,
     exhaustive_stage,
     reference_bhc_merge,
     reference_stage_depth,
@@ -58,9 +67,32 @@ def sample_from_tree(tree, rng, n):
     return Dataset(tree.schema, rows)
 
 
+def stage_depth(d, order, depth, k, smoothing):
+    """One depth of ``order`` staged as the learner stages it. Returns the
+    staging, its pooled counts and the parent set."""
+    starts = _start_tables(d, order, k)
+    staging, counts = _stage_tables([starts], d.n, smoothing)[0][depth]
+    return staging, counts, starts[depth][2]
+
+
 def bhc_stage_depth(d, order, depth):
     """Greedy staging of one depth, merging from singleton contexts."""
-    return _stage_depth(d, order, depth, None, 0.0)[0]
+    return stage_depth(d, order, depth, None, 0.0)[0]
+
+
+def merge_one(counts, n_rows, smoothing):
+    """The batched merge of one table: its stage ids, its stages' pooled
+    counts and its accepted BIC deltas."""
+    stage_of, pooled, n_stages, deltas = _merge_lockstep(counts[None], n_rows, smoothing, trace=True)
+    assert n_stages.tolist() == [len(pooled)]
+    return stage_of[0], pooled, deltas[0]
+
+
+def reference_score(counts, n_rows, smoothing):
+    """depth_bic of the reference merge of one table, its stages pooled in
+    the order of their lowest rows."""
+    ids = np.unique(reference_bhc_merge(counts, n_rows, smoothing), return_inverse=True)[1]
+    return depth_bic(pool_counts(counts, ids, int(ids.max(initial=-1)) + 1), n_rows, smoothing)
 
 
 def depth_bic_of(d, order, staging, smoothing=0.0):
@@ -128,16 +160,12 @@ class TestBhc:
             assert bic(learned, d) <= bic(sat, d) + 1e-9
 
     def test_accepted_merges_strictly_improve(self):
-        from stagedtree.learning import _bhc_merge
-        from stagedtree.tree import stage_counts
-
         rng = np.random.default_rng(21)
         d = binary_dataset(rng, 4, 300)
         order = (0, 1, 2, 3)
         total = 8  # contexts at depth 3
         counts = stage_counts(d, order, 3, np.arange(total), total)
-        trace = []
-        _bhc_merge(counts, d.n, 0.0, trace=trace)
+        trace = merge_one(counts, d.n, 0.0)[2]
         assert len(trace) <= total - 1
         assert all(delta < -1e-9 for delta in trace)
 
@@ -181,8 +209,8 @@ class TestMergeOracle:
     @example(case=(np.array([[3, 3], [1, 1], [2, 2], [1, 0], [1, 1], [3, 2], [2, 3], [0, 1], [3, 3]]), 44, 0.0))
     def test_assignment_and_trace_bit_equal(self, case):
         counts, n_rows, smoothing = case
-        trace, expected_trace = [], []
-        stage_of, pooled = _bhc_merge(counts, n_rows, smoothing, trace=trace)
+        expected_trace = []
+        stage_of, pooled, trace = merge_one(counts, n_rows, smoothing)
         roots = reference_bhc_merge(counts, n_rows, smoothing, trace=expected_trace)
         # The reference names each stage by its lowest row; the merge numbers
         # the stages in that order.
@@ -225,19 +253,20 @@ def merge_batches(draw):
 
 
 class TestBatchedMergeOracle:
-    """The lockstep merge scores every problem of a batch as the one-problem
+    """The lockstep merge scores every problem of a batch as the reference
     merge and depth_bic score it alone."""
 
     @staticmethod
     def one_by_one(counts, n_rows, smoothing):
-        return [depth_bic(_bhc_merge(c, n_rows, smoothing)[1], n_rows, smoothing) for c in counts]
+        return [reference_score(c, n_rows, smoothing) for c in counts]
 
     @settings(max_examples=300, deadline=None)
     @given(case=merge_batches())
     def test_scores_bit_equal(self, case):
         counts, n_rows, smoothing = case
         got = _bhc_scores(counts, n_rows, smoothing)
-        assert got.tobytes() == np.array(self.one_by_one(counts, n_rows, smoothing)).tobytes()
+        assert all(type(score) is float for score in got)
+        assert np.array(got).tobytes() == np.array(self.one_by_one(counts, n_rows, smoothing)).tobytes()
 
     def test_problems_stopping_at_different_steps(self):
         # The tie case of TestMergeOracle (it merges to one stage) beside a
@@ -246,10 +275,76 @@ class TestBatchedMergeOracle:
         apart = np.array([[1000 - 100 * i, 100 * i] for i in range(9)])
         two = np.array([[100, 0]] * 4 + [[0, 100]] * 5)
         counts = np.stack([tie, apart, two])
-        stages = [_bhc_merge(c, 44, 0.0)[1].shape[0] for c in counts]
+        stages = [np.unique(reference_bhc_merge(c, 44, 0.0)).size for c in counts]
         assert len(set(stages)) == 3
         got = _bhc_scores(counts, 44, 0.0)
-        assert got.tobytes() == np.array(self.one_by_one(counts, 44, 0.0)).tobytes()
+        assert np.array(got).tobytes() == np.array(self.one_by_one(counts, 44, 0.0)).tobytes()
+
+
+@st.composite
+def mixed_batches(draw):
+    """Start tables of one to four shapes (k up to 12, 2 to 9 levels), one
+    to five tables each, in shuffled order, with a batch cap of 1, 40 or 150
+    cells: under 40 and 150 the small tables share chunks and the large ones
+    merge alone."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables = []
+    for _ in range(draw(st.integers(1, 4))):
+        k, levels = draw(st.integers(1, 12)), draw(st.integers(2, 9))
+        distinct = draw(st.integers(1, k))
+        for _ in range(draw(st.integers(1, 5))):
+            rows = rng.integers(0, rng.choice([2, 6, 40, 400]), size=(distinct, levels))
+            rows[rng.random(distinct) < 0.3] = 0
+            tables.append(rows[rng.integers(0, distinct, size=k)])
+    tables = [tables[at] for at in rng.permutation(len(tables))]
+    n_rows = max(int(table.sum()) for table in tables) + draw(st.integers(1, 60))
+    return tables, n_rows, draw(st.sampled_from([0.0, 0.5])), draw(st.sampled_from([1, 40, 150]))
+
+
+class TestChunkedMergeOracle:
+    """Tables of mixed shapes merged in capped chunks: every problem gets the
+    stages, pooled counts and accepted deltas of the reference merge run on
+    it alone."""
+
+    @staticmethod
+    def merge_chunks(tables, n_rows, smoothing, cap):
+        chunks = []
+
+        def merge(stack):
+            chunks.append(stack.shape)
+            stage_of, pooled, n_stages, deltas = _merge_lockstep(stack, n_rows, smoothing, trace=True)
+            return zip(stage_of, np.split(pooled, np.cumsum(n_stages)[:-1]), deltas)
+
+        with mock.patch.object(learning, "MERGE_BATCH_CELLS", cap):
+            merged = _batched(tables, merge)
+            (staged,) = _stage_tables([[(np.arange(len(t)), t, ()) for t in tables]], n_rows, smoothing)
+        assert all(b == 1 or b * k * k <= cap for b, k, _ in chunks)
+        assert sum(b for b, _, _ in chunks) == len(tables)
+        for table, (stage_of, pooled, trace), (staging, counts) in zip(tables, merged, staged):
+            expected_trace = []
+            roots = reference_bhc_merge(table, n_rows, smoothing, trace=expected_trace)
+            ids = np.unique(roots, return_inverse=True)[1]
+            want = pool_counts(table, ids, int(ids.max()) + 1)
+            np.testing.assert_array_equal(stage_of, ids)
+            np.testing.assert_array_equal(staging.stage_of, ids)
+            np.testing.assert_array_equal(pooled, want)
+            np.testing.assert_array_equal(counts, want)
+            assert np.array(trace).tobytes() == np.array(expected_trace).tobytes()
+        return [b for b, _, _ in chunks]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mixed_batches())
+    def test_stages_counts_and_trace_bit_equal(self, case):
+        self.merge_chunks(*case)
+
+    def test_single_and_shared_chunks(self):
+        # Under 40 cells, five 3-row tables go in chunks of 4 and 1
+        # (4 * 9 = 36 cells) and two 7-row tables (49 cells) one at a time.
+        rng = np.random.default_rng(31)
+        tables = [rng.integers(0, 6, size=(3, 2)) for _ in range(5)]
+        tables += [rng.integers(0, 6, size=(7, 3)) for _ in range(2)]
+        n_rows = max(int(table.sum()) for table in tables) + 5
+        assert sorted(self.merge_chunks(tables, n_rows, 0.0, 40)) == [1, 1, 1, 4]
 
 
 class TestStageDepthOracle:
@@ -269,8 +364,12 @@ class TestStageDepthOracle:
         d = random_dataset(rng, p=p, n=n)
         order = tuple(int(v) for v in rng.permutation(p))
         cfg = LearnConfig("bhc" if k is None else "kparents", k=k, smoothing=smoothing)
+        tree, tree_parents = _learn(d, order, k, smoothing)
         for depth in range(p):
-            staging, counts, parents = _stage_depth(d, order, depth, k, smoothing)
+            staging, counts, parents = stage_depth(d, order, depth, k, smoothing)
+            np.testing.assert_array_equal(tree.stagings[depth].stage_of, staging.stage_of)
+            assert tree_parents[depth] == parents
+            assert tree.probs[depth].tobytes() == probabilities_from_counts(counts, smoothing).tobytes()
             want, want_counts, want_parents = reference_stage_depth(d, order, depth, k, smoothing)
             np.testing.assert_array_equal(staging.stage_of, want.stage_of)
             assert staging.n_stages == want.n_stages and parents == want_parents
