@@ -248,6 +248,7 @@ def _search_order(d, cfg, flags: _OrderFlags):
 
 
 def _cmd_learn(args) -> int:
+    _refuse_empty(args, "--output")
     mode = _order_mode(args)
     cfg = _learn_config(args)
     d = _load_dataset(args)
@@ -264,6 +265,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    _refuse_empty(args, "--output")
     mode = _order_mode(args)
     cfg = _learn_config(args)
     d = _load_dataset(args)
@@ -271,13 +273,14 @@ def _cmd_order(args) -> int:
     line = ",".join(d.schema.names[v] for v in order)
     print(line)
     print(f"score: {score!r}", file=sys.stderr)
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(line + "\n")
     return 0
 
 
 def _cmd_bootstrap(args) -> int:
+    _refuse_empty(args, "--outdir")
     mode = _order_mode(args)
     cfg = _learn_config(args)
     d = _load_dataset(args)
@@ -349,6 +352,7 @@ def _parse_algorithms(text) -> list[LearnConfig]:
 
 
 def _cmd_cv(args) -> int:
+    _refuse_empty(args, "--outdir")
     mode = _order_mode(args)
     algorithms = [
         LearnConfig(c.algorithm, k=c.k, smoothing=args.smoothing) for c in _parse_algorithms(args.algorithms)
@@ -425,31 +429,40 @@ def _cmd_aldag(args) -> int:
     return 0
 
 
+def _split_finding(pair, found, flag: str, form: str):
+    """The variable and the text after '=' of one finding of ``flag``. A
+    finding not of ``form`` is a data error; a variable already ``found`` is
+    a usage error, not a finding that silently replaces the first."""
+    if "=" not in pair:
+        raise StagedTreeError(f"{form}, got {pair!r}")
+    var, text = pair.split("=", 1)
+    var = var.strip()
+    if var in found:
+        raise _UsageError(f"{flag} gives {var!r} more than once")
+    return var, text
+
+
 def _parse_evidence(pairs):
     out = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise StagedTreeError(f"evidence must look like VAR=LEVEL, got {pair!r}")
-        var, level = pair.split("=", 1)
-        out[var.strip()] = level.strip()
+        var, level = _split_finding(pair, out, "--evidence", "evidence must look like VAR=LEVEL")
+        out[var] = level.strip()
     return out
 
 
 def _parse_soft(pairs):
     out = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise StagedTreeError(f"soft evidence must look like VAR=P1,P2,..., got {pair!r}")
-        var, values = pair.split("=", 1)
+        var, values = _split_finding(pair, out, "--soft", "soft evidence must look like VAR=P1,P2,...")
         try:
-            out[var.strip()] = tuple(float(x) for x in values.split(","))
+            out[var] = tuple(float(x) for x in values.split(","))
         except ValueError:
             raise StagedTreeError(f"soft evidence probabilities must be numbers, got {pair!r}") from None
     return out
 
 
 def _cmd_whatif(args) -> int:
-    _refuse_empty(args, "--target", "--dot")
+    _refuse_empty(args, "--output", "--target", "--dot")
     if not (args.evidence or args.soft):
         raise _UsageError("whatif needs --evidence or --soft")
     ipf = {key: value for key, value in (("tol", args.tol), ("max_iter", args.max_iter)) if value is not None}
@@ -459,8 +472,8 @@ def _cmd_whatif(args) -> int:
             raise _UsageError(f"{flag} does not apply to --virtual")
         if not args.soft:
             raise _UsageError(f"{flag} applies only with --soft")
-    tree = _load_model(args.model)
     spec = inference.EvidenceSpec(_parse_evidence(args.evidence), _parse_soft(args.soft))
+    tree = _load_model(args.model)
     if args.virtual:
         result = inference.condition_virtual(tree, spec.soft, spec.hard)
     else:
@@ -496,6 +509,7 @@ def _cmd_whatif(args) -> int:
 
 
 def _cmd_mi(args) -> int:
+    _refuse_empty(args, "--output")
     tree = _load_model(args.model)
     rows = inference.whatif_sweep(tree, args.target)
     _write_csv(
@@ -508,6 +522,7 @@ def _cmd_mi(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    _refuse_empty(args, "--output")
     tree = _load_model(args.model)
     if args.what == "tree-dot":
         aldag_mod.to_dot(tree, args.output)

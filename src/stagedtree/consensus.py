@@ -1,8 +1,8 @@
 """Robust structure learning by bootstrap aggregation.
 
-Replicates are resampled and counted (or ordered) in a parallel map with
+Replicates are resampled and tallied (or ordered) in a parallel map with
 per-replicate seeds derived from the master seed; the stagings of all
-replicates are then merged together in the calling process, and a
+replicates are then learned from those tallies in the calling process, and a
 single-threaded reduce tallies orderings, co-staging disagreement, and edge
 labels. All aggregate statistics are kept as integer counts internally so
 invariants like "the two directions of an order vote sum to M" hold exactly.
@@ -352,15 +352,15 @@ def run_bootstrap_consensus(
     outside (0, 1), or a depth whose co-staging tally is too large, is
     rejected before any replicate is drawn.
 
-    Each replicate is drawn and counted into its start tables in the
-    replicate map; the start tables of one depth of every replicate share a
-    shape and merge together, and each replicate's unfitted tree is
-    compressed for the edge table, both in the calling process."""
+    The replicate map only draws each replicate and tallies its counts of
+    ``order``. The calling process builds the start tables from the tallies,
+    merges those of one depth of every replicate together, and compresses
+    each replicate's unfitted tree for the edge table."""
     _check_cut(cut)
     order = validate_order(d.schema, order)
     for depth in range(len(order)):
         _check_tally(n_contexts(d.schema, order, depth), depth)
-    starts = _map_replicates(d, plan, threads, _start_tables, order, cfg.k)
+    starts = [_start_tables(order, joint, cfg.k) for joint in _map_replicates(d, plan, threads, Dataset.counts, order)]
     trees = [
         StagedTree(d.schema, order, tuple(staging for staging, _ in staged))
         for staged in _stage_tables(starts, d.n, cfg.smoothing)

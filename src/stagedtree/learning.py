@@ -12,16 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Schema, cell_count
+from .dataset import Dataset, cell_count
 from .errors import ModelError
 from .tree import (
     Ordering,
     StageAssignment,
     StagedTree,
-    context_counts,
-    context_shape,
-    n_contexts,
-    pool_counts,
     probabilities_from_counts,
     validate_order,
 )
@@ -170,12 +166,11 @@ def _merge_steps(out: np.ndarray, parent: np.ndarray, n_rows: int, smoothing: fl
     partner = delta.argmin(axis=2)
     best = delta.min(axis=2)
 
-    # Row a of pooled, ll, closed, partner and best belongs to the active
-    # problem live[a], whose delta table is delta[live[a]]; a problem's
-    # counts go back to ``out`` when it stops.
+    # Row a of pooled, ll, partner and best belongs to the active problem
+    # live[a], whose delta table is delta[live[a]]; a problem's counts go
+    # back to ``out`` when it stops.
     live = at = np.arange(n_problems)
     pooled = out
-    closed = np.zeros((n_problems, k))  # inf once a stage has merged away
     while True:
         i = best.argmin(axis=1)
         go = ~(best[at, i] >= -MERGE_TOLERANCE)
@@ -184,7 +179,7 @@ def _merge_steps(out: np.ndarray, parent: np.ndarray, n_rows: int, smoothing: fl
             live, i = live[go], i[go]
             if not live.size:
                 return
-            pooled, ll, closed, partner, best = pooled[:, go], ll[go], closed[go], partner[go], best[go]
+            pooled, ll, partner, best = pooled[:, go], ll[go], partner[go], best[go]
             at = np.arange(live.size)
         j = partner[at, i]
         if deltas is not None:
@@ -193,7 +188,7 @@ def _merge_steps(out: np.ndarray, parent: np.ndarray, n_rows: int, smoothing: fl
         parent[live, j] = i
         pooled[:, at, i] += pooled[:, at, j]
         pooled[:, at, j] = 0.0  # so column j of the merged row is stage i alone
-        closed[at, j] = np.inf
+        ll[at, j] = np.inf  # so the delta of a merged-away stage is inf
         delta[live, j] = np.inf
         delta[live, :, j] = np.inf
         best[at, j] = np.inf
@@ -201,7 +196,7 @@ def _merge_steps(out: np.ndarray, parent: np.ndarray, n_rows: int, smoothing: fl
 
         merged_ll = _stage_loglik(pooled[:, at, i, None] + pooled, smoothing)
         ll[at, i] = merged_ll[at, j]
-        row = -2.0 * (merged_ll - ll[at, i, None] - ll) - param_gain + closed
+        row = -2.0 * (merged_ll - ll[at, i, None] - ll) - param_gain
         row[at, i] = np.inf
         delta[live, i] = row
         delta[live, :, i] = row
@@ -251,10 +246,9 @@ def _batched(tables: list[np.ndarray], merge) -> list:
     return results
 
 
-def _start_table(
-    d: Dataset, order, depth: int, counts: np.ndarray, k: int | None
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Start partition of greedy merging at one depth, from its context counts.
+def _start_table(order, depth: int, table: np.ndarray, k: int | None) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Start partition of greedy merging at one depth, from ``table``, the
+    counts of ``order[:depth + 1]`` with one axis each.
 
     Merging starts from singleton contexts, except for kparents (``k`` given)
     above depth k, where it starts from the projection onto up to k parents
@@ -263,18 +257,23 @@ def _start_table(
     the start classes and the parent set (all predecessors unless CMI chose
     fewer). Only ``order[:depth + 1]`` is read.
     """
+    counts = table.reshape(-1, table.shape[-1])
     parents = tuple(sorted(order[:depth]))
     if k is None or depth <= k:
-        return np.arange(counts.shape[0]), counts, parents
-    parents = _greedy_parents(d, order[depth], order[:depth], k)
-    start = _projection_staging(d.schema, order, depth, parents)
-    return start, pool_counts(counts, start, int(start.max()) + 1), parents
+        return np.arange(len(counts)), counts, parents
+    parents = _greedy_parents(table, order[:depth], k)
+    dropped = tuple(axis for axis in range(depth) if order[axis] not in parents)
+    # A context's start class numbers its parent coordinates in context
+    # order; the class counts are the table summed over the other axes.
+    kept = [1 if axis in dropped else size for axis, size in enumerate(table.shape[:-1])]
+    start = np.broadcast_to(np.arange(math.prod(kept)).reshape(kept), table.shape[:-1]).ravel()
+    return start, table.sum(axis=dropped).reshape(-1, counts.shape[1]), parents
 
 
-def _start_tables(d: Dataset, order: Ordering, k: int | None) -> list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]]:
-    """``_start_table`` of every depth of ``order``, from one tally of its
-    context counts each."""
-    return [_start_table(d, order, depth, context_counts(d, order, depth), k) for depth in range(len(order))]
+def _start_tables(order: Ordering, joint: np.ndarray, k: int | None) -> list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]]:
+    """``_start_table`` of every depth of ``order``, from ``joint``, the
+    counts of ``order`` with one axis each, summed over the deeper axes."""
+    return [_start_table(order, j, joint.sum(axis=tuple(range(j + 1, len(order)))), k) for j in range(len(order))]
 
 
 def _stage_tables(datasets, n_rows: int, smoothing: float) -> list[list[tuple[StageAssignment, np.ndarray]]]:
@@ -310,7 +309,7 @@ def _learn(d: Dataset, order, k: int | None, smoothing: float):
     if not smoothing >= 0:
         raise ModelError("smoothing must be non-negative")
     order = validate_order(d.schema, order)
-    starts = _start_tables(d, order, k)
+    starts = _start_tables(order, d.counts(order), k)
     (staged,) = _stage_tables([starts], d.n, smoothing)
     tree = StagedTree(
         d.schema,
@@ -332,49 +331,43 @@ def cmi(d: Dataset, i: int, s: int, conditioning=()) -> float:
         raise ModelError("cmi requires two distinct variables")
     if i in conditioning or s in conditioning:
         raise ModelError("conditioning set must not contain the pair")
-    counts = d.schema.level_counts
-    table = d.counts(conditioning + (i, s)).reshape(-1, counts[i], counts[s]).astype(float)
+    return _cmi(d.counts(conditioning + (i, s)))
 
+
+def _cmi(table: np.ndarray) -> float:
+    """``cmi`` from the counts of (X_C..., X_i, X_s), one axis each."""
+    n = int(table.sum())
+    table = np.ascontiguousarray(table, dtype=float).reshape(-1, *table.shape[-2:])
     n_c = table.sum(axis=(1, 2), keepdims=True)
     n_ca = table.sum(axis=2, keepdims=True)
     n_cb = table.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = table * n_c / (n_ca * n_cb)
         terms = np.where(table > 0, table * np.log(ratio), 0.0)
-    value = float(terms.sum()) / d.n
+    value = float(terms.sum()) / n
     return max(value, 0.0)
 
 
-def _greedy_parents(d: Dataset, var: int, candidates: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Forward selection of k parents by conditional mutual information.
-
-    Ties in the argmax go to the smallest variable index.
+def _greedy_parents(table: np.ndarray, candidates: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Forward selection of k parents by conditional mutual information, from
+    ``table``, the counts of ``candidates`` and then of the child, one axis
+    each. Ties in the argmax go to the smallest variable index.
     """
+    child = len(candidates)
     selected: list[int] = []
-    pool = list(candidates)
-    for _ in range(min(k, len(pool))):
+    for _ in range(min(k, len(candidates))):
         best_var = None
         best_value = -math.inf
-        for cand in sorted(set(pool) - set(selected)):
-            value = cmi(d, var, cand, tuple(selected))
+        for cand in sorted(set(candidates) - set(selected)):
+            # The counts of (selected..., child, cand): the table summed over
+            # the other axes (int64, so bit-equal to a tally of their own).
+            axes = [candidates.index(v) for v in selected] + [child, candidates.index(cand)]
+            value = _cmi(np.einsum(table, range(table.ndim), axes))
             if value > best_value:
                 best_value = value
                 best_var = cand
         selected.append(best_var)
     return tuple(sorted(selected))
-
-
-def _projection_staging(schema: Schema, order: Ordering, depth: int, parents: tuple[int, ...]) -> np.ndarray:
-    """Initial stage id of every depth-j context: contexts that agree on the
-    selected parent coordinates start in the same stage."""
-    shape = context_shape(schema, order, depth)
-    total = n_contexts(schema, order, depth)
-    parent_pos = [i for i in range(depth) if order[i] in parents]
-    if not parent_pos:
-        return np.zeros(total, dtype=np.int64)
-    coords = np.unravel_index(np.arange(total), shape)
-    par_shape = tuple(shape[i] for i in parent_pos)
-    return np.ravel_multi_index([coords[i] for i in parent_pos], dims=par_shape).astype(np.int64)
 
 
 def kparents_learn(
@@ -413,7 +406,7 @@ def variable_score(d: Dataset, var: int, predecessors, cfg: LearnConfig, cache=N
         return cache[key]
     order = predecessors + (int(var),)
     depth = len(predecessors)
-    _, table, _ = _start_table(d, order, depth, context_counts(d, order, depth), cfg.k)
+    _, table, _ = _start_table(order, depth, d.counts(order), cfg.k)
     score = _bhc_scores(table[None], d.n, cfg.smoothing)[0]
     if cache is not None:
         cache[key] = score
@@ -443,7 +436,6 @@ def _score_subsets(d: Dataset, variables, cfg: LearnConfig, cache: dict) -> None
     time from the layer above. The start tables of one predecessor-set size
     are scored by ``_bhc_scores`` in ``_batched`` chunks.
     """
-    levels = d.schema.level_counts
     joint = tuple(sorted(int(v) for v in variables))
     layer = {joint: d.counts(joint)}
     for size in range(len(joint), 0, -1):
@@ -454,9 +446,8 @@ def _score_subsets(d: Dataset, variables, cfg: LearnConfig, cache: dict) -> None
                 if (var, predecessors) in cache:
                     continue
                 others = tuple(a for a in range(size) if a != axis)
-                counts = table.transpose(others + (axis,)).reshape(-1, levels[var])
                 keys.append((var, predecessors))
-                tables.append(_start_table(d, predecessors + (var,), size - 1, counts, cfg.k)[1])
+                tables.append(_start_table(predecessors + (var,), size - 1, table.transpose(others + (axis,)), cfg.k)[1])
         cache.update(zip(keys, _batched(tables, lambda stack: _bhc_scores(stack, d.n, cfg.smoothing))))
         below: dict[tuple[int, ...], np.ndarray] = {}
         for subset, table in layer.items():
@@ -491,27 +482,24 @@ def _subset_dp(d: Dataset, variables: list[int], cfg: LearnConfig, cache: dict) 
     rem_terms: list[tuple[float, ...]] = [()] * (1 << m)
     best_next = np.full(1 << m, -1, dtype=np.int64)
 
-    masks_by_size: list[list[int]] = [[] for _ in range(m + 1)]
-    for mask in range(1 << m):
-        masks_by_size[bin(mask).count("1")].append(mask)
-
-    for size in range(m - 1, -1, -1):
-        for mask in masks_by_size[size]:
-            prefix = tuple(sorted(variables[b] for b in range(m) if mask >> b & 1))
-            best = math.inf
-            choice = -1
-            chosen_terms: tuple[float, ...] = ()
-            for b in range(m):
-                if mask >> b & 1:
-                    continue
-                terms = (cache[variables[b], prefix],) + rem_terms[mask | (1 << b)]
-                value = math.fsum(terms)
-                if value < best:
-                    best = value
-                    choice = b
-                    chosen_terms = terms
-            rem_terms[mask] = chosen_terms
-            best_next[mask] = choice
+    # Every superset of a mask is a larger number, so walking the masks
+    # downward meets each one after all of its supersets.
+    for mask in range(full - 1, -1, -1):
+        prefix = tuple(sorted(variables[b] for b in range(m) if mask >> b & 1))
+        best = math.inf
+        choice = -1
+        chosen_terms: tuple[float, ...] = ()
+        for b in range(m):
+            if mask >> b & 1:
+                continue
+            terms = (cache[variables[b], prefix],) + rem_terms[mask | (1 << b)]
+            value = math.fsum(terms)
+            if value < best:
+                best = value
+                choice = b
+                chosen_terms = terms
+        rem_terms[mask] = chosen_terms
+        best_next[mask] = choice
 
     order: list[int] = []
     mask = 0

@@ -3,17 +3,21 @@ BIC-optimal staging of one depth by enumerating every set partition of its
 contexts; greedy merging is checked against it on small depths. The reference
 greedy merge is the plain global-argmin form of backward hill climbing that
 the learner's merge must reproduce bit for bit. The reference stage depth is
-the relabel-and-repool path the learner's one-depth staging replaced."""
+the relabel-and-repool path the learner's one-depth staging replaced. The
+dataset start table is the path the learner's start tables replaced: CMI
+parents from a tally per candidate, projection start classes from the
+context coordinates, and their counts pooled by scatter-add."""
 
 import math
 
 import numpy as np
 
-from stagedtree import Dataset, ModelError, StageAssignment
-from stagedtree.learning import MERGE_TOLERANCE, _greedy_parents, _projection_staging, _stage_loglik
+from stagedtree import Dataset, ModelError, StageAssignment, cmi
+from stagedtree.learning import MERGE_TOLERANCE, _stage_loglik
 from stagedtree.tree import (
     canonical_stage_assignment,
     context_counts,
+    context_shape,
     n_contexts,
     pool_counts,
     validate_order,
@@ -135,17 +139,56 @@ def reference_bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace
     return assign
 
 
+def dataset_greedy_parents(d: Dataset, var: int, candidates, k: int, values=None) -> tuple[int, ...]:
+    """Forward selection of k parents by ``cmi``, one tally of the dataset
+    per candidate; ties go to the smallest variable index. ``values``, if
+    given, collects every CMI value in the order it was computed."""
+    selected = []
+    for _ in range(min(k, len(candidates))):
+        best_var, best_value = None, -math.inf
+        for cand in sorted(set(candidates) - set(selected)):
+            value = cmi(d, var, cand, tuple(selected))
+            if values is not None:
+                values.append(value)
+            if value > best_value:
+                best_var, best_value = cand, value
+        selected.append(best_var)
+    return tuple(sorted(selected))
+
+
+def projection_staging(schema, order, depth: int, parents) -> np.ndarray:
+    """Start class of every depth-j context: contexts that agree on the
+    parent coordinates start together, numbered by those coordinates."""
+    shape = context_shape(schema, order, depth)
+    total = n_contexts(schema, order, depth)
+    parent_pos = [i for i in range(depth) if order[i] in parents]
+    if not parent_pos:
+        return np.zeros(total, dtype=np.int64)
+    coords = np.unravel_index(np.arange(total), shape)
+    par_shape = tuple(shape[i] for i in parent_pos)
+    return np.ravel_multi_index([coords[i] for i in parent_pos], dims=par_shape).astype(np.int64)
+
+
+def dataset_start_table(d: Dataset, order, depth: int, k, values=None):
+    """Start classes, their pooled counts and the parent set of one depth,
+    from the dataset: singleton contexts, or for kparents above depth k the
+    projection onto the parents ``dataset_greedy_parents`` chooses."""
+    counts = context_counts(d, order, depth)
+    parents = tuple(sorted(order[:depth]))
+    if k is None or depth <= k:
+        return np.arange(counts.shape[0]), counts, parents
+    parents = dataset_greedy_parents(d, order[depth], order[:depth], k, values)
+    start = projection_staging(d.schema, order, depth, parents)
+    return start, pool_counts(counts, start, int(start.max()) + 1), parents
+
+
 def reference_stage_depth(d: Dataset, order, depth: int, k, smoothing: float):
     """Stage one depth as ``_stage_depth`` did before the merge handed back
     its stages: merge to root ids, relabel them by first context, then pool
     the context counts again under the relabelled staging. Returns the
     staging, its int64 pooled counts and the parent set."""
     counts = context_counts(d, order, depth)
-    parents = tuple(sorted(order[:depth]))
-    start = np.arange(counts.shape[0])
-    if k is not None and depth > k:
-        parents = _greedy_parents(d, order[depth], order[:depth], k)
-        start = _projection_staging(d.schema, order, depth, parents)
-    roots = reference_bhc_merge(pool_counts(counts, start, int(start.max()) + 1), d.n, smoothing)
+    start, table, parents = dataset_start_table(d, order, depth, k)
+    roots = reference_bhc_merge(table, d.n, smoothing)
     staging = canonical_stage_assignment(depth, roots[start])
     return staging, pool_counts(counts, staging.stage_of, staging.n_stages), parents

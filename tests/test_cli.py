@@ -448,6 +448,15 @@ class TestWhatif:
         assert f"{flag} needs a non-empty value" in err and "nosuch.json" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, first, second", [("--evidence", "A=lo", "A=hi"), ("--soft", "B=0.2,0.8", " B =0.9,0.1")])
+    def test_repeated_variable_rejected_before_the_model_is_read(self, tmp_path, capsys, flag, first, second):
+        out = tmp_path / "post.csv"
+        argv = ["whatif", "--model", str(tmp_path / "nosuch.json"), flag, first, flag, second, "--output", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} gives {first.split('=')[0]!r} more than once" in err and "nosuch.json" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [[], ["--virtual"]])
     def test_non_finite_soft_finding_rejected(self, model_json, tmp_path, capsys, monkeypatch, extra):
         def refuse(*args, **kwargs):
@@ -561,6 +570,26 @@ class TestMiAndExport:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
         assert abs(sum(float(r["probability"]) for r in rows) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["learn", "--input", "IN", "--output", ""], "--output"),
+        (["order", "--input", "IN", "--output", ""], "--output"),
+        (["bootstrap", "--input", "IN", "--outdir", ""], "--outdir"),
+        (["cv", "--input", "IN", "--outdir", ""], "--outdir"),
+        (["whatif", "--model", "IN", "--evidence", "A=lo", "--output", ""], "--output"),
+        (["mi", "--model", "IN", "--target", "C", "--output", ""], "--output"),
+        (["export", "--model", "IN", "--what", "tree-dot", "--output", ""], "--output"),
+    ],
+)
+def test_empty_output_path_rejected_before_the_input_is_read(tmp_path, capsys, argv, flag):
+    missing = str(tmp_path / "nosuch.csv")
+    assert main([missing if arg == "IN" else arg for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag} needs a non-empty value" in err and "nosuch.csv" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def assert_floats_reread_exactly(path):

@@ -429,6 +429,23 @@ class TestBatchedReplicateStaging:
             edge_lists.append(tuple((e.parent, e.child, e.label) for e in compress(tree).edges))
         assert _edge_table_from_lists(edge_lists, d.schema.names) == default.edge_table
 
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_replicate_map_only_tallies(self, monkeypatch, k):
+        # Each replicate comes back as its joint counts of the order; the
+        # start tables, CMI parents included, are built in the caller.
+        d = chain_data(np.random.default_rng(19), n=200, p=4)
+        order = (2, 0, 3, 1)
+        plan = ResamplePlan(3, seed=4)
+        mapped = []
+        real = consensus._map_replicates
+        monkeypatch.setattr(consensus, "_map_replicates", lambda *args: mapped.append(real(*args)) or mapped[-1])
+        run_bootstrap_consensus(d, order, plan, LearnConfig("bhc" if k is None else "kparents", k=k))
+        (joints,) = mapped
+        assert len(joints) == plan.replicates
+        for i, joint in enumerate(joints):
+            want = bootstrap_replicate(d, plan.replicate_seed(i)).counts(order)
+            assert joint.dtype == np.int64 and np.array_equal(joint, want)
+
 
 class TestCutHeight:
     @pytest.mark.parametrize("cut", [0.0, 1.0, 1.5, -0.2])

@@ -15,6 +15,7 @@ from stagedtree import (
     Variable,
     cmi,
     dataset,
+    kparents_learn,
     learn,
     learning,
     order_search_dp,
@@ -26,7 +27,9 @@ from stagedtree.learning import (
     _bhc_scores,
     _greedy_parents,
     _merge_lockstep,
-    _projection_staging,
+    _score_subsets,
+    _start_table,
+    _start_tables,
     _subset_dp,
 )
 from stagedtree.tree import (
@@ -42,7 +45,7 @@ from stagedtree.tree import (
 )
 
 from conftest import random_dataset, random_schema, staging_from_ids
-from staging_oracle import depth_bic, reference_bhc_merge
+from staging_oracle import dataset_start_table, depth_bic, projection_staging, reference_bhc_merge
 
 
 # Reference counting: the row-wise code that each scorer ran before every
@@ -119,21 +122,8 @@ def reference_greedy_parents(d, var, candidates, k):
     return tuple(sorted(selected))
 
 
-def reference_projection_staging(d, order, depth, parents):
-    shape = context_shape(d.schema, order, depth)
-    total = int(np.prod(shape)) if depth else 1
-    if depth == 0:
-        return np.zeros(1, dtype=np.int64)
-    parent_pos = [i for i in range(depth) if order[i] in parents]
-    if not parent_pos:
-        return np.zeros(total, dtype=np.int64)
-    coords = np.unravel_index(np.arange(total), shape)
-    par_shape = tuple(shape[i] for i in parent_pos)
-    return np.ravel_multi_index([coords[i] for i in parent_pos], dims=par_shape).astype(np.int64)
-
-
 def reference_restricted_stage_depth(d, order, depth, parents, smoothing):
-    init = reference_projection_staging(d, order, depth, parents)
+    init = projection_staging(d.schema, order, depth, parents)
     n_init = int(init.max()) + 1
     counts = reference_stage_counts(d, order, depth, init, n_init)
     merged = reference_bhc_merge(counts, d.n, smoothing)
@@ -283,6 +273,8 @@ class TestGuards:
             cmi(d, 0, 1, (2,))
 
     def test_projection_staging_checks_before_allocating(self, monkeypatch):
+        # kparents start classes are built from a count table, which the
+        # tally refuses before any start class is allocated.
         d = self.binary(5)
         order = (0, 1, 2, 3, 4)
         monkeypatch.setattr(dataset, "MAX_CONTEXTS", 8)
@@ -292,8 +284,13 @@ class TestGuards:
 
         monkeypatch.setattr(np, "arange", refuse)
         monkeypatch.setattr(np, "unravel_index", refuse)
-        with pytest.raises(ModelError, match="desk scale"):
-            _projection_staging(d.schema, order, 4, (0, 2))
+        monkeypatch.setattr(np, "broadcast_to", refuse)
+        for call in (
+            lambda: kparents_learn(d, order, 2),
+            lambda: variable_score(d, 4, (0, 1, 2, 3), LearnConfig("kparents", k=2)),
+        ):
+            with pytest.raises(ModelError, match="desk scale"):
+                call()
 
     def test_merge_table_guarded(self, monkeypatch):
         d = self.binary(4)
@@ -380,19 +377,102 @@ class TestAgainstReference:
         d = random_dataset(rng, p=5, n=400)
         cfg = LearnConfig("kparents", k=2)
         assert variable_score(d, 4, (0, 1, 2, 3), cfg) == reference_variable_score(d, 4, (0, 1, 2, 3), cfg)
-        assert _greedy_parents(d, 4, (0, 1, 2, 3), 2) == reference_greedy_parents(d, 4, (0, 1, 2, 3), 2)
+        table = d.counts((0, 1, 2, 3, 4))
+        assert _greedy_parents(table, (0, 1, 2, 3), 2) == reference_greedy_parents(d, 4, (0, 1, 2, 3), 2)
 
-    def test_schema_projection_matches_reference(self):
+    def test_schema_projection_matches_reference(self, monkeypatch):
+        # The parents are forced, and k=0 sends every depth past the root
+        # through the projection branch of _start_table.
         schema = random_schema(np.random.default_rng(2), 4)
-        d = Dataset(schema, np.zeros((1, 4), dtype=np.int64))
+        d = Dataset(schema, np.random.default_rng(3).integers(0, 2, size=(30, 4)))
         order = (3, 1, 0, 2)
         for depth in range(4):
             for parents in ((), (3,), (1, 3), (0, 1, 3)):
                 parents = tuple(v for v in parents if v in order[:depth])
-                assert np.array_equal(
-                    _projection_staging(schema, order, depth, parents),
-                    reference_projection_staging(d, order, depth, parents),
-                )
+                monkeypatch.setattr(learning, "_greedy_parents", lambda table, candidates, k: parents)
+                start, pooled, _ = _start_table(order, depth, d.counts(order[:depth + 1]), 0)
+                want = projection_staging(schema, order, depth, parents)
+                assert np.array_equal(start, want)
+                assert np.array_equal(pooled, reference_stage_counts(d, order, depth, want, int(want.max()) + 1))
+
+
+# -- start tables from one tally against the dataset path --------------------------
+
+
+def traced_start_tables(monkeypatch):
+    """Record every _start_table call as (order, depth, k, result, the CMI
+    values computed during the call, in order)."""
+    calls, values = [], []
+    real_cmi, real_start = learning._cmi, learning._start_table
+
+    def cmi_values(table):
+        values.append(real_cmi(table))
+        return values[-1]
+
+    def start_table(order, depth, table, k):
+        first = len(values)
+        result = real_start(order, depth, table, k)
+        calls.append((tuple(order), depth, k, result, values[first:]))
+        return result
+
+    monkeypatch.setattr(learning, "_cmi", cmi_values)
+    monkeypatch.setattr(learning, "_start_table", start_table)
+    return calls
+
+
+class TestStartTablesFromOneTally:
+    """Start ids, pooled counts, parent sets and the CMI value of every
+    candidate behind each parent choice, read from one count table, equal
+    the dataset path (a cmi tally per candidate, the projection staging and
+    pool_counts) bit for bit."""
+
+    def assert_dataset_path(self, d, calls):
+        for order, depth, k, (start, pooled, parents), values in calls:
+            want_values = []
+            want_start, want_pooled, want_parents = dataset_start_table(d, order, depth, k, want_values)
+            assert parents == want_parents
+            assert start.dtype == want_start.dtype and np.array_equal(start, want_start)
+            assert pooled.dtype == want_pooled.dtype and np.array_equal(pooled, want_pooled)
+            assert all(type(v) is float for v in values)
+            assert [v.hex() for v in values] == [v.hex() for v in want_values]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 5),
+        n=st.integers(1, 150),
+        max_levels=st.integers(2, 4),
+        k=st.integers(1, 3),
+    )
+    def test_bit_equal_to_dataset_path(self, seed, p, n, max_levels, k):
+        rng = np.random.default_rng(seed)
+        d = random_dataset(rng, p=p, n=n, max_levels=max_levels)
+        order = tuple(int(v) for v in rng.permutation(p))
+        var = int(rng.integers(0, p))
+        predecessors = tuple(int(v) for v in rng.permutation([v for v in range(p) if v != var])[: rng.integers(0, p)])
+        cfg = LearnConfig("kparents", k=k)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = traced_start_tables(monkeypatch)
+            starts = _start_tables(order, d.counts(order), k)
+            assert [call[:3] for call in calls] == [(order, depth, k) for depth in range(p)]
+            assert all(call[3] is start for call, start in zip(calls, starts))
+            self.assert_dataset_path(d, calls)
+            calls.clear()
+            _score_subsets(d, list(range(p)), cfg, {})
+            assert len(calls) == p * 2 ** (p - 1)
+            self.assert_dataset_path(d, calls)
+            calls.clear()
+            variable_score(d, var, predecessors, cfg)
+            assert [call[:3] for call in calls] == [(tuple(sorted(predecessors)) + (var,), len(predecessors), k)]
+            self.assert_dataset_path(d, calls)
+
+    def test_parent_choice_reads_cmi(self, monkeypatch):
+        # Enough rows and predecessors that selection has real choices.
+        d = random_dataset(np.random.default_rng(12), p=5, n=400, max_levels=4)
+        calls = traced_start_tables(monkeypatch)
+        _start_tables((4, 2, 0, 3, 1), d.counts((4, 2, 0, 3, 1)), 2)
+        assert [len(values) for *_, values in calls] == [0, 0, 0, 3 + 2, 4 + 3]
+        self.assert_dataset_path(d, calls)
 
 
 # -- one tally per depth, one subset DP -------------------------------------------
@@ -414,13 +494,15 @@ class TestLearnFromStagingCounts:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
-    def test_bhc_tallies_each_depth_once(self, monkeypatch):
+    def test_learn_tallies_once(self, monkeypatch):
         d = random_dataset(np.random.default_rng(6), p=4, n=90)
         calls = []
         real = Dataset.counts
         monkeypatch.setattr(Dataset, "counts", lambda self, cols: calls.append(tuple(cols)) or real(self, cols))
-        learn(d, (2, 0, 3, 1), LearnConfig())
-        assert calls == [(2,), (2, 0), (2, 0, 3), (2, 0, 3, 1)]
+        for cfg in learn_configs(1, 0.0):
+            calls.clear()
+            learn(d, (2, 0, 3, 1), cfg)
+            assert calls == [(2, 0, 3, 1)]
 
 
 class TestBatchedSubsetDp:

@@ -70,7 +70,7 @@ def sample_from_tree(tree, rng, n):
 def stage_depth(d, order, depth, k, smoothing):
     """One depth of ``order`` staged as the learner stages it. Returns the
     staging, its pooled counts and the parent set."""
-    starts = _start_tables(d, order, k)
+    starts = _start_tables(order, d.counts(order), k)
     staging, counts = _stage_tables([starts], d.n, smoothing)[0][depth]
     return staging, counts, starts[depth][2]
 
