@@ -31,22 +31,40 @@ from stagedtree import (
 from stagedtree.consensus import context_labels_for_depth, staging_heatmap_export
 
 
+def checked(convert, accept, requirement):
+    """An argparse type: ``convert`` the text, then require ``accept`` of the value."""
+
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+COUNT = checked(int, lambda v: v >= 1, "be at least 1")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--input", required=True, help="categorical CSV with header")
     parser.add_argument("--response", required=True, help="variable pinned last in the ordering")
     parser.add_argument("--algorithm", choices=["bhc", "kparents"], default="kparents")
-    parser.add_argument("--k", type=int, default=4)
-    parser.add_argument("--replicates", type=int, default=200)
-    parser.add_argument("--cut", type=float, default=0.5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--k", type=COUNT, default=None, help="kparents parent budget (default 4)")
+    parser.add_argument("--replicates", type=COUNT, default=200)
+    parser.add_argument("--cut", type=checked(float, lambda v: 0 < v < 1, "lie strictly between 0 and 1"), default=0.5)
+    parser.add_argument("--seed", type=checked(int, lambda v: 0 <= v < 2**64, "lie in [0, 2**64)"), default=0)
+    parser.add_argument("--threads", type=COUNT, default=1)
     parser.add_argument("--outdir", default="survey_out")
     args = parser.parse_args()
+    if args.algorithm != "kparents" and args.k is not None:
+        parser.error(f"--k applies only to --algorithm kparents, not to {args.algorithm}")
 
+    cfg = LearnConfig(args.algorithm, k=(args.k or 4) if args.algorithm == "kparents" else None)
     d = load_csv(args.input)
     response = d.schema.index(args.response)
-    cfg = LearnConfig(args.algorithm, k=args.k if args.algorithm == "kparents" else None)
     plan = ResamplePlan(args.replicates, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
 

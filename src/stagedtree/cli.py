@@ -17,6 +17,8 @@ from . import aldag as aldag_mod
 from . import inference
 from .consensus import (
     ResamplePlan,
+    _check_vote_tallies,
+    _shared_draws,
     bootstrap_orders,
     consensus_order,
     context_labels_for_depth,
@@ -286,26 +288,30 @@ def _cmd_bootstrap(args) -> int:
     d = _load_dataset(args)
     flags = _order_flags(args, mode, d.schema)
     plan = ResamplePlan(args.replicates, args.seed)
+    if flags.mode != "fixed":
+        _check_vote_tallies(d.schema, flags.fixed_last)
     os.makedirs(args.outdir, exist_ok=True)
 
-    if flags.mode == "fixed":
-        order = flags.order
-    else:
-        votes = bootstrap_orders(d, plan, cfg, fixed_last=flags.fixed_last, threads=args.threads)
-        decision = consensus_order(votes, tie_seed=flags.tie_seed)
-        order = decision.order
-        if decision.cyclic:
-            print("warning: pairwise order votes are cyclic; Copeland order used", file=sys.stderr)
-        names = d.schema.names
-        _write_csv(
-            os.path.join(args.outdir, "votes.csv"),
-            ["variable"] + list(names),
-            ([name] + row.tolist() for name, row in zip(names, votes.frequencies)),
-        )
+    # The order votes and the stagings read one draw and tally of each replicate.
+    with _shared_draws(d, plan):
+        if flags.mode == "fixed":
+            order = flags.order
+        else:
+            votes = bootstrap_orders(d, plan, cfg, fixed_last=flags.fixed_last, threads=args.threads)
+            decision = consensus_order(votes, tie_seed=flags.tie_seed)
+            order = decision.order
+            if decision.cyclic:
+                print("warning: pairwise order votes are cyclic; Copeland order used", file=sys.stderr)
+            names = d.schema.names
+            _write_csv(
+                os.path.join(args.outdir, "votes.csv"),
+                ["variable"] + list(names),
+                ([name] + row.tolist() for name, row in zip(names, votes.frequencies)),
+            )
 
-    result = run_bootstrap_consensus(
-        d, order, plan, cfg, cut=args.cut, linkage=args.linkage, threads=args.threads
-    )
+        result = run_bootstrap_consensus(
+            d, order, plan, cfg, cut=args.cut, linkage=args.linkage, threads=args.threads
+        )
     with open(os.path.join(args.outdir, "consensus_model.json"), "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(result.averaged))
         fh.write("\n")

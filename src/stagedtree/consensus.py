@@ -1,7 +1,7 @@
 """Robust structure learning by bootstrap aggregation.
 
-Replicates are resampled and tallied (or ordered) in a parallel map with
-per-replicate seeds derived from the master seed; the stagings of all
+Replicates are resampled and tallied in a parallel map with per-replicate
+seeds derived from the master seed; the orderings and stagings of all
 replicates are then learned from those tallies in the calling process, and a
 single-threaded reduce tallies orderings, co-staging disagreement, and edge
 labels. All aggregate statistics are kept as integer counts internally so
@@ -11,8 +11,10 @@ invariants like "the two directions of an order vote sum to M" hold exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from .aldag import compress
 from .dataset import Dataset, ResamplePlan, _write_csv, bootstrap_replicate, cell_count
 from .errors import DataError, ModelError
-from .learning import LearnConfig, _dp_order, _stage_tables, _start_tables
+from .learning import LearnConfig, _dp_orders, _dp_variables, _stage_tables, _start_tables
 from .tree import (
     FitConfig,
     Ordering,
@@ -144,6 +146,41 @@ def _map_replicates(d: Dataset, plan: ResamplePlan, threads: int, task, *args) -
         return list(pool.map(_worker_replicate, jobs, chunksize=chunksize))
 
 
+# Set by _shared_draws: the dataset and plan whose replicates are drawn once,
+# then the counts of every variable of each replicate, once tallied.
+_shared = None
+
+
+@contextmanager
+def _shared_draws(d: Dataset, plan: ResamplePlan):
+    """Within this block, ``_replicate_counts`` of ``d`` and ``plan`` draws
+    and tallies each replicate once, on its first call, and every call reads
+    its counts from that tally, so the order votes and the stagings of one
+    command share their replicates."""
+    global _shared
+    _shared = [d, plan, None]
+    try:
+        yield
+    finally:
+        _shared = None
+
+
+def _replicate_counts(d: Dataset, plan: ResamplePlan, threads: int, columns) -> list[np.ndarray]:
+    """``Dataset.counts(columns)`` of every replicate of ``plan``, in replicate
+    order: from the replicate map, or within ``_shared_draws`` as the int64
+    sums and transposes of each replicate's counts of all variables, which
+    are bit-equal to a tally of their own."""
+    columns = tuple(columns)
+    if _shared is None or _shared[0] is not d or _shared[1] != plan:
+        return _map_replicates(d, plan, threads, Dataset.counts, columns)
+    every = tuple(range(len(d.schema)))
+    if _shared[2] is None:
+        _shared[2] = _map_replicates(d, plan, threads, Dataset.counts, every)
+    absent = tuple(v for v in every if v not in columns)
+    kept = sorted(columns)
+    return [joint.sum(axis=absent).transpose([kept.index(v) for v in columns]) for joint in _shared[2]]
+
+
 def bootstrap_orders(
     d: Dataset,
     plan: ResamplePlan,
@@ -152,9 +189,15 @@ def bootstrap_orders(
     threads: int = 1,
 ) -> OrderVoteMatrix:
     """Learn one optimal ordering per bootstrap replicate and tally pairwise
-    precedence frequencies."""
-    orders = _map_replicates(d, plan, threads, _dp_order, cfg, fixed_last)
-    return tally_orders(orders, len(d.schema))
+    precedence frequencies. The dynamic-programming guard is checked before
+    any replicate is drawn.
+
+    The replicate map only draws each replicate and tallies its counts of the
+    variables the DP arranges. The calling process scores the subset DPs of
+    all replicates together and runs each replicate's recursion."""
+    variables = _dp_variables(len(d.schema), fixed_last)
+    joints = _replicate_counts(d, plan, threads, variables)
+    return tally_orders(_dp_orders(joints, variables, d.n, cfg, fixed_last), len(d.schema))
 
 
 def consensus_order(votes: OrderVoteMatrix, tie_seed: int | None = None) -> ConsensusOrder:
@@ -214,6 +257,18 @@ class StagingEnsemble:
 def _check_tally(k: int, depth: int) -> None:
     """Refuse a k x k co-staging tally past MAX_CONTEXTS, naming its depth."""
     cell_count((k, k), f"cells in the co-staging tally of depth {depth} with {k} contexts")
+
+
+def _check_vote_tallies(schema, fixed_last: int | None) -> None:
+    """Refuse, before any replicate is drawn or order searched, order votes
+    whose consensus ordering could not pass the co-staging tally check, after
+    the checks of ``_dp_variables``. The deepest depth has the most contexts:
+    all variables but the last, which is ``fixed_last`` or, at best, the one
+    with the most levels."""
+    _dp_variables(len(schema), fixed_last)
+    levels = schema.level_counts
+    last = levels.index(max(levels)) if fixed_last is None else fixed_last
+    _check_tally(math.prod(levels) // levels[last], len(levels) - 1)
 
 
 def _disagreement(z: np.ndarray, depth: int) -> np.ndarray:
@@ -360,7 +415,7 @@ def run_bootstrap_consensus(
     order = validate_order(d.schema, order)
     for depth in range(len(order)):
         _check_tally(n_contexts(d.schema, order, depth), depth)
-    starts = [_start_tables(order, joint, cfg.k) for joint in _map_replicates(d, plan, threads, Dataset.counts, order)]
+    starts = [_start_tables(order, joint, cfg.k) for joint in _replicate_counts(d, plan, threads, order)]
     trees = [
         StagedTree(d.schema, order, tuple(staging for staging, _ in staged))
         for staged in _stage_tables(starts, d.n, cfg.smoothing)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import run_bootstrap_consensus
+from .consensus import _check_vote_tallies, _shared_draws, run_bootstrap_consensus
 from .dataset import Dataset, ResamplePlan, _write_csv, derived_seed, kfold_split
 from .errors import DataError, ModelError
 from .learning import order_search_dp
@@ -69,8 +69,9 @@ def run_cv(
     reused across folds, unless an explicit ``order`` is supplied or
     ``reorder_per_fold`` asks for a per-fold search. ``fixed_last`` and
     ``reorder_per_fold`` steer the search, so neither is taken with ``order``.
-    The fold count, the replicate count and the predictive smoothing are
-    checked before any search.
+    The fold count, the replicate count, the predictive smoothing and, for a
+    searched order, the co-staging tally of its deepest depth are checked
+    before any search.
     """
     algorithms = list(algorithms)
     if not algorithms:
@@ -82,6 +83,8 @@ def run_cv(
     if bootstrap_replicates < 1:
         raise DataError(f"bootstrap_replicates must be at least 1, got {bootstrap_replicates}")
     predictive_cfg = FitConfig(predictive_smoothing)
+    if order is None:
+        _check_vote_tallies(d.schema, fixed_last)
 
     full_orders = {}
     if order is not None:
@@ -95,30 +98,31 @@ def run_cv(
     records = []
     for fold_index, (train, test) in enumerate(splits):
         plan = ResamplePlan(bootstrap_replicates, derived_seed(seed, 1 + fold_index))
-        for cfg in algorithms:
-            started = time.perf_counter()
-            if reorder_per_fold:
-                fold_order, _ = order_search_dp(train, cfg, fixed_last=fixed_last)
-            else:
-                fold_order = full_orders[cfg.label()]
-            result = run_bootstrap_consensus(
-                train, fold_order, plan, cfg, cut=cut, linkage=linkage, threads=threads
-            )
-            model: StagedTree = result.averaged
-            train_score = bic(model, train)
-            predictive = fit(model, train, predictive_cfg)
-            test_score = log_likelihood(predictive, test)
-            elapsed = time.perf_counter() - started
-            records.append(
-                CvRecord(
-                    fold_index,
-                    cfg.label(),
-                    train_score,
-                    test_score,
-                    n_parameters(model),
-                    elapsed,
+        with _shared_draws(train, plan):  # one draw and tally for every algorithm
+            for cfg in algorithms:
+                started = time.perf_counter()
+                if reorder_per_fold:
+                    fold_order, _ = order_search_dp(train, cfg, fixed_last=fixed_last)
+                else:
+                    fold_order = full_orders[cfg.label()]
+                result = run_bootstrap_consensus(
+                    train, fold_order, plan, cfg, cut=cut, linkage=linkage, threads=threads
                 )
-            )
+                model: StagedTree = result.averaged
+                train_score = bic(model, train)
+                predictive = fit(model, train, predictive_cfg)
+                test_score = log_likelihood(predictive, test)
+                elapsed = time.perf_counter() - started
+                records.append(
+                    CvRecord(
+                        fold_index,
+                        cfg.label(),
+                        train_score,
+                        test_score,
+                        n_parameters(model),
+                        elapsed,
+                    )
+                )
     return CvReport(folds, tuple(records))
 
 

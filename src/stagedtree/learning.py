@@ -46,7 +46,9 @@ MERGE_BLOCK_CELLS = 1 << 16
 
 # Start tables of one shape merge in batches whose (B, k, k) delta table holds
 # at most this many cells (4 MB of floats), or one table; the MAX_CONTEXTS
-# guard bounds a single k x k table.
+# guard bounds a single k x k table. The subset DPs of many replicates are
+# scored in groups whose largest layer of start tables holds at most this
+# many count cells, or one replicate.
 MERGE_BATCH_CELLS = 1 << 19
 
 
@@ -427,54 +429,69 @@ def ordering_score(d: Dataset, order, cfg: LearnConfig, cache=None) -> float:
     return math.fsum(terms)
 
 
-def _score_subsets(d: Dataset, variables, cfg: LearnConfig, cache: dict) -> None:
+def _score_subsets(joints: list[np.ndarray], variables, n_rows: int, cfg: LearnConfig, caches: list[dict]) -> None:
     """Put ``variable_score`` of every variable of ``variables`` given every
-    subset of the others into ``cache``, from one tally of their joint counts.
+    subset of the others into the cache of each of ``joints``, the counts of
+    ``variables`` (ascending, one axis each) of datasets of ``n_rows`` rows.
 
-    A subset's counts are the joint's sums over the absent variables (int64,
-    so bit-equal to a tally of their own), made one layer of subsets at a
-    time from the layer above. The start tables of one predecessor-set size
-    are scored by ``_bhc_scores`` in ``_batched`` chunks.
+    The replicates are scored in groups on their stacked joints. A subset's
+    counts are the joint's sums over the absent variables (int64, so
+    bit-equal to a tally of their own), made one layer of subsets at a time
+    from the layer above, and the start tables of one layer of the group are
+    scored by ``_bhc_scores`` in one ``_batched`` call. A group holds as many
+    replicates as keep the start tables of its largest layer within
+    MERGE_BATCH_CELLS cells, or one.
     """
-    joint = tuple(sorted(int(v) for v in variables))
-    layer = {joint: d.counts(joint)}
-    for size in range(len(joint), 0, -1):
+    variables = tuple(variables)
+    # sums[s]: the cells of the joints of all s-variable subsets, each of
+    # which gives s start tables of that many cells.
+    sums = [1] + [0] * len(variables)
+    for size in joints[0].shape:
+        for s in range(len(variables), 0, -1):
+            sums[s] += sums[s - 1] * size
+    largest = max(s * cells for s, cells in enumerate(sums))
+    group = max(1, MERGE_BATCH_CELLS // max(largest, 1))
+    for first in range(0, len(joints), group):
+        _score_group(np.stack(joints[first:first + group]), variables, n_rows, cfg, caches[first:first + group])
+
+
+def _score_group(stack: np.ndarray, variables: tuple[int, ...], n_rows: int, cfg: LearnConfig, caches: list[dict]) -> None:
+    """``_score_subsets`` of the replicates stacked on the first axis of ``stack``."""
+    replicates = len(caches)
+    layer = {variables: stack}
+    for size in range(len(variables), 0, -1):
         keys, tables = [], []
         for subset, table in layer.items():
             for axis, var in enumerate(subset):
                 predecessors = subset[:axis] + subset[axis + 1:]
-                if (var, predecessors) in cache:
-                    continue
-                others = tuple(a for a in range(size) if a != axis)
                 keys.append((var, predecessors))
-                tables.append(_start_table(predecessors + (var,), size - 1, table.transpose(others + (axis,)), cfg.k)[1])
-        cache.update(zip(keys, _batched(tables, lambda stack: _bhc_scores(stack, d.n, cfg.smoothing))))
+                moved = np.moveaxis(table, axis + 1, -1)  # (replicate, predecessors..., var)
+                if cfg.k is not None and size - 1 > cfg.k:  # CMI parents, one replicate at a time
+                    tables += [_start_table(predecessors + (var,), size - 1, one, cfg.k)[1] for one in moved]
+                else:
+                    tables += list(moved.reshape(replicates, -1, moved.shape[-1]))
+        scores = _batched(tables, lambda chunk: _bhc_scores(chunk, n_rows, cfg.smoothing))
+        for at, cache in enumerate(caches):
+            cache.update(zip(keys, scores[at::replicates]))
         below: dict[tuple[int, ...], np.ndarray] = {}
         for subset, table in layer.items():
             for axis in range(size):
                 smaller = subset[:axis] + subset[axis + 1:]
                 if smaller not in below:
-                    below[smaller] = table.sum(axis=axis)
+                    below[smaller] = table.sum(axis=axis + 1)
         layer = below
 
 
-def _subset_dp(d: Dataset, variables: list[int], cfg: LearnConfig, cache: dict) -> Ordering:
+def _arrange(variables, cache: dict) -> Ordering:
     """Minimum-score arrangement of ``variables`` by dynamic programming over
-    their subsets, scored on the full data.
+    their subsets, reading every score from ``cache``.
 
     The per-variable score is order-invariant within a predecessor set, so the
     best arrangement of each subset extends optimal arrangements of its
     one-smaller subsets. Ties resolve to the lexicographically smallest
-    arrangement of the (sorted) variable list. Every score is computed
-    before the recursion (``_score_subsets``), which then reads ``cache``.
+    arrangement of the variable list.
     """
     m = len(variables)
-    if m > MAX_DP_VARIABLES:
-        raise ModelError(
-            f"{m} variables exceed the dynamic-programming guard ({MAX_DP_VARIABLES}); "
-            "use grouped order search instead"
-        )
-    _score_subsets(d, variables, cfg, cache)
     full = (1 << m) - 1
     # rem_terms[mask] holds the per-depth scores of the best arrangement of
     # the variables outside ``mask``; candidates are compared through
@@ -510,13 +527,36 @@ def _subset_dp(d: Dataset, variables: list[int], cfg: LearnConfig, cache: dict) 
     return tuple(order)
 
 
-def _dp_order(d: Dataset, cfg: LearnConfig, fixed_last: int | None = None, cache: dict | None = None) -> Ordering:
-    """The ordering of ``order_search_dp``, without its score."""
-    p = len(d.schema)
+def _subset_dp(d: Dataset, variables, cfg: LearnConfig, cache: dict) -> Ordering:
+    """``_arrange`` of ``variables`` on the full data, every score computed
+    first by ``_score_subsets`` from one tally of their joint counts."""
+    joint = tuple(sorted(int(v) for v in variables))
+    _score_subsets([d.counts(joint)], joint, d.n, cfg, [cache])
+    return _arrange(variables, cache)
+
+
+def _dp_variables(p: int, fixed_last: int | None) -> tuple[int, ...]:
+    """The variables the DP of ``order_search_dp`` arranges: all but
+    ``fixed_last``, at most MAX_DP_VARIABLES of them."""
     if fixed_last is not None and not 0 <= fixed_last < p:
         raise ModelError(f"fixed_last={fixed_last} out of range")
-    order = _subset_dp(d, [v for v in range(p) if v != fixed_last], cfg, {} if cache is None else cache)
-    return order if fixed_last is None else order + (fixed_last,)
+    variables = tuple(v for v in range(p) if v != fixed_last)
+    if len(variables) > MAX_DP_VARIABLES:
+        raise ModelError(
+            f"{len(variables)} variables exceed the dynamic-programming guard ({MAX_DP_VARIABLES}); "
+            "use grouped order search instead"
+        )
+    return variables
+
+
+def _dp_orders(joints: list[np.ndarray], variables: tuple[int, ...], n_rows: int, cfg: LearnConfig, fixed_last: int | None) -> list[Ordering]:
+    """The ordering of ``order_search_dp`` of each of ``joints``, the counts
+    of ``_dp_variables`` of datasets of ``n_rows`` rows; the scores of all
+    are computed together, then each recursion reads its own."""
+    caches = [{} for _ in joints]
+    _score_subsets(joints, variables, n_rows, cfg, caches)
+    pinned = () if fixed_last is None else (fixed_last,)
+    return [_arrange(variables, cache) + pinned for cache in caches]
 
 
 def order_search_dp(d: Dataset, cfg: LearnConfig, fixed_last: int | None = None) -> tuple[Ordering, float]:
@@ -527,7 +567,9 @@ def order_search_dp(d: Dataset, cfg: LearnConfig, fixed_last: int | None = None)
     the rest.
     """
     cache: dict = {}
-    order = _dp_order(d, cfg, fixed_last, cache)
+    order = _subset_dp(d, _dp_variables(len(d.schema), fixed_last), cfg, cache)
+    if fixed_last is not None:
+        order += (fixed_last,)
     return order, ordering_score(d, order, cfg, cache)
 
 

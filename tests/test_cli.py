@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 
 from stagedtree.cli import _build_parser, main
-from stagedtree import ResamplePlan, inference, tree_from_json, tree_to_json
+from stagedtree import (
+    LearnConfig,
+    ResamplePlan,
+    bootstrap_orders,
+    consensus,
+    consensus_order,
+    harness,
+    inference,
+    load_csv,
+    run_bootstrap_consensus,
+    tree_from_json,
+    tree_to_json,
+)
 
 from conftest import fail_replicate, reference_tree
 
@@ -337,6 +349,38 @@ class TestBootstrap:
         assert not (outdir / "votes.csv").exists()
         assert (outdir / "order.txt").read_text().strip() == "A,B,C"
 
+    @pytest.mark.parametrize(
+        "flags, cfg, fixed_last, order",
+        [
+            ([], LearnConfig(), None, None),
+            (["--fixed-last", "A"], LearnConfig(), 0, None),
+            (["--algorithm", "kparents", "--k", "1"], LearnConfig("kparents", k=1), None, None),
+            (["--order", "fixed", "--order-spec", "B,A,C"], LearnConfig(), None, (1, 0, 2)),
+        ],
+        ids=["unpinned", "pinned", "kparents", "fixed"],
+    )
+    def test_each_replicate_drawn_once(self, toy_csv, tmp_path, monkeypatch, flags, cfg, fixed_last, order):
+        # The order votes and the stagings read one draw and tally of each
+        # replicate, and write what the public functions give when each
+        # draws its own.
+        plan = ResamplePlan(5, seed=2)
+        drawn = []
+        real = consensus.bootstrap_replicate
+        monkeypatch.setattr(consensus, "bootstrap_replicate", lambda d, seed: drawn.append(seed) or real(d, seed))
+        outdir = tmp_path / "boot"
+        assert main(["bootstrap", "--input", toy_csv, "--replicates", "5", "--seed", "2", *flags, "--outdir", str(outdir)]) == 0
+        assert drawn == [plan.replicate_seed(i) for i in range(plan.replicates)]
+
+        d = load_csv(toy_csv)
+        if order is None:
+            votes = bootstrap_orders(d, plan, cfg, fixed_last=fixed_last)
+            order = consensus_order(votes).order
+            with open(outdir / "votes.csv") as fh:
+                rows = list(csv.reader(fh))
+            assert [[float(v) for v in row[1:]] for row in rows[1:]] == votes.frequencies.tolist()
+        result = run_bootstrap_consensus(d, order, plan, cfg)
+        assert (outdir / "consensus_model.json").read_text() == tree_to_json(result.averaged) + "\n"
+
     def test_reruns_byte_identical(self, toy_csv, tmp_path):
         dirs = []
         for name in ("b1", "b2"):
@@ -348,6 +392,62 @@ class TestBootstrap:
             dirs.append(outdir)
         for fname in ("consensus_model.json", "edge_strength.csv", "dissimilarity_depth_1.csv"):
             assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+
+@pytest.fixture
+def many_levels_csv(tmp_path):
+    """Columns A and B of 50 levels, X and Y of 2."""
+    rng = np.random.default_rng(3)
+    path = tmp_path / "many.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["A", "B", "X", "Y"])
+        for i in range(200):
+            writer.writerow([f"a{i % 50}", f"b{i * 7 % 50}", *(f"v{v}" for v in rng.integers(0, 2, 2))])
+    return str(path)
+
+
+class TestCoStagingGuardBeforeAnyDraw:
+    """Columns of 50, 50, 2 and 2 levels with Y pinned last leave 5000
+    contexts at the deepest depth, whatever the votes decide; the command
+    refuses before it draws a replicate, searches an order or writes a file."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before the guard")
+
+        monkeypatch.setattr(consensus, "bootstrap_replicate", refuse)
+        monkeypatch.setattr(harness, "order_search_dp", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bootstrap", "--fixed-last", "Y", "--replicates", "20"],
+            ["cv", "--fixed-last", "Y", "--folds", "2", "--replicates", "2"],
+            ["cv", "--fixed-last", "Y", "--folds", "2", "--replicates", "2", "--reorder-per-fold"],
+        ],
+    )
+    def test_pinned_last(self, many_levels_csv, tmp_path, capsys, argv):
+        outdir = tmp_path / "out"
+        assert main([*argv, "--input", many_levels_csv, "--outdir", str(outdir)]) == 2
+        assert "co-staging tally of depth 3 with 5000 contexts" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_unpinned_best_case(self, tmp_path, capsys):
+        # Three 50-level columns and one of 2: even with a 50-level column
+        # last, the deepest depth has 50 x 50 x 2 contexts.
+        path = tmp_path / "wider.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["A", "B", "C", "Y"])
+            for i in range(100):
+                writer.writerow([f"a{i % 50}", f"b{i * 7 % 50}", f"c{i * 3 % 50}", f"y{i % 2}"])
+        for command in (["bootstrap"], ["cv", "--folds", "2"]):
+            outdir = tmp_path / command[0]
+            assert main([*command, "--input", str(path), "--replicates", "2", "--outdir", str(outdir)]) == 2
+            assert "co-staging tally of depth 3 with 5000 contexts" in capsys.readouterr().err
+            assert not outdir.exists()
 
 
 class TestCv:

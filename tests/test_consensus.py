@@ -332,12 +332,18 @@ class TestBootstrapPipeline:
     def test_orders_are_not_scored(self, monkeypatch):
         # The vote needs each replicate's ordering only, so no ordering is
         # scored and the pinned variable is never scored given the rest.
+        # The replicate map draws each replicate and tallies the variables
+        # the DP arranges once; the caller scores every DP.
         d = chain_data(np.random.default_rng(19), n=200, p=4)
         plan = ResamplePlan(4, seed=3)
         orders = [
             order_search_dp(bootstrap_replicate(d, plan.replicate_seed(i)), LearnConfig(), fixed_last=3)[0]
             for i in range(plan.replicates)
         ]
+        drawn, tallied = [], []
+        real_draw, real_counts = consensus.bootstrap_replicate, Dataset.counts
+        monkeypatch.setattr(consensus, "bootstrap_replicate", lambda data, seed: drawn.append(seed) or real_draw(data, seed))
+        monkeypatch.setattr(Dataset, "counts", lambda self, cols: tallied.append(tuple(cols)) or real_counts(self, cols))
 
         def refuse(*args, **kwargs):
             raise AssertionError("bootstrap_orders scored an ordering")
@@ -346,6 +352,21 @@ class TestBootstrapPipeline:
         monkeypatch.setattr(learning, "variable_score", refuse)
         votes = bootstrap_orders(d, plan, LearnConfig(), fixed_last=3)
         assert np.array_equal(votes.counts, tally_orders(orders, 4).counts)
+        assert drawn == [plan.replicate_seed(i) for i in range(plan.replicates)]
+        assert tallied == [(0, 1, 2)] * plan.replicates
+
+    @pytest.mark.parametrize("fixed_last", [None, 3, 4])
+    def test_dp_guard_refused_before_any_replicate(self, monkeypatch, fixed_last):
+        d = chain_data(np.random.default_rng(20), n=100, p=4)
+
+        def resample(data, seed):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(consensus, "bootstrap_replicate", resample)
+        monkeypatch.setattr(learning, "MAX_DP_VARIABLES", 2)
+        message = "out of range" if fixed_last == 4 else "dynamic-programming guard"
+        with pytest.raises(ModelError, match=message):
+            bootstrap_orders(d, ResamplePlan(3, seed=1), LearnConfig(), fixed_last=fixed_last)
 
     def test_duplication_invariance_end_to_end(self):
         rng = np.random.default_rng(10)

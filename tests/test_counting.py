@@ -11,8 +11,10 @@ from stagedtree import (
     Dataset,
     LearnConfig,
     ModelError,
+    ResamplePlan,
     Schema,
     Variable,
+    bootstrap_replicate,
     cmi,
     dataset,
     kparents_learn,
@@ -25,6 +27,7 @@ from stagedtree import (
 )
 from stagedtree.learning import (
     _bhc_scores,
+    _dp_orders,
     _greedy_parents,
     _merge_lockstep,
     _score_subsets,
@@ -457,9 +460,20 @@ class TestStartTablesFromOneTally:
             assert [call[:3] for call in calls] == [(order, depth, k) for depth in range(p)]
             assert all(call[3] is start for call, start in zip(calls, starts))
             self.assert_dataset_path(d, calls)
+            # The DP builds its start tables by stacked axis sums and hands
+            # them to _batched one layer at a time, in the order its cache
+            # takes their keys; only the CMI projections go through
+            # _start_table.
             calls.clear()
-            _score_subsets(d, list(range(p)), cfg, {})
-            assert len(calls) == p * 2 ** (p - 1)
+            tables, cache = [], {}
+            real_batched = learning._batched
+            monkeypatch.setattr(learning, "_batched", lambda t, merge: tables.extend(t) or real_batched(t, merge))
+            _score_subsets([d.counts(tuple(range(p)))], tuple(range(p)), d.n, cfg, [cache])
+            assert len(tables) == len(cache) == p * 2 ** (p - 1)
+            for (var, predecessors), table in zip(cache, tables):
+                _, want, _ = dataset_start_table(d, predecessors + (var,), len(predecessors), k, [])
+                assert table.dtype == want.dtype and np.array_equal(table, want)
+            assert len(calls) == p * sum(math.comb(p - 1, depth) for depth in range(k + 1, p))
             self.assert_dataset_path(d, calls)
             calls.clear()
             variable_score(d, var, predecessors, cfg)
@@ -570,6 +584,73 @@ class TestBatchedSubsetDp:
         monkeypatch.setattr(dataset, "MAX_CONTEXTS", 60)
         with pytest.raises(ModelError, match="8 stages"):
             _subset_dp(d, [0, 1, 2, 3], LearnConfig(), {})
+
+
+class TestReplicatesScoredTogether:
+    """The subset DPs of M replicates scored together, each layer of a group
+    of replicates in one batched merge, against each replicate's per-pair DP:
+    the same cache bits and orderings, whatever the batch cap."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 5),
+        n=st.integers(1, 80),
+        replicates=st.integers(1, 4),
+        k=st.integers(1, 2),
+        smoothing=st.sampled_from([0.0, 0.5]),
+        pinned=st.booleans(),
+        cap=st.sampled_from([None, 16, 256]),
+    )
+    def test_cache_bits_and_orders_equal_replicates_alone(self, seed, p, n, replicates, k, smoothing, pinned, cap):
+        d = random_dataset(np.random.default_rng(seed), p=p, n=n, max_levels=4)
+        fixed_last = p - 1 if pinned else None
+        variables = tuple(v for v in range(p) if v != fixed_last)
+        plan = ResamplePlan(replicates, seed)
+        samples = [bootstrap_replicate(d, plan.replicate_seed(i)) for i in range(replicates)]
+        joints = [sample.counts(variables) for sample in samples]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if cap is not None:
+                monkeypatch.setattr(learning, "MERGE_BATCH_CELLS", cap)
+            for cfg in learn_configs(k, smoothing):
+                caches = [{} for _ in samples]
+                _score_subsets(joints, variables, d.n, cfg, caches)
+                orders = _dp_orders(joints, variables, d.n, cfg, fixed_last)
+                for sample, order, cache in zip(samples, orders, caches):
+                    want = {}
+                    alone = reference_subset_dp(sample, list(variables), cfg, want)
+                    assert order == alone + (() if fixed_last is None else (fixed_last,))
+                    assert all(type(value) is float for value in cache.values())
+                    assert cache_bits(cache) == cache_bits(want)
+
+    def test_groups_and_chunks_split_under_a_small_cap(self, monkeypatch):
+        # Three binary variables: the 2- and 3-variable layers give 24
+        # start-table cells a replicate, so a cap of 64 scores 5 replicates
+        # in groups of 2, 2 and 1, and the 4-context tables of the top layer
+        # merge at most 4 at a time.
+        schema = Schema(tuple(Variable(f"X{j}", ("a", "b")) for j in range(3)))
+        d = Dataset(schema, np.random.default_rng(24).integers(0, 2, size=(120, 3)))
+        plan = ResamplePlan(5, seed=3)
+        samples = [bootstrap_replicate(d, plan.replicate_seed(i)) for i in range(5)]
+        alone = []
+        for sample in samples:
+            alone.append({})
+            _subset_dp(sample, [0, 1, 2], LearnConfig(), alone[-1])
+        joints = [sample.counts((0, 1, 2)) for sample in samples]
+        groups, shapes = [], []
+        real_group, real_scores = learning._score_group, learning._bhc_scores
+        monkeypatch.setattr(learning, "_score_group", lambda stack, *args: groups.append(len(stack)) or real_group(stack, *args))
+        monkeypatch.setattr(learning, "_bhc_scores", lambda c, n, s: shapes.append(c.shape) or real_scores(c, n, s))
+        for cap, sizes in ((learning.MERGE_BATCH_CELLS, [5]), (64, [2, 2, 1])):
+            groups.clear()
+            shapes.clear()
+            monkeypatch.setattr(learning, "MERGE_BATCH_CELLS", cap)
+            caches = [{} for _ in samples]
+            _score_subsets(joints, (0, 1, 2), d.n, LearnConfig(), caches)
+            assert groups == sizes
+            assert all(b * k * k <= cap for b, k, _ in shapes) and max(b for b, _, _ in shapes) > 1
+            assert sum(b for b, _, _ in shapes) == 5 * 12
+            assert [cache_bits(cache) for cache in caches] == [cache_bits(cache) for cache in alone]
 
 
 class TestGroupedAgainstColumnCopies:

@@ -14,7 +14,7 @@ from stagedtree import (
     run_cv,
 )
 from stagedtree.dataset import derived_seed, kfold_indices
-from stagedtree import harness
+from stagedtree import consensus, harness
 from stagedtree.harness import CvRecord, CvReport, report_export, summarize
 
 
@@ -47,6 +47,21 @@ class TestRunCv:
         a = run_cv(d, [LearnConfig(), LearnConfig("kparents", k=1)], **args)
         b = run_cv(d, [LearnConfig(), LearnConfig("kparents", k=1)], **args)
         assert [strip_time(r) for r in a.records] == [strip_time(r) for r in b.records]
+
+    @pytest.mark.parametrize("order", [None, (2, 0, 1)])
+    def test_each_fold_replicate_drawn_once(self, monkeypatch, order):
+        # The algorithms of a fold share one draw and tally of each
+        # replicate, and score what they score on draws of their own.
+        d = toy_data(np.random.default_rng(4), n=80)
+        algorithms = [LearnConfig(), LearnConfig("kparents", k=1)]
+        args = dict(folds=2, bootstrap_replicates=3, seed=6, order=order)
+        alone = [strip_time(r) for cfg in algorithms for r in run_cv(d, [cfg], **args).records]
+        drawn = []
+        real = consensus.bootstrap_replicate
+        monkeypatch.setattr(consensus, "bootstrap_replicate", lambda data, seed: drawn.append(seed) or real(data, seed))
+        together = run_cv(d, algorithms, **args)
+        assert len(drawn) == len(set(drawn)) == 2 * 3
+        assert sorted(strip_time(r) for r in together.records) == sorted(alone)
 
     def test_test_rows_never_influence_training(self):
         rng = np.random.default_rng(2)
