@@ -19,17 +19,20 @@ pattern the staging imposes between the child's conditional distributions:
   context-specific, symmetric.
 
 ``compress`` labels every edge of a depth in one vectorised pass over that
-depth's stage grid.
+depth's stage grid; the bootstrap consensus labels the grids of a depth of
+all its replicates in one such pass.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import learning
 from .errors import ModelError
 from .tree import StagedTree, context_shape
 
@@ -89,32 +92,44 @@ class Aldag:
         return tuple(sorted(pars, key=lambda v: position[v]))
 
 
-def _label_axes(grid: np.ndarray) -> list[tuple[str, tuple[str, ...]]]:
-    """``(label, detected)`` for every axis of a stage grid, in one pass.
+def _label_axes(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which axes of each of R stage grids the stage varies with, and the
+    blocks each axis shows, in one pass. ``grids`` stacks the grids on a
+    leading replicate axis, which neither links configurations nor gets a
+    label. Returns ``kept``, (R, axes), and ``seen``, (R, axes, 3): whether
+    the axis shows a full block, a proper block and the local pattern.
 
     Each axis is sorted within every configuration of the other axes once.
     A sorted row whose first and last values agree is a full block
     (context-specific); adjacent equal values in any other row form a proper
-    block (partial). The same sorted rows link the same-stage configurations
-    that differ in that one coordinate; the components of those links over
-    all axes decide ``local``: an axis is local iff some stage's members lie
-    in two or more components and take two or more values on that axis (a
-    cross-component pair that differs on the axis exists iff they do).
+    block (partial). An axis is kept unless every row along it is full. The
+    same sorted rows link the same-stage configurations that differ in that
+    one coordinate; the components of those links over all axes decide
+    ``local``: an axis is local iff some stage's members lie in two or more
+    components and take two or more values on that axis (a cross-component
+    pair that differs on the axis exists iff they do).
+
+    A removable axis only repeats the rows of the other axes and links each
+    copy of a configuration to the next, so every full or proper block and
+    every component maps one to one onto the grid restricted to the kept
+    axes: the kept axes of a whole grid get the labels of its reduced grid.
     """
-    size = grid.size
-    flat_index = np.arange(size).reshape(grid.shape)
-    sources, targets, blocks = [], [], []
-    for axis in range(grid.ndim):
-        values = np.moveaxis(grid, axis, -1).reshape(-1, grid.shape[axis])
-        indices = np.moveaxis(flat_index, axis, -1).reshape(-1, grid.shape[axis])
-        order = np.argsort(values, axis=1)
-        values = np.take_along_axis(values, order, axis=1)
-        indices = np.take_along_axis(indices, order, axis=1)
-        same = values[:, 1:] == values[:, :-1]
-        sources.append(indices[:, :-1][same])
-        targets.append(indices[:, 1:][same])
-        full = values[:, 0] == values[:, -1]
-        blocks.append((bool(full.any()), bool((same.any(axis=1) & ~full).any())))
+    replicates, shape = grids.shape[0], grids.shape[1:]
+    cells = math.prod(shape)
+    flat_index = np.arange(grids.size).reshape(grids.shape)
+    sources, targets, kept, blocks = [], [], [], []
+    for axis in range(1, grids.ndim):
+        values = np.moveaxis(grids, axis, -1).reshape(replicates, -1, grids.shape[axis])
+        indices = np.moveaxis(flat_index, axis, -1).reshape(replicates, -1, grids.shape[axis])
+        order = np.argsort(values, axis=-1)
+        values = np.take_along_axis(values, order, axis=-1)
+        indices = np.take_along_axis(indices, order, axis=-1)
+        same = values[..., 1:] == values[..., :-1]
+        sources.append(indices[..., :-1][same])
+        targets.append(indices[..., 1:][same])
+        full = values[..., 0] == values[..., -1]
+        kept.append(~full.all(axis=1))
+        blocks += [full.any(axis=1), (same.any(axis=-1) & ~full).any(axis=1)]
 
     # Components by min-label propagation: every configuration starts with
     # its own index, each link lowers both ends to the smaller label, and
@@ -122,28 +137,48 @@ def _label_axes(grid: np.ndarray) -> list[tuple[str, tuple[str, ...]]]:
     # a member of the same component, so once every link agrees, the labels
     # are the components.
     sources, targets = np.concatenate(sources), np.concatenate(targets)
-    comp = np.arange(size)
+    comp = np.arange(grids.size)
     while not np.array_equal(comp[sources], comp[targets]):
         low = np.minimum(comp[sources], comp[targets])
         np.minimum.at(comp, sources, low)
         np.minimum.at(comp, targets, low)
         comp = comp[comp]
-    # Per stage: does it span two or more components (column 0), and two or
-    # more values of each axis (the other columns)?
-    by_stage = np.argsort(grid, axis=None)
-    stage = grid.reshape(-1)[by_stage]
+    # Per stage of each replicate: does it span two or more components
+    # (column 0), and two or more values of each axis (the other columns)?
+    width = int(grids.max()) + 1
+    key = (grids.reshape(replicates, cells) + width * np.arange(replicates)[:, None]).reshape(-1)
+    by_stage = np.argsort(key)
+    stage = key[by_stage]
     starts = np.flatnonzero(np.r_[True, stage[1:] != stage[:-1]])
-    coords = np.vstack([comp, np.indices(grid.shape).reshape(grid.ndim, -1)]).T[by_stage]
+    coords = np.vstack([comp, np.tile(np.indices(shape).reshape(len(shape), -1), replicates)]).T[by_stage]
     spread = np.minimum.reduceat(coords, starts) != np.maximum.reduceat(coords, starts)
-    local = (spread[:, 1:] & spread[:, :1]).any(axis=0)
+    owner = stage[starts] // width
+    local = np.logical_or.reduceat(spread[:, 1:] & spread[:, :1], np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]]))
+    seen = np.stack([np.column_stack(blocks[0::2]), np.column_stack(blocks[1::2]), local], axis=-1)
+    return np.column_stack(kept), seen
 
-    # The kinds are listed in rising precedence; an edge carries the last.
-    out = []
-    for (has_full, has_proper), has_local in zip(blocks, local):
-        kinds = zip((CONTEXT_SPECIFIC, PARTIAL, LOCAL), (has_full, has_proper, has_local))
-        detected = tuple(kind for kind, seen in kinds if seen)
-        out.append((detected[-1] if detected else SYMMETRIC, detected))
-    return out
+
+def _edge_labels(stage_of: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
+    """``_label_axes`` of the depth of context shape ``shape`` of M
+    replicates, ``stage_of`` holding each replicate's stage ids, (M,
+    contexts). The replicates are labelled in chunks whose grids hold at
+    most MERGE_BATCH_CELLS cells times the depth, or one replicate."""
+    size = max(1, learning.MERGE_BATCH_CELLS // (stage_of.shape[1] * len(shape)))
+    parts = [_label_axes(stage_of[at:at + size].reshape(-1, *shape)) for at in range(0, len(stage_of), size)]
+    return np.concatenate([kept for kept, _ in parts]), np.concatenate([seen for _, seen in parts])
+
+
+def _label_kinds(seen: np.ndarray) -> np.ndarray:
+    """The index in LABELS of each axis's label, from ``_label_axes``'s
+    ``seen`` (..., 3): LABELS lists the kinds in rising precedence, and an
+    edge carries the last it shows."""
+    return (seen * np.arange(1, 4)).max(axis=-1)
+
+
+def _edge_label(seen) -> tuple[str, tuple[str, ...]]:
+    """``(label, detected)`` of one axis from its row of ``seen``."""
+    detected = tuple(kind for kind, shown in zip(LABELS[1:], seen.tolist()) if shown)
+    return LABELS[int(_label_kinds(seen))], detected
 
 
 def _reduced_grid(tree: StagedTree, depth: int) -> tuple[np.ndarray, list[int]]:
@@ -163,13 +198,14 @@ def _reduced_grid(tree: StagedTree, depth: int) -> tuple[np.ndarray, list[int]]:
 
 
 def compress(tree: StagedTree) -> Aldag:
-    """Minimal labeled DAG representation of the tree's staging."""
+    """Minimal labeled DAG representation of the tree's staging: the
+    labels of ``_edge_labels`` of a batch of one."""
     edges: list[AldagEdge] = []
     for depth in range(1, tree.p):
-        reduced, kept = _reduced_grid(tree, depth)
-        if kept:
-            for pred_pos, (label, detected) in zip(kept, _label_axes(reduced)):
-                edges.append(AldagEdge(tree.order[pred_pos], tree.order[depth], label, detected))
+        stage_of = tree.stagings[depth].stage_of[None]
+        kept, seen = _edge_labels(stage_of, context_shape(tree.schema, tree.order, depth))
+        for pred_pos in np.flatnonzero(kept[0]).tolist():
+            edges.append(AldagEdge(tree.order[pred_pos], tree.order[depth], *_edge_label(seen[0, pred_pos])))
     return Aldag(tree.schema, tree.order, tuple(edges))
 
 

@@ -16,11 +16,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .aldag import compress
-from .dataset import Dataset, ResamplePlan, _write_csv, bootstrap_replicate, cell_count
+from .aldag import LABELS, _edge_labels, _label_kinds
+from .dataset import Dataset, ResamplePlan, _bootstrap_rows, _write_csv, cell_count
 from .errors import DataError, ModelError
 from .learning import LearnConfig, _dp_orders, _dp_variables, _stage_tables, _start_tables
 from .tree import (
@@ -30,6 +31,7 @@ from .tree import (
     StagedTree,
     canonical_stage_assignment,
     context_label,
+    context_shape,
     context_tuples,
     fit,
     n_contexts,
@@ -111,17 +113,22 @@ def tally_orders(orders, p: int) -> OrderVoteMatrix:
     return OrderVoteMatrix(counts, n)
 
 
-def _replicate(d: Dataset, task, args, index: int, seed: int):
-    """``task`` on bootstrap replicate ``index``; a failure keeps its type and
-    is noted with the replicate index and seed that reproduce it."""
-    try:
-        return task(bootstrap_replicate(d, seed), *args)
-    except Exception as exc:
-        exc.add_note(f"in bootstrap replicate {index} (seed {seed})")
-        raise
+def _draws(n: int, jobs) -> np.ndarray:
+    """The row indices of bootstrap replicate i of an n-row dataset, drawn
+    from its seed, for every (i, seed) of ``jobs``, stacked; a failure keeps
+    its type and is noted with the replicate index and seed that reproduce
+    it."""
+    draws = np.empty((len(jobs), n), dtype=np.int64)
+    for at, (index, seed) in enumerate(jobs):
+        try:
+            draws[at] = _bootstrap_rows(n, seed)
+        except Exception as exc:
+            exc.add_note(f"in bootstrap replicate {index} (seed {seed})")
+            raise
+    return draws
 
 
-# Set in each worker process by _start_worker: the dataset and task of the map.
+# Set in each worker process by _start_worker: the dataset and columns of the map.
 _worker_setup = None
 
 
@@ -130,20 +137,25 @@ def _start_worker(*setup) -> None:
     _worker_setup = setup
 
 
-def _worker_replicate(job):
-    return _replicate(*_worker_setup, *job)
+def _worker_tally(jobs) -> np.ndarray:
+    d, columns = _worker_setup
+    return d.counts(columns, _draws(d.n, jobs))
 
 
-def _map_replicates(d: Dataset, plan: ResamplePlan, threads: int, task, *args) -> list:
-    """``task(bootstrap_replicate(d, seed_i), *args)`` for every replicate i of
-    ``plan``, in replicate order. With ``threads > 1`` the replicates run in a
-    process pool whose workers receive ``d`` and the task once, at start-up."""
+def _map_replicates(d: Dataset, plan: ResamplePlan, threads: int, columns) -> np.ndarray:
+    """``Dataset.counts(columns)`` of every bootstrap replicate of ``plan``,
+    stacked in replicate order, (M, levels...): each replicate's row indices
+    are drawn from its seed and tallied through one ``Dataset.counts`` call,
+    so no replicate is copied. With ``threads > 1`` contiguous blocks of
+    replicates are drawn and tallied in a process pool whose workers receive
+    ``d`` and the columns once, at start-up."""
     jobs = [(i, plan.replicate_seed(i)) for i in range(plan.replicates)]
     if threads <= 1:
-        return [_replicate(d, task, args, *job) for job in jobs]
-    chunksize = max(1, len(jobs) // (4 * threads))  # about 4 chunks a worker, for balance
-    with ProcessPoolExecutor(threads, initializer=_start_worker, initargs=(d, task, args)) as pool:
-        return list(pool.map(_worker_replicate, jobs, chunksize=chunksize))
+        return d.counts(columns, _draws(d.n, jobs))
+    size = -(-len(jobs) // (4 * threads))  # about 4 blocks a worker, for balance
+    blocks = [jobs[start:start + size] for start in range(0, len(jobs), size)]
+    with ProcessPoolExecutor(threads, initializer=_start_worker, initargs=(d, columns)) as pool:
+        return np.concatenate(list(pool.map(_worker_tally, blocks)))
 
 
 # Set by _shared_draws: the dataset and plan whose replicates are drawn once,
@@ -165,20 +177,20 @@ def _shared_draws(d: Dataset, plan: ResamplePlan):
         _shared = None
 
 
-def _replicate_counts(d: Dataset, plan: ResamplePlan, threads: int, columns) -> list[np.ndarray]:
-    """``Dataset.counts(columns)`` of every replicate of ``plan``, in replicate
-    order: from the replicate map, or within ``_shared_draws`` as the int64
-    sums and transposes of each replicate's counts of all variables, which
-    are bit-equal to a tally of their own."""
+def _replicate_counts(d: Dataset, plan: ResamplePlan, threads: int, columns) -> np.ndarray:
+    """``Dataset.counts(columns)`` of every replicate of ``plan``, stacked in
+    replicate order: from the replicate map, or within ``_shared_draws`` as
+    the int64 sums and transposes of the replicates' counts of all
+    variables, which are bit-equal to a tally of their own."""
     columns = tuple(columns)
     if _shared is None or _shared[0] is not d or _shared[1] != plan:
-        return _map_replicates(d, plan, threads, Dataset.counts, columns)
+        return _map_replicates(d, plan, threads, columns)
     every = tuple(range(len(d.schema)))
     if _shared[2] is None:
-        _shared[2] = _map_replicates(d, plan, threads, Dataset.counts, every)
-    absent = tuple(v for v in every if v not in columns)
+        _shared[2] = _map_replicates(d, plan, threads, every)
+    absent = tuple(v + 1 for v in every if v not in columns)
     kept = sorted(columns)
-    return [joint.sum(axis=absent).transpose([kept.index(v) for v in columns]) for joint in _shared[2]]
+    return _shared[2].sum(axis=absent).transpose([0] + [kept.index(v) + 1 for v in columns])
 
 
 def bootstrap_orders(
@@ -284,6 +296,15 @@ def _disagreement(z: np.ndarray, depth: int) -> np.ndarray:
     return apart / m
 
 
+def _check_stage_ids(z: np.ndarray, depth: int) -> None:
+    """Refuse a replicate (column of ``z``) whose stage ids at ``depth`` are
+    not contiguous from 0, as a StageAssignment's must be."""
+    ids = np.sort(z, axis=0)
+    bad = (ids[0] != 0) | (np.diff(ids, axis=0) > 1).any(axis=0)
+    if bad.any():
+        raise ModelError(f"stage ids of replicate {int(bad.argmax())} at depth {depth} must be contiguous from 0")
+
+
 def ensemble_from_stagings(order, replicate_stagings) -> StagingEnsemble:
     """Assemble the per-depth stage-id matrices from replicate stagings.
 
@@ -301,6 +322,7 @@ def ensemble_from_stagings(order, replicate_stagings) -> StagingEnsemble:
             stage_of = rep[depth].stage_of if isinstance(rep[depth], StageAssignment) else rep[depth]
             cols.append(np.asarray(stage_of, dtype=np.int64))
         z.append(np.column_stack(cols))
+        _check_stage_ids(z[-1], depth)
     dissimilarity = tuple(_disagreement(mat, depth) for depth, mat in enumerate(z))
     return StagingEnsemble(tuple(order), tuple(z), dissimilarity)
 
@@ -320,7 +342,7 @@ def consensus_staging(
     """
     d_matrix = np.asarray(d_matrix, dtype=float)
     k = d_matrix.shape[0]
-    if d_matrix.shape != (k, k) or not np.allclose(d_matrix, d_matrix.T, atol=0):
+    if d_matrix.shape != (k, k) or not np.array_equal(d_matrix, d_matrix.T):
         raise ModelError("dissimilarity matrix must be square and symmetric")
     if np.diag(d_matrix).any():
         raise ModelError("dissimilarity matrix must have a zero diagonal")
@@ -362,35 +384,37 @@ class EdgeStrengthRow:
         return self.label_counts.get(label, 0) / self.replicates
 
 
-def _edge_table_from_lists(edge_lists, names) -> tuple[EdgeStrengthRow, ...]:
-    m = len(edge_lists)
-    present: dict[tuple[int, int], int] = {}
-    labels: dict[tuple[int, int], dict[str, int]] = {}
-    for edges in edge_lists:
-        for parent, child, label in edges:
-            key = (parent, child)
-            present[key] = present.get(key, 0) + 1
-            slot = labels.setdefault(key, {})
-            slot[label] = slot.get(label, 0) + 1
-    rows = []
-    for key in sorted(present):
-        parent, child = key
-        rows.append(
-            EdgeStrengthRow(
-                names[parent], names[child], m, present[key], dict(sorted(labels[key].items()))
-            )
-        )
-    return tuple(rows)
+def _edge_table(schema, ensemble: StagingEnsemble) -> tuple[EdgeStrengthRow, ...]:
+    """The edges of every replicate's ALDAG, counted with their labels: the
+    stage grids of one depth of all replicates are labelled together."""
+    order, m = ensemble.order, ensemble.replicates
+    rows = {}
+    for depth in range(1, len(order)):
+        kept, seen = _edge_labels(ensemble.z[depth].T, context_shape(schema, order, depth))
+        kinds = _label_kinds(seen)
+        for axis in np.flatnonzero(kept.any(axis=0)).tolist():
+            tally = np.bincount(kinds[kept[:, axis], axis], minlength=len(LABELS))
+            labels = {LABELS[kind]: int(count) for kind, count in enumerate(tally.tolist()) if count}
+            rows[order[axis], order[depth]] = (int(tally.sum()), dict(sorted(labels.items())))
+    names = schema.names
+    return tuple(
+        EdgeStrengthRow(names[parent], names[child], m, present, labels)
+        for (parent, child), (present, labels) in sorted(rows.items())
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class ConsensusResult:
-    """Everything the bootstrap pipeline produces for one dataset."""
+    """Everything the bootstrap pipeline produces for one dataset. The edge
+    table is built from the ensemble's stage ids when first read."""
 
     averaged: StagedTree
     stagings: tuple[StageAssignment, ...]
     ensemble: StagingEnsemble
-    edge_table: tuple[EdgeStrengthRow, ...]
+
+    @cached_property
+    def edge_table(self) -> tuple[EdgeStrengthRow, ...]:
+        return _edge_table(self.averaged.schema, self.ensemble)
 
 
 def run_bootstrap_consensus(
@@ -408,27 +432,23 @@ def run_bootstrap_consensus(
     rejected before any replicate is drawn.
 
     The replicate map only draws each replicate and tallies its counts of
-    ``order``. The calling process builds the start tables from the tallies,
-    merges those of one depth of every replicate together, and compresses
-    each replicate's unfitted tree for the edge table."""
+    ``order``. The calling process builds the start tables of a depth of all
+    replicates from the stacked tallies and merges them together; their
+    stage ids go straight into the ensemble. The edge table labels each
+    depth of all replicates together, when it is first read."""
     _check_cut(cut)
     order = validate_order(d.schema, order)
     for depth in range(len(order)):
         _check_tally(n_contexts(d.schema, order, depth), depth)
-    starts = [_start_tables(order, joint, cfg.k) for joint in _replicate_counts(d, plan, threads, order)]
-    trees = [
-        StagedTree(d.schema, order, tuple(staging for staging, _ in staged))
-        for staged in _stage_tables(starts, d.n, cfg.smoothing)
-    ]
-    ensemble = ensemble_from_stagings(order, [tree.stagings for tree in trees])
+    starts = _start_tables(order, _replicate_counts(d, plan, threads, order), cfg.k)
+    staged = _stage_tables(starts, d.n, cfg.smoothing)
+    ensemble = ensemble_from_stagings(order, zip(*(ids for ids, _ in staged)))
     stagings = tuple(
         consensus_staging(ensemble.dissimilarity[depth], cut, depth, linkage)
         for depth in range(len(order))
     )
     averaged = fit(StagedTree(d.schema, order, stagings), d, FitConfig(cfg.smoothing))
-    edge_lists = [tuple((e.parent, e.child, e.label) for e in compress(tree).edges) for tree in trees]
-    edge_table = _edge_table_from_lists(edge_lists, d.schema.names)
-    return ConsensusResult(averaged, stagings, ensemble, edge_table)
+    return ConsensusResult(averaged, stagings, ensemble)
 
 
 def staging_heatmap_export(d_matrix: np.ndarray, labels, path: str) -> None:

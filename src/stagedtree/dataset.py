@@ -130,17 +130,26 @@ class Dataset:
     def take_rows(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.schema, np.ascontiguousarray(self.rows[idx]))
 
-    def counts(self, cols) -> np.ndarray:
+    def counts(self, cols, draws=None) -> np.ndarray:
         """Joint level counts of ``cols`` in that order: an int64 array with
         one axis per column, sized by its level count. Every fit and score
-        reads its contingency table from here; nothing else tallies rows."""
+        reads its contingency table from here; nothing else tallies rows.
+
+        With ``draws``, an (M, n) array of row indices, the counts of each of
+        the M resamples those rows make, stacked on a leading axis: the row
+        codes are computed once and each resample tallies its own."""
         levels = self.schema.level_counts
         shape = tuple(levels[c] for c in cols)
         cells = cell_count(shape, f"cells in the count table of columns {tuple(int(c) for c in cols)}")
         codes = np.zeros(self.n, dtype=np.int64)
         for c, size in zip(cols, shape):
             codes = codes * size + self.rows[:, c]
-        return np.bincount(codes, minlength=cells).reshape(shape)
+        if draws is None:
+            return np.bincount(codes, minlength=cells).reshape(shape)
+        out = np.empty((len(draws), cells), dtype=np.int64)
+        for at, rows in enumerate(draws):
+            out[at] = np.bincount(codes[rows], minlength=cells)
+        return out.reshape(len(draws), *shape)
 
 
 def cell_count(shape, what: str) -> int:
@@ -185,12 +194,14 @@ def load_csv(path: str, has_header: bool = True) -> Dataset:
     Levels for each column are the lexicographically sorted distinct strings,
     which makes schemas deterministic across runs and platforms.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None:
             raise DataError(f"{path}: file is empty")
         header = [h.strip() for h in first] if has_header else [f"X{j + 1}" for j in range(len(first))]
+        _check_header(path, header)
         body = reader if has_header else itertools.chain([first], reader)
         first_line = 2 if has_header else 1
         width = len(header)
@@ -222,6 +233,17 @@ def load_csv(path: str, has_header: bool = True) -> Dataset:
     return Dataset(schema, rows)
 
 
+def _check_header(path: str, header: list[str]) -> None:
+    """Refuse an empty or repeated variable name, naming its column."""
+    columns: dict[str, int] = {}
+    for j, name in enumerate(header, start=1):
+        if name == "":
+            raise DataError(f"{path}: column {j} of the header has an empty variable name")
+        if name in columns:
+            raise DataError(f"{path}: column {j} repeats the variable name {name!r} of column {columns[name]}")
+        columns[name] = j
+
+
 def _write_csv(path: str, header, rows) -> None:
     """Write ``header`` and then ``rows`` as CSV; every result file goes
     through here. A float cell, numpy floats included, is written as
@@ -235,9 +257,12 @@ def _write_csv(path: str, header, rows) -> None:
 
 def bootstrap_replicate(d: Dataset, seed: int) -> Dataset:
     """Resample N rows uniformly with replacement; deterministic in the seed."""
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, d.n, size=d.n)
-    return d.take_rows(idx)
+    return d.take_rows(_bootstrap_rows(d.n, seed))
+
+
+def _bootstrap_rows(n: int, seed: int) -> np.ndarray:
+    """The row indices of ``bootstrap_replicate`` of an n-row dataset."""
+    return np.random.default_rng(seed).integers(0, n, size=n)
 
 
 def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:

@@ -248,42 +248,56 @@ def _batched(tables: list[np.ndarray], merge) -> list:
     return results
 
 
-def _start_table(order, depth: int, table: np.ndarray, k: int | None) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Start partition of greedy merging at one depth, from ``table``, the
-    counts of ``order[:depth + 1]`` with one axis each.
+def _start_groups(order, depth: int, table: np.ndarray, k: int | None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]]:
+    """Start partitions of greedy merging at one depth for each of R
+    replicates, from ``table``, their counts of ``order[:depth + 1]``
+    stacked on a leading axis, (R, levels...).
 
     Merging starts from singleton contexts, except for kparents (``k`` given)
     above depth k, where it starts from the projection onto up to k parents
     chosen by conditional mutual information; merging only coarsens that
-    partition. Returns the start class of every context, the pooled counts of
-    the start classes and the parent set (all predecessors unless CMI chose
-    fewer). Only ``order[:depth + 1]`` is read.
+    partition. Returns the replicates grouped by parent set (all
+    predecessors unless CMI chose fewer), each group as the indices of its
+    replicates, the start class of every context, the pooled counts of the
+    start classes, (replicates, classes, levels), and the parent set. Only
+    ``order[:depth + 1]`` is read.
     """
-    counts = table.reshape(-1, table.shape[-1])
-    parents = tuple(sorted(order[:depth]))
+    replicates, levels = len(table), table.shape[-1]
     if k is None or depth <= k:
-        return np.arange(len(counts)), counts, parents
-    parents = _greedy_parents(table, order[:depth], k)
-    dropped = tuple(axis for axis in range(depth) if order[axis] not in parents)
-    # A context's start class numbers its parent coordinates in context
-    # order; the class counts are the table summed over the other axes.
-    kept = [1 if axis in dropped else size for axis, size in enumerate(table.shape[:-1])]
-    start = np.broadcast_to(np.arange(math.prod(kept)).reshape(kept), table.shape[:-1]).ravel()
-    return start, table.sum(axis=dropped).reshape(-1, counts.shape[1]), parents
+        start = np.arange(math.prod(table.shape[1:-1]))
+        return [(np.arange(replicates), start, table.reshape(replicates, -1, levels), tuple(sorted(order[:depth])))]
+    by_parents: dict[tuple[int, ...], list[int]] = {}
+    for at, parents in enumerate(_greedy_parents(table, order[:depth], k)):
+        by_parents.setdefault(parents, []).append(at)
+    groups = []
+    for parents, members in by_parents.items():
+        dropped = tuple(axis for axis in range(depth) if order[axis] not in parents)
+        # A context's start class numbers its parent coordinates in context
+        # order; the class counts are the table summed over the other axes.
+        kept = [1 if axis in dropped else size for axis, size in enumerate(table.shape[1:-1])]
+        start = np.broadcast_to(np.arange(math.prod(kept)).reshape(kept), table.shape[1:-1]).ravel()
+        pooled = table[members].sum(axis=tuple(axis + 1 for axis in dropped)).reshape(len(members), -1, levels)
+        groups.append((np.array(members), start, pooled, parents))
+    return groups
 
 
-def _start_tables(order: Ordering, joint: np.ndarray, k: int | None) -> list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]]:
-    """``_start_table`` of every depth of ``order``, from ``joint``, the
-    counts of ``order`` with one axis each, summed over the deeper axes."""
-    return [_start_table(order, j, joint.sum(axis=tuple(range(j + 1, len(order)))), k) for j in range(len(order))]
+def _start_tables(order: Ordering, joints: np.ndarray, k: int | None) -> list[list[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]]]:
+    """``_start_groups`` of every depth of ``order``, from ``joints``, the
+    counts of ``order`` of R replicates, (R, levels...): a depth's tables
+    are the tables of the next depth summed over their last axis."""
+    tables = [joints]
+    while tables[-1].ndim > 2:
+        tables.append(tables[-1].sum(axis=-1))
+    return [_start_groups(order, depth, table, k) for depth, table in enumerate(reversed(tables))]
 
 
-def _stage_tables(datasets, n_rows: int, smoothing: float) -> list[list[tuple[StageAssignment, np.ndarray]]]:
-    """Stage every depth of each of ``datasets``, given as its
-    ``_start_tables`` (datasets of ``n_rows`` rows each), by greedy merging
-    from its start table; the tables of one shape, of any depth and
-    dataset, merge together in ``_batched`` chunks. Returns per dataset the
-    staging and the pooled counts of every depth.
+def _stage_tables(starts, n_rows: int, smoothing: float) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Stage every depth of R replicates, given as their ``_start_tables``
+    (of ``n_rows`` rows each), by greedy merging from its start tables; the
+    tables of one shape, of any depth and replicate, merge together in
+    ``_batched`` chunks. Returns per depth the stage id of every context of
+    each replicate, (R, contexts), and each replicate's pooled counts of
+    its stages.
 
     The merge numbers stages by their lowest start class, and the first
     context of each start class comes in ascending class id, so its stage
@@ -294,14 +308,19 @@ def _stage_tables(datasets, n_rows: int, smoothing: float) -> list[list[tuple[St
         stage_of, pooled, n_stages, _ = _merge_lockstep(stack, n_rows, smoothing)
         return zip(stage_of, np.split(pooled, np.cumsum(n_stages)[:-1]))
 
-    merged = iter(_batched([table for starts in datasets for _, table, _ in starts], merge))
-    return [
-        [
-            (StageAssignment(depth, stage_of[start], len(pooled)), pooled)
-            for depth, ((start, _, _), (stage_of, pooled)) in enumerate(zip(starts, merged))
-        ]
-        for starts in datasets
-    ]
+    merged = iter(_batched([table for groups in starts for _, _, pooled, _ in groups for table in pooled], merge))
+    staged = []
+    for groups in starts:
+        replicates = sum(len(members) for members, _, _, _ in groups)
+        ids = np.empty((replicates, len(groups[0][1])), dtype=np.int64)
+        counts: list = [None] * replicates
+        for members, start, _, _ in groups:
+            results = [next(merged) for _ in members]
+            ids[members] = np.stack([stage_of for stage_of, _ in results])[:, start]
+            for at, (_, pooled) in zip(members.tolist(), results):
+                counts[at] = pooled
+        staged.append((ids, counts))
+    return staged
 
 
 def _learn(d: Dataset, order, k: int | None, smoothing: float):
@@ -311,15 +330,15 @@ def _learn(d: Dataset, order, k: int | None, smoothing: float):
     if not smoothing >= 0:
         raise ModelError("smoothing must be non-negative")
     order = validate_order(d.schema, order)
-    starts = _start_tables(order, d.counts(order), k)
-    (staged,) = _stage_tables([starts], d.n, smoothing)
+    starts = _start_tables(order, d.counts(order)[None], k)
+    staged = _stage_tables(starts, d.n, smoothing)
     tree = StagedTree(
         d.schema,
         order,
-        tuple(staging for staging, _ in staged),
-        tuple(probabilities_from_counts(counts, smoothing) for _, counts in staged),
+        tuple(StageAssignment(depth, ids[0], len(counts[0])) for depth, (ids, counts) in enumerate(staged)),
+        tuple(probabilities_from_counts(counts[0], smoothing) for _, counts in staged),
     )
-    return tree, tuple(parents for _, _, parents in starts)
+    return tree, tuple(groups[0][3] for groups in starts)
 
 
 def cmi(d: Dataset, i: int, s: int, conditioning=()) -> float:
@@ -333,43 +352,66 @@ def cmi(d: Dataset, i: int, s: int, conditioning=()) -> float:
         raise ModelError("cmi requires two distinct variables")
     if i in conditioning or s in conditioning:
         raise ModelError("conditioning set must not contain the pair")
-    return _cmi(d.counts(conditioning + (i, s)))
+    return float(_cmi(d.counts(conditioning + (i, s))))
 
 
-def _cmi(table: np.ndarray) -> float:
-    """``cmi`` from the counts of (X_C..., X_i, X_s), one axis each."""
-    n = int(table.sum())
-    table = np.ascontiguousarray(table, dtype=float).reshape(-1, *table.shape[-2:])
-    n_c = table.sum(axis=(1, 2), keepdims=True)
-    n_ca = table.sum(axis=2, keepdims=True)
-    n_cb = table.sum(axis=1, keepdims=True)
+def _cmi(table: np.ndarray, lead: int = 0) -> np.ndarray:
+    """``cmi`` from the counts of (X_C..., X_i, X_s), one axis each, after
+    ``lead`` leading axes that stack independent tables: one value per
+    table. Each table's terms are summed as one contiguous run, as a single
+    table's are, so a value does not depend on the stack."""
+    head = table.shape[:lead]
+    n = table.sum(axis=tuple(range(lead, table.ndim)))
+    table = np.ascontiguousarray(table, dtype=float).reshape(*head, -1, *table.shape[-2:])
+    n_c = table.sum(axis=(-2, -1), keepdims=True)
+    n_ca = table.sum(axis=-1, keepdims=True)
+    n_cb = table.sum(axis=-2, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = table * n_c / (n_ca * n_cb)
         terms = np.where(table > 0, table * np.log(ratio), 0.0)
-    value = float(terms.sum()) / n
-    return max(value, 0.0)
+    value = terms.reshape(*head, -1).sum(axis=-1) / n
+    return np.where(0.0 > value, 0.0, value)
 
 
-def _greedy_parents(table: np.ndarray, candidates: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Forward selection of k parents by conditional mutual information, from
-    ``table``, the counts of ``candidates`` and then of the child, one axis
-    each. Ties in the argmax go to the smallest variable index.
+def _greedy_parents(table: np.ndarray, candidates: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """Forward selection of k parents by conditional mutual information for
+    each of R replicates, from ``table``, their counts of ``candidates`` and
+    then of the child, (R, levels...). At each step the replicates that have
+    selected the same parents so far score every remaining candidate
+    together, in one ``_candidate_cmi`` call. Ties in the argmax go to the
+    smallest variable index.
     """
-    child = len(candidates)
-    selected: list[int] = []
+    axis_of = {var: at + 1 for at, var in enumerate(candidates)}
+    chosen: list[tuple[int, ...]] = [()] * len(table)
     for _ in range(min(k, len(candidates))):
-        best_var = None
-        best_value = -math.inf
-        for cand in sorted(set(candidates) - set(selected)):
-            # The counts of (selected..., child, cand): the table summed over
-            # the other axes (int64, so bit-equal to a tally of their own).
-            axes = [candidates.index(v) for v in selected] + [child, candidates.index(cand)]
-            value = _cmi(np.einsum(table, range(table.ndim), axes))
-            if value > best_value:
-                best_value = value
-                best_var = cand
-        selected.append(best_var)
-    return tuple(sorted(selected))
+        by_selected: dict[tuple[int, ...], list[int]] = {}
+        for at, selected in enumerate(chosen):
+            by_selected.setdefault(selected, []).append(at)
+        for selected, members in by_selected.items():
+            remaining = sorted(set(candidates) - set(selected))
+            axes = [0] + [axis_of[v] for v in selected] + [len(candidates) + 1]
+            values = _candidate_cmi(table, members, axes, [axis_of[v] for v in remaining])
+            for at, best in zip(members, values.argmax(axis=1).tolist()):
+                chosen[at] = selected + (remaining[best],)
+    return [tuple(sorted(selected)) for selected in chosen]
+
+
+def _candidate_cmi(table: np.ndarray, members: list[int], axes: list[int], candidate_axes: list[int]) -> np.ndarray:
+    """The CMI of every candidate for the replicates ``members`` of
+    ``table``, (members, candidates): a candidate's counts are the table
+    summed onto ``axes`` (replicate, selected..., child) and its own axis
+    (int64, so bit-equal to a tally of their own). The tables of the
+    candidates of one level count are stacked and scored by one ``_cmi``
+    call."""
+    rows = table if len(members) == len(table) else table[members]
+    by_levels: dict[int, list[int]] = {}
+    for at, axis in enumerate(candidate_axes):
+        by_levels.setdefault(table.shape[axis], []).append(at)
+    values = np.empty((len(members), len(candidate_axes)))
+    for ats in by_levels.values():
+        stacked = np.stack([np.einsum(rows, range(rows.ndim), axes + [candidate_axes[at]]) for at in ats], axis=1)
+        values[:, ats] = _cmi(stacked, 2)
+    return values
 
 
 def kparents_learn(
@@ -407,9 +449,8 @@ def variable_score(d: Dataset, var: int, predecessors, cfg: LearnConfig, cache=N
     if cache is not None and key in cache:
         return cache[key]
     order = predecessors + (int(var),)
-    depth = len(predecessors)
-    _, table, _ = _start_table(order, depth, d.counts(order), cfg.k)
-    score = _bhc_scores(table[None], d.n, cfg.smoothing)[0]
+    ((_, _, pooled, _),) = _start_groups(order, len(predecessors), d.counts(order)[None], cfg.k)
+    score = _bhc_scores(pooled, d.n, cfg.smoothing)[0]
     if cache is not None:
         cache[key] = score
     return score
@@ -466,8 +507,12 @@ def _score_group(stack: np.ndarray, variables: tuple[int, ...], n_rows: int, cfg
                 predecessors = subset[:axis] + subset[axis + 1:]
                 keys.append((var, predecessors))
                 moved = np.moveaxis(table, axis + 1, -1)  # (replicate, predecessors..., var)
-                if cfg.k is not None and size - 1 > cfg.k:  # CMI parents, one replicate at a time
-                    tables += [_start_table(predecessors + (var,), size - 1, one, cfg.k)[1] for one in moved]
+                if cfg.k is not None and size - 1 > cfg.k:  # CMI parents, all replicates together
+                    pooled = [None] * replicates
+                    for members, _, group, _ in _start_groups(predecessors + (var,), size - 1, moved, cfg.k):
+                        for at, one in zip(members.tolist(), group):
+                            pooled[at] = one
+                    tables += pooled
                 else:
                     tables += list(moved.reshape(replicates, -1, moved.shape[-1]))
         scores = _batched(tables, lambda chunk: _bhc_scores(chunk, n_rows, cfg.smoothing))

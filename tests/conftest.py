@@ -145,14 +145,14 @@ def max_in_degree(graph) -> int:
 
 
 def fail_replicate(monkeypatch, plan, index):
-    """Make one replicate's resampling raise; forked workers inherit the patch."""
+    """Make one replicate's draw raise; forked workers inherit the patch."""
     bad_seed = plan.replicate_seed(index)
-    real = consensus.bootstrap_replicate
+    real = consensus._bootstrap_rows
 
-    def resample(d, seed):
+    def draw(n, seed):
         if seed == bad_seed:
             raise ModelError("injected failure")
-        return real(d, seed)
+        return real(n, seed)
 
-    monkeypatch.setattr(consensus, "bootstrap_replicate", resample)
+    monkeypatch.setattr(consensus, "_bootstrap_rows", draw)
     return f"in bootstrap replicate {index} (seed {bad_seed})"

@@ -20,8 +20,9 @@ from stagedtree import (
     to_dot,
 )
 
-from stagedtree.aldag import _label_axes, _reduced_grid
-from stagedtree.tree import n_contexts
+from stagedtree import aldag, learning
+from stagedtree.aldag import _edge_label, _edge_labels, _label_axes, _reduced_grid
+from stagedtree.tree import context_shape, n_contexts
 
 from conftest import (
     local_variant_tree,
@@ -154,7 +155,14 @@ def classify_edge(grid: np.ndarray, axis: int) -> tuple[str, tuple[str, ...]]:
     reference = np.take(grid, [0], axis=axis)
     if bool((grid == reference).all()):
         raise ModelError(f"axis {axis} is removable; it cannot carry an edge label")
-    return _label_axes(grid)[axis]
+    return labels_of(grid)[axis]
+
+
+def labels_of(grid: np.ndarray) -> list[tuple[str, tuple[str, ...]]]:
+    """``(label, detected)`` of every axis of one grid, removable or not,
+    from the stacked labelling of a batch of one."""
+    _, seen = _label_axes(grid[None])
+    return [_edge_label(row) for row in seen[0]]
 
 
 def reference_compress_edges(tree):
@@ -328,10 +336,13 @@ class TestLabelAxes:
     @settings(max_examples=300, deadline=None)
     @given(grid=stage_grids())
     def test_matches_per_axis_reference(self, grid):
-        labels = _label_axes(grid)
-        assert len(labels) == grid.ndim
+        labels = labels_of(grid)
+        kept, _ = _label_axes(grid[None])
+        assert len(labels) == grid.ndim and kept.shape == (1, grid.ndim)
         for axis in range(grid.ndim):
-            if bool((grid == np.take(grid, [0], axis=axis)).all()):
+            removable = bool((grid == np.take(grid, [0], axis=axis)).all())
+            assert bool(kept[0, axis]) is not removable
+            if removable:
                 with pytest.raises(ModelError, match="removable"):
                     classify_edge(grid, axis)
                 continue
@@ -353,6 +364,66 @@ class TestLabelAxes:
         tree = StagedTree(schema, order, stagings)
         got = [(e.parent, e.child, e.label, e.detected) for e in compress(tree).edges]
         assert got == reference_compress_edges(tree)
+
+
+def tree_with_removable_axes(rng, schema, order, n_ids):
+    """Unfitted tree whose stage grids ignore a random subset of their axes:
+    ids drawn on the kept axes only, then repeated along the others."""
+    stagings = []
+    for depth in range(len(order)):
+        shape = context_shape(schema, order, depth)
+        kept = [size if rng.random() < 0.5 else 1 for size in shape]
+        ids = np.broadcast_to(rng.integers(0, n_ids, size=kept), shape).ravel()
+        stagings.append(staging_from_ids(depth, ids))
+    return StagedTree(schema, order, tuple(stagings))
+
+
+class TestStackedLabels:
+    """The grids of one depth of many trees labelled in one stacked pass, on
+    the whole grids and in chunks, against the per-tree reference on the
+    reduced grids."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        trees=st.integers(1, 6),
+        n_ids=st.integers(1, 4),
+        cap=st.sampled_from([None, 1, 24, 200]),
+    )
+    def test_equal_to_reference_per_tree(self, seed, trees, n_ids, cap):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 6))
+        schema = random_schema(rng, p)
+        order = tuple(int(v) for v in rng.permutation(p))
+        stack = [tree_with_removable_axes(rng, schema, order, n_ids) for _ in range(trees)]
+        got = [[] for _ in stack]
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setattr(learning, "MERGE_BATCH_CELLS", cap)
+            for depth in range(1, p):
+                stage_of = np.stack([tree.stagings[depth].stage_of for tree in stack])
+                kept, seen = _edge_labels(stage_of, context_shape(schema, order, depth))
+                assert kept.shape == seen.shape[:2] == (trees, depth)
+                for edges, kept_row, seen_row in zip(got, kept, seen):
+                    for axis in np.flatnonzero(kept_row).tolist():
+                        edges.append((order[axis], order[depth], *_edge_label(seen_row[axis])))
+        for tree, edges in zip(stack, got):
+            assert edges == reference_compress_edges(tree)
+            assert edges == [(e.parent, e.child, e.label, e.detected) for e in compress(tree).edges]
+
+    def test_chunks_hold_at_most_the_cap(self, monkeypatch):
+        # Depth 3 of 2 x 3 x 2 contexts: 36 cells a replicate at depth 3,
+        # so a cap of 80 labels five replicates in chunks of 2, 2 and 1.
+        rng = np.random.default_rng(4)
+        stage_of = rng.integers(0, 3, size=(5, 12))
+        want = _edge_labels(stage_of, (2, 3, 2))
+        sizes = []
+        real = aldag._label_axes
+        monkeypatch.setattr(aldag, "_label_axes", lambda grids: sizes.append(len(grids)) or real(grids))
+        monkeypatch.setattr(learning, "MERGE_BATCH_CELLS", 80)
+        got = _edge_labels(stage_of, (2, 3, 2))
+        assert sizes == [2, 2, 1]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestDependenceSubtree:

@@ -165,6 +165,29 @@ class TestExitCodes:
                 "--outdir", str(tmp_path / "cv")]
         assert main(argv) == 0
 
+    def test_byte_order_mark_file_learns(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n" + b"".join(b"x,y\nz,w\nx,w\n" for _ in range(5)))
+        out = tmp_path / "m.json"
+        assert main(["learn", "--input", str(path), "--fixed-last", "a", "--output", str(out)]) == 0
+        assert "order: b, a" in capsys.readouterr().err
+        assert out.exists()
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("a,,b", "column 2 of the header has an empty variable name"),
+            ("a,b,a", "column 3 repeats the variable name 'a' of column 1"),
+        ],
+    )
+    def test_bad_header_refused(self, tmp_path, capsys, header, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n" + "x,y,z\nz,w,x\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert main(["learn", "--input", str(path), "--output", str(out)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_learn_takes_no_seed(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "m.json"
         assert main(["learn", "--input", toy_csv, "--seed", "1", "--output", str(out)]) == 1
@@ -365,8 +388,8 @@ class TestBootstrap:
         # draws its own.
         plan = ResamplePlan(5, seed=2)
         drawn = []
-        real = consensus.bootstrap_replicate
-        monkeypatch.setattr(consensus, "bootstrap_replicate", lambda d, seed: drawn.append(seed) or real(d, seed))
+        real = consensus._bootstrap_rows
+        monkeypatch.setattr(consensus, "_bootstrap_rows", lambda n, seed: drawn.append(seed) or real(n, seed))
         outdir = tmp_path / "boot"
         assert main(["bootstrap", "--input", toy_csv, "--replicates", "5", "--seed", "2", *flags, "--outdir", str(outdir)]) == 0
         assert drawn == [plan.replicate_seed(i) for i in range(plan.replicates)]
@@ -417,7 +440,7 @@ class TestCoStagingGuardBeforeAnyDraw:
         def refuse(*args, **kwargs):
             raise AssertionError("work ran before the guard")
 
-        monkeypatch.setattr(consensus, "bootstrap_replicate", refuse)
+        monkeypatch.setattr(consensus, "_bootstrap_rows", refuse)
         monkeypatch.setattr(harness, "order_search_dp", refuse)
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from stagedtree import (
     Dataset,
+    EdgeStrengthRow,
     LearnConfig,
     ModelError,
     OrderVoteMatrix,
@@ -27,9 +28,10 @@ from stagedtree import (
     staging_heatmap_export,
     tally_orders,
 )
-from stagedtree import consensus, learning
-from stagedtree.consensus import _disagreement, _edge_table_from_lists, context_labels_for_depth
+from stagedtree import aldag, consensus, learning
+from stagedtree.consensus import _disagreement, context_labels_for_depth
 from stagedtree.dataset import bootstrap_replicate
+from stagedtree.harness import run_cv
 
 from conftest import fail_replicate, random_dataset, saturated_tree, staging_from_ids
 from staging_oracle import reference_stage_depth
@@ -170,19 +172,25 @@ class TestDisagreementTally:
         assert peak < 1 << 20  # one 4096 x 4096 bool comparison alone takes 16 MB
 
 
+    @pytest.mark.parametrize("ids", [[0, 2, 2], [1, 1, 2], [0, -1, 0]])
+    def test_stage_ids_must_be_contiguous(self, ids):
+        good = np.zeros(3, dtype=np.int64)
+        with pytest.raises(ModelError, match="replicate 1 at depth 1 must be contiguous from 0"):
+            ensemble_from_stagings((0, 1), [(np.zeros(1), good), (np.zeros(1), np.array(ids))])
+
     def test_tally_refused_before_any_replicate(self, monkeypatch):
         # 13 binary variables at a fixed order: depth 12 has 4096 contexts,
         # whose tally holds more than MAX_CONTEXTS cells.
         schema = Schema(tuple(Variable(f"X{j}", ("a", "b")) for j in range(13)))
         d = Dataset(schema, np.random.default_rng(0).integers(0, 2, size=(50, 13)))
         drawn = []
-        real = consensus.bootstrap_replicate
+        real = consensus._bootstrap_rows
 
-        def counted(data, seed):
+        def counted(n, seed):
             drawn.append(seed)
-            return real(data, seed)
+            return real(n, seed)
 
-        monkeypatch.setattr(consensus, "bootstrap_replicate", counted)
+        monkeypatch.setattr(consensus, "_bootstrap_rows", counted)
         with pytest.raises(ModelError, match="tally of depth 12 with 4096 contexts"):
             run_bootstrap_consensus(d, range(13), ResamplePlan(4, seed=1), LearnConfig("kparents", 1))
         assert drawn == []
@@ -235,6 +243,20 @@ class TestConsensusStaging:
         with pytest.raises(ModelError):
             consensus_staging(np.array([[0.0, 2.0], [2.0, 0.0]]), cut=0.5, depth=1)
 
+    def test_nearly_symmetric_matrix_rejected(self):
+        # Off by 4e-6, within numpy's default relative tolerance.
+        d = np.array([[0, 0.5, 0.9], [0.500004, 0, 0.2], [0.9, 0.2, 0]])
+        with pytest.raises(ModelError, match="square and symmetric"):
+            consensus_staging(d, cut=0.5, depth=1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9), m=st.integers(1, 7))
+    def test_disagreement_is_exactly_symmetric(self, seed, k, m):
+        z = np.random.default_rng(seed).integers(0, 3, size=(k, m))
+        d = _disagreement(z, 1)
+        assert np.array_equal(d, d.T)
+        consensus_staging(d, cut=0.5, depth=1)
+
 
 class TestAveragedTree:
     def test_saturated_consensus_equals_saturated_fit(self, monkeypatch):
@@ -261,10 +283,27 @@ class TestAveragedTree:
             assert np.array_equal(staging.stage_of, tree.stagings[depth].stage_of)
 
 
+def edge_table_from_lists(edge_lists, names):
+    """The edge strength table of replicates given as lists of (parent,
+    child, label) edges, tallied one replicate at a time."""
+    m = len(edge_lists)
+    present, labels = {}, {}
+    for edges in edge_lists:
+        for parent, child, label in edges:
+            key = (parent, child)
+            present[key] = present.get(key, 0) + 1
+            slot = labels.setdefault(key, {})
+            slot[label] = slot.get(label, 0) + 1
+    return tuple(
+        EdgeStrengthRow(names[key[0]], names[key[1]], m, present[key], dict(sorted(labels[key].items())))
+        for key in sorted(present)
+    )
+
+
 def edge_table(graphs):
     """Edge strength table of compressed graphs that share one schema."""
     edge_lists = [tuple((e.parent, e.child, e.label) for e in g.edges) for g in graphs]
-    return _edge_table_from_lists(edge_lists, graphs[0].schema.names)
+    return edge_table_from_lists(edge_lists, graphs[0].schema.names)
 
 
 def load_dissimilarity_csv(path):
@@ -332,8 +371,9 @@ class TestBootstrapPipeline:
     def test_orders_are_not_scored(self, monkeypatch):
         # The vote needs each replicate's ordering only, so no ordering is
         # scored and the pinned variable is never scored given the rest.
-        # The replicate map draws each replicate and tallies the variables
-        # the DP arranges once; the caller scores every DP.
+        # The replicate map draws each replicate once and tallies the
+        # variables the DP arranges of all replicates in one Dataset.counts
+        # call; the caller scores every DP.
         d = chain_data(np.random.default_rng(19), n=200, p=4)
         plan = ResamplePlan(4, seed=3)
         orders = [
@@ -341,9 +381,11 @@ class TestBootstrapPipeline:
             for i in range(plan.replicates)
         ]
         drawn, tallied = [], []
-        real_draw, real_counts = consensus.bootstrap_replicate, Dataset.counts
-        monkeypatch.setattr(consensus, "bootstrap_replicate", lambda data, seed: drawn.append(seed) or real_draw(data, seed))
-        monkeypatch.setattr(Dataset, "counts", lambda self, cols: tallied.append(tuple(cols)) or real_counts(self, cols))
+        real_draw, real_counts = consensus._bootstrap_rows, Dataset.counts
+        monkeypatch.setattr(consensus, "_bootstrap_rows", lambda n, seed: drawn.append(seed) or real_draw(n, seed))
+        monkeypatch.setattr(
+            Dataset, "counts", lambda self, cols, draws=None: tallied.append((tuple(cols), len(draws))) or real_counts(self, cols, draws)
+        )
 
         def refuse(*args, **kwargs):
             raise AssertionError("bootstrap_orders scored an ordering")
@@ -353,16 +395,16 @@ class TestBootstrapPipeline:
         votes = bootstrap_orders(d, plan, LearnConfig(), fixed_last=3)
         assert np.array_equal(votes.counts, tally_orders(orders, 4).counts)
         assert drawn == [plan.replicate_seed(i) for i in range(plan.replicates)]
-        assert tallied == [(0, 1, 2)] * plan.replicates
+        assert tallied == [((0, 1, 2), plan.replicates)]
 
     @pytest.mark.parametrize("fixed_last", [None, 3, 4])
     def test_dp_guard_refused_before_any_replicate(self, monkeypatch, fixed_last):
         d = chain_data(np.random.default_rng(20), n=100, p=4)
 
-        def resample(data, seed):
+        def resample(n, seed):
             raise AssertionError("a replicate was drawn")
 
-        monkeypatch.setattr(consensus, "bootstrap_replicate", resample)
+        monkeypatch.setattr(consensus, "_bootstrap_rows", resample)
         monkeypatch.setattr(learning, "MAX_DP_VARIABLES", 2)
         message = "out of range" if fixed_last == 4 else "dynamic-programming guard"
         with pytest.raises(ModelError, match=message):
@@ -448,7 +490,7 @@ class TestBatchedReplicateStaging:
                 np.testing.assert_array_equal(default.ensemble.z[depth][:, i], staging.stage_of)
             tree = StagedTree(d.schema, order, stagings)
             edge_lists.append(tuple((e.parent, e.child, e.label) for e in compress(tree).edges))
-        assert _edge_table_from_lists(edge_lists, d.schema.names) == default.edge_table
+        assert edge_table_from_lists(edge_lists, d.schema.names) == default.edge_table
 
     @pytest.mark.parametrize("k", [None, 2])
     def test_replicate_map_only_tallies(self, monkeypatch, k):
@@ -468,15 +510,65 @@ class TestBatchedReplicateStaging:
             assert joint.dtype == np.int64 and np.array_equal(joint, want)
 
 
+class TestReplicateTallies:
+    """Every replicate of the map is tallied from its drawn row indices
+    without a copy of the dataset, and equals the tally of its copy."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equal_to_each_replicate_copy(self, threads):
+        d = random_dataset(np.random.default_rng(30), p=4, n=70, max_levels=3)
+        plan = ResamplePlan(9, seed=8)
+        copies = [bootstrap_replicate(d, plan.replicate_seed(i)) for i in range(plan.replicates)]
+        for columns in [(2, 0, 3), (1,), (3, 2, 1, 0)]:
+            want = np.stack([copy.counts(columns) for copy in copies])
+            alone = consensus._replicate_counts(d, plan, threads, columns)
+            with consensus._shared_draws(d, plan):
+                shared = consensus._replicate_counts(d, plan, threads, columns)
+            for got in (alone, shared):
+                assert got.dtype == np.int64 and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_no_replicate_copied(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a replicate was copied")
+
+        monkeypatch.setattr(Dataset, "take_rows", refuse)
+        d = chain_data(np.random.default_rng(31), n=90)
+        run_bootstrap_consensus(d, (0, 1, 2), ResamplePlan(4, seed=2), LearnConfig("kparents", k=1))
+        bootstrap_orders(d, ResamplePlan(4, seed=2), LearnConfig())
+
+
+class TestEdgeTableOnRead:
+    def test_built_once_when_read(self, monkeypatch):
+        d = chain_data(np.random.default_rng(32), n=150)
+        labelled = []
+        real = aldag._label_axes
+        monkeypatch.setattr(aldag, "_label_axes", lambda grids: labelled.append(len(grids)) or real(grids))
+        result = run_bootstrap_consensus(d, (0, 1, 2), ResamplePlan(5, seed=3), LearnConfig())
+        assert labelled == []
+        first = result.edge_table
+        assert labelled == [5, 5]  # depths 1 and 2, all replicates in one pass each
+        assert result.edge_table is first
+        assert labelled == [5, 5]
+
+    def test_cv_labels_no_tree(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a tree was labelled")
+
+        monkeypatch.setattr(aldag, "_label_axes", refuse)
+        d = chain_data(np.random.default_rng(33), n=120)
+        run_cv(d, [LearnConfig(), LearnConfig("kparents", k=1)], folds=2, bootstrap_replicates=3, seed=4)
+
+
 class TestCutHeight:
     @pytest.mark.parametrize("cut", [0.0, 1.0, 1.5, -0.2])
     def test_bad_cut_raises_before_any_replicate(self, monkeypatch, cut):
         d = chain_data(np.random.default_rng(15), n=120)
 
-        def resample(d, seed):
+        def resample(n, seed):
             raise AssertionError("a replicate was drawn")
 
-        monkeypatch.setattr(consensus, "bootstrap_replicate", resample)
+        monkeypatch.setattr(consensus, "_bootstrap_rows", resample)
         with pytest.raises(ModelError, match="cut height"):
             run_bootstrap_consensus(d, (0, 1, 2), ResamplePlan(5, seed=7), LearnConfig(), cut=cut)
 

@@ -31,7 +31,7 @@ from stagedtree.learning import (
     _greedy_parents,
     _merge_lockstep,
     _score_subsets,
-    _start_table,
+    _start_groups,
     _start_tables,
     _subset_dp,
 )
@@ -381,45 +381,48 @@ class TestAgainstReference:
         cfg = LearnConfig("kparents", k=2)
         assert variable_score(d, 4, (0, 1, 2, 3), cfg) == reference_variable_score(d, 4, (0, 1, 2, 3), cfg)
         table = d.counts((0, 1, 2, 3, 4))
-        assert _greedy_parents(table, (0, 1, 2, 3), 2) == reference_greedy_parents(d, 4, (0, 1, 2, 3), 2)
+        assert _greedy_parents(table[None], (0, 1, 2, 3), 2) == [reference_greedy_parents(d, 4, (0, 1, 2, 3), 2)]
 
     def test_schema_projection_matches_reference(self, monkeypatch):
         # The parents are forced, and k=0 sends every depth past the root
-        # through the projection branch of _start_table.
+        # through the projection branch of _start_groups.
         schema = random_schema(np.random.default_rng(2), 4)
         d = Dataset(schema, np.random.default_rng(3).integers(0, 2, size=(30, 4)))
         order = (3, 1, 0, 2)
         for depth in range(4):
             for parents in ((), (3,), (1, 3), (0, 1, 3)):
                 parents = tuple(v for v in parents if v in order[:depth])
-                monkeypatch.setattr(learning, "_greedy_parents", lambda table, candidates, k: parents)
-                start, pooled, _ = _start_table(order, depth, d.counts(order[:depth + 1]), 0)
+                monkeypatch.setattr(learning, "_greedy_parents", lambda table, candidates, k: [parents] * len(table))
+                ((_, start, pooled, _),) = _start_groups(order, depth, d.counts(order[:depth + 1])[None], 0)
                 want = projection_staging(schema, order, depth, parents)
                 assert np.array_equal(start, want)
-                assert np.array_equal(pooled, reference_stage_counts(d, order, depth, want, int(want.max()) + 1))
+                assert np.array_equal(pooled[0], reference_stage_counts(d, order, depth, want, int(want.max()) + 1))
 
 
 # -- start tables from one tally against the dataset path --------------------------
 
 
 def traced_start_tables(monkeypatch):
-    """Record every _start_table call as (order, depth, k, result, the CMI
-    values computed during the call, in order)."""
+    """Record every _start_groups call of one replicate as (order, depth, k,
+    its groups, the CMI values computed during the call, candidate by
+    candidate and step by step)."""
     calls, values = [], []
-    real_cmi, real_start = learning._cmi, learning._start_table
+    real_cmi, real_groups = learning._candidate_cmi, learning._start_groups
 
-    def cmi_values(table):
-        values.append(real_cmi(table))
-        return values[-1]
+    def cmi_values(table, members, axes, candidate_axes):
+        result = real_cmi(table, members, axes, candidate_axes)
+        values.extend(result[0].tolist())
+        return result
 
-    def start_table(order, depth, table, k):
+    def start_groups(order, depth, table, k):
+        assert len(table) == 1
         first = len(values)
-        result = real_start(order, depth, table, k)
+        result = real_groups(order, depth, table, k)
         calls.append((tuple(order), depth, k, result, values[first:]))
         return result
 
-    monkeypatch.setattr(learning, "_cmi", cmi_values)
-    monkeypatch.setattr(learning, "_start_table", start_table)
+    monkeypatch.setattr(learning, "_candidate_cmi", cmi_values)
+    monkeypatch.setattr(learning, "_start_groups", start_groups)
     return calls
 
 
@@ -430,7 +433,9 @@ class TestStartTablesFromOneTally:
     pool_counts) bit for bit."""
 
     def assert_dataset_path(self, d, calls):
-        for order, depth, k, (start, pooled, parents), values in calls:
+        for order, depth, k, ((members, start, pooled, parents),), values in calls:
+            assert members.tolist() == [0] and len(pooled) == 1
+            pooled = pooled[0]
             want_values = []
             want_start, want_pooled, want_parents = dataset_start_table(d, order, depth, k, want_values)
             assert parents == want_parents
@@ -456,14 +461,14 @@ class TestStartTablesFromOneTally:
         cfg = LearnConfig("kparents", k=k)
         with pytest.MonkeyPatch.context() as monkeypatch:
             calls = traced_start_tables(monkeypatch)
-            starts = _start_tables(order, d.counts(order), k)
+            starts = _start_tables(order, d.counts(order)[None], k)
             assert [call[:3] for call in calls] == [(order, depth, k) for depth in range(p)]
             assert all(call[3] is start for call, start in zip(calls, starts))
             self.assert_dataset_path(d, calls)
             # The DP builds its start tables by stacked axis sums and hands
             # them to _batched one layer at a time, in the order its cache
             # takes their keys; only the CMI projections go through
-            # _start_table.
+            # _start_groups.
             calls.clear()
             tables, cache = [], {}
             real_batched = learning._batched
@@ -480,11 +485,57 @@ class TestStartTablesFromOneTally:
             assert [call[:3] for call in calls] == [(tuple(sorted(predecessors)) + (var,), len(predecessors), k)]
             self.assert_dataset_path(d, calls)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 5),
+        n=st.integers(1, 120),
+        replicates=st.integers(1, 5),
+        max_levels=st.integers(2, 4),
+        k=st.integers(1, 3),
+    )
+    def test_stacked_equal_to_each_replicate_alone(self, seed, p, n, replicates, max_levels, k):
+        # The start tables of every depth of R replicates built together,
+        # with the parents chosen together, against each replicate's own
+        # _start_tables: start ids, pooled counts, parent sets and every
+        # CMI value, bit for bit.
+        rng = np.random.default_rng(seed)
+        d = random_dataset(rng, p=p, n=n, max_levels=max_levels)
+        order = tuple(int(v) for v in rng.permutation(p))
+        plan = ResamplePlan(replicates, seed)
+        joints = np.stack([bootstrap_replicate(d, plan.replicate_seed(i)).counts(order) for i in range(replicates)])
+        scored = []
+        real = learning._candidate_cmi
+
+        def recorded(table, members, axes, candidate_axes):
+            values = real(table, members, axes, candidate_axes)
+            scored.append((list(members), values))
+            return values
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(learning, "_candidate_cmi", recorded)
+            together = _start_tables(order, joints, k)
+            values_together = [
+                [v.hex() for members, values in scored if r in members for v in values[members.index(r)].tolist()]
+                for r in range(replicates)
+            ]
+            for r in range(replicates):
+                scored.clear()
+                alone = _start_tables(order, joints[r:r + 1], k)
+                assert [v.hex() for _, values in scored for v in values[0].tolist()] == values_together[r]
+                for groups, (((_, want_start, want_pooled, want_parents),)) in zip(together, alone):
+                    ((members, start, pooled, parents),) = [g for g in groups if r in g[0]]
+                    got = pooled[members.tolist().index(r)]
+                    assert parents == want_parents
+                    assert start.dtype == want_start.dtype and np.array_equal(start, want_start)
+                    assert got.dtype == want_pooled.dtype and np.array_equal(got, want_pooled[0])
+        assert sum(len(members) for groups in together for members, *_ in groups) == p * replicates
+
     def test_parent_choice_reads_cmi(self, monkeypatch):
         # Enough rows and predecessors that selection has real choices.
         d = random_dataset(np.random.default_rng(12), p=5, n=400, max_levels=4)
         calls = traced_start_tables(monkeypatch)
-        _start_tables((4, 2, 0, 3, 1), d.counts((4, 2, 0, 3, 1)), 2)
+        _start_tables((4, 2, 0, 3, 1), d.counts((4, 2, 0, 3, 1))[None], 2)
         assert [len(values) for *_, values in calls] == [0, 0, 0, 3 + 2, 4 + 3]
         self.assert_dataset_path(d, calls)
 

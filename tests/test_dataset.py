@@ -83,6 +83,12 @@ class TestLoadCsv:
             (["u,v", "a,x", "b,y", "b,y,z"], True, "line 4 has 3 cells, expected 2"),
             (["a,x", " ,y"], False, "empty cell at row 2, column 'X1'"),
             (["u,v", "a,x", "a,y"], True, "column 'u' has a single distinct value 'a'"),
+            (["u,,v", "a,x,y", "b,y,x"], True, "column 2 of the header has an empty variable name"),
+            (["u, ", "a,x", "b,y"], True, "column 2 of the header has an empty variable name"),
+            (["u,v,u", "a,x,y", "b,y,x"], True, "column 3 repeats the variable name 'u' of column 1"),
+            (["u,v, v", "a,x,y", "b,y,x"], True, "column 3 repeats the variable name 'v' of column 2"),
+            # The header is refused before any row is read.
+            (["u,,v", "a", ""], True, "column 2 of the header has an empty variable name"),
         ],
     )
     def test_error_messages(self, tmp_path, lines, has_header, message):
@@ -91,6 +97,15 @@ class TestLoadCsv:
         with pytest.raises(DataError) as exc:
             load_csv(str(path), has_header=has_header)
         assert str(exc.value) == f"{path}: {message}"
+
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path):
+        # Spreadsheet exports start with a UTF-8 byte-order mark.
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\nx,y\nz,w\n")
+        d = load_csv(str(path))
+        assert d.schema.names == ("a", "b")
+        assert d.schema.index("a") == 0
+        assert load_csv(str(path), has_header=False).schema.variables[0].levels == ("a", "x", "z")
 
     def test_codes_follow_sorted_levels(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", [" u , v", "zeta , b", "alpha,c", " mid,a", "alpha,b"])

@@ -57,8 +57,8 @@ class TestRunCv:
         args = dict(folds=2, bootstrap_replicates=3, seed=6, order=order)
         alone = [strip_time(r) for cfg in algorithms for r in run_cv(d, [cfg], **args).records]
         drawn = []
-        real = consensus.bootstrap_replicate
-        monkeypatch.setattr(consensus, "bootstrap_replicate", lambda data, seed: drawn.append(seed) or real(data, seed))
+        real = consensus._bootstrap_rows
+        monkeypatch.setattr(consensus, "_bootstrap_rows", lambda n, seed: drawn.append(seed) or real(n, seed))
         together = run_cv(d, algorithms, **args)
         assert len(drawn) == len(set(drawn)) == 2 * 3
         assert sorted(strip_time(r) for r in together.records) == sorted(alone)

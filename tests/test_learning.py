@@ -33,7 +33,7 @@ from stagedtree.learning import (
     _stage_tables,
     _start_tables,
 )
-from stagedtree.tree import FitConfig, StagedTree, pool_counts, probabilities_from_counts, stage_counts
+from stagedtree.tree import FitConfig, StageAssignment, StagedTree, pool_counts, probabilities_from_counts, stage_counts
 
 from conftest import max_in_degree, random_dataset, saturated_tree
 from staging_oracle import (
@@ -70,9 +70,10 @@ def sample_from_tree(tree, rng, n):
 def stage_depth(d, order, depth, k, smoothing):
     """One depth of ``order`` staged as the learner stages it. Returns the
     staging, its pooled counts and the parent set."""
-    starts = _start_tables(order, d.counts(order), k)
-    staging, counts = _stage_tables([starts], d.n, smoothing)[0][depth]
-    return staging, counts, starts[depth][2]
+    starts = _start_tables(order, d.counts(order)[None], k)
+    ids, counts = _stage_tables(starts, d.n, smoothing)[depth]
+    ((_, _, _, parents),) = starts[depth]
+    return StageAssignment(depth, ids[0], len(counts[0])), counts[0], parents
 
 
 def bhc_stage_depth(d, order, depth):
@@ -317,16 +318,18 @@ class TestChunkedMergeOracle:
 
         with mock.patch.object(learning, "MERGE_BATCH_CELLS", cap):
             merged = _batched(tables, merge)
-            (staged,) = _stage_tables([[(np.arange(len(t)), t, ()) for t in tables]], n_rows, smoothing)
+            # Each table as a depth of its own of one replicate.
+            starts = [[(np.array([0]), np.arange(len(t)), t[None], ())] for t in tables]
+            staged = [(ids[0], counts[0]) for ids, counts in _stage_tables(starts, n_rows, smoothing)]
         assert all(b == 1 or b * k * k <= cap for b, k, _ in chunks)
         assert sum(b for b, _, _ in chunks) == len(tables)
-        for table, (stage_of, pooled, trace), (staging, counts) in zip(tables, merged, staged):
+        for table, (stage_of, pooled, trace), (ids_of, counts) in zip(tables, merged, staged):
             expected_trace = []
             roots = reference_bhc_merge(table, n_rows, smoothing, trace=expected_trace)
             ids = np.unique(roots, return_inverse=True)[1]
             want = pool_counts(table, ids, int(ids.max()) + 1)
             np.testing.assert_array_equal(stage_of, ids)
-            np.testing.assert_array_equal(staging.stage_of, ids)
+            np.testing.assert_array_equal(ids_of, ids)
             np.testing.assert_array_equal(pooled, want)
             np.testing.assert_array_equal(counts, want)
             assert np.array(trace).tobytes() == np.array(expected_trace).tobytes()
