@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -152,6 +151,10 @@ def _map_replicates(d: Dataset, plan: ResamplePlan, threads: int, columns) -> np
     jobs = [(i, plan.replicate_seed(i)) for i in range(plan.replicates)]
     if threads <= 1:
         return d.counts(columns, _draws(d.n, jobs))
+    # Imported here, where a pool starts, so that importing the package loads
+    # no process machinery.
+    from concurrent.futures import ProcessPoolExecutor
+
     size = -(-len(jobs) // (4 * threads))  # about 4 blocks a worker, for balance
     blocks = [jobs[start:start + size] for start in range(0, len(jobs), size)]
     with ProcessPoolExecutor(threads, initializer=_start_worker, initargs=(d, columns)) as pool:
@@ -338,7 +341,10 @@ def consensus_staging(
     """Cluster the disagreement matrix and cut the dendrogram at ``cut``.
 
     Contexts whose merge heights stay at or below the cut end up in the same
-    consensus stage.
+    consensus stage. The dendrogram is the one scipy's ``linkage`` builds, by
+    the nearest-neighbour chain of Müllner, "Modern hierarchical,
+    agglomerative clustering algorithms" (arXiv:1109.2378), and the cut is
+    scipy's ``fcluster(criterion="distance")``, so the stages are scipy's.
     """
     d_matrix = np.asarray(d_matrix, dtype=float)
     k = d_matrix.shape[0]
@@ -353,13 +359,80 @@ def consensus_staging(
         raise ModelError(f"unsupported linkage {linkage!r}")
     if k == 1:
         return StageAssignment(depth, np.zeros(1, dtype=np.int64), 1)
-    # Imported here, its one use, so that importing the package stays cheap.
-    from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
-    from scipy.spatial.distance import squareform
+    return canonical_stage_assignment(depth, _flat_clusters(_nn_chain(d_matrix, linkage), cut))
 
-    merges = scipy_linkage(squareform(d_matrix, checks=False), method=linkage)
-    labels = fcluster(merges, t=cut, criterion="distance")
-    return canonical_stage_assignment(depth, labels)
+
+# The Lance-Williams update of each linkage: the distance from the cluster
+# that merges x (of size nx) and y (of size ny) to every other cluster, from
+# the rows of x and y, computed as scipy's nn_chain computes it.
+_LINKAGE_UPDATES = {
+    "average": lambda dx, dy, nx, ny: (nx * dx + ny * dy) / (nx + ny),
+    "complete": lambda dx, dy, nx, ny: np.maximum(dx, dy),
+    "single": lambda dx, dy, nx, ny: np.minimum(dx, dy),
+}
+
+
+def _nn_chain(d_matrix: np.ndarray, method: str) -> np.ndarray:
+    """The k - 1 merges (x, y, height, size) of a k x k dissimilarity matrix,
+    as scipy's ``nn_chain`` makes them for "average" and "complete", bit for
+    bit: scipy's ``linkage`` sorts these rows stably by height, then puts in
+    x, y and size those of the nodes x and y had become. x < y are slots:
+    the merged cluster takes slot y, and the cluster in a slot always holds
+    the leaf of that index. scipy builds "single" linkage from a spanning
+    tree instead, which merges in another order but gives the same flat
+    clusters at every cut: the components of ``d <= cut``.
+
+    The chain starts at the lowest live cluster and moves to the nearest
+    neighbour of its last cluster: the lowest index at the row's minimum, or
+    the cluster before it in the chain when that one is as near. Two
+    clusters that are each other's nearest merge and leave the chain."""
+    k = d_matrix.shape[0]
+    update = _LINKAGE_UPDATES[method]
+    dist = d_matrix.copy()
+    np.fill_diagonal(dist, np.inf)  # a dead cluster's column is inf as well
+    size = [1] * k
+    live = np.ones(k, dtype=bool)
+    merges = []
+    chain = []
+    for _ in range(k - 1):
+        if not chain:
+            chain.append(int(live.argmax()))
+        while True:
+            x = chain[-1]
+            row = dist[x]
+            y = int(row.argmin())
+            if len(chain) > 1 and not row[y] < row[chain[-2]]:
+                y = chain[-2]
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        nx, ny = size[x], size[y]
+        merges.append((x, y, dist[x, y], nx + ny))
+        joined = update(dist[x], dist[y], nx, ny)
+        joined[y] = np.inf
+        dist[y] = joined
+        dist[:, y] = joined
+        dist[:, x] = np.inf
+        live[x] = False
+        size[y] = nx + ny
+    return np.array(merges)
+
+
+def _flat_clusters(merges: np.ndarray, cut: float) -> np.ndarray:
+    """The cluster of each leaf in scipy's ``fcluster(criterion="distance")``
+    of the linkage of ``merges`` (rows of ``_nn_chain``), named by its
+    highest leaf. fcluster keeps a node whole when no merge under it is
+    higher than ``cut``. Sorted by height, every merge under a node is at
+    most as high as the node, so the merges it keeps are those at most
+    ``cut`` high, each joining the clusters of its leaves x and y."""
+    joined_to = list(range(len(merges) + 1))
+    for x, y, height, _ in merges.tolist():
+        if height <= cut:
+            joined_to[int(x)] = int(y)
+    for leaf in reversed(range(len(joined_to))):  # y > x: a leaf's target is resolved first
+        joined_to[leaf] = joined_to[joined_to[leaf]]
+    return np.array(joined_to)
 
 
 @dataclass(frozen=True)
@@ -460,7 +533,7 @@ def staging_heatmap_export(d_matrix: np.ndarray, labels, path: str) -> None:
     labels = list(labels)
     if d_matrix.shape != (len(labels), len(labels)):
         raise DataError("label count does not match the matrix size")
-    _write_csv(path, ["context"] + labels, ([label] + _float_texts(row) for label, row in zip(labels, d_matrix)))
+    _write_csv(path, ["context"] + labels, ([label] for label in labels), floats=d_matrix)
     sidecar = {
         "kind": "heatmap",
         "source_csv": os.path.basename(path),
@@ -472,15 +545,6 @@ def staging_heatmap_export(d_matrix: np.ndarray, labels, path: str) -> None:
     with open(path + ".plot.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
-
-
-def _float_texts(row: np.ndarray) -> list[str]:
-    """repr(float(v)) of every value of ``row``, formatting each distinct
-    value once: a dissimilarity is apart / M, so a row holds at most M + 1
-    of them. Values are told apart by bit pattern, so -0.0 keeps its sign.
-    One row at a time keeps the temporaries at O(k) beside the k x k matrix."""
-    bits, inverse = np.unique(row.view(np.int64), return_inverse=True)
-    return np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[inverse].tolist()
 
 
 def context_labels_for_depth(schema, order, depth: int) -> list[str]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -207,20 +208,28 @@ def load_csv(path: str, has_header: bool = True) -> Dataset:
         width = len(header)
         # Rows are encoded as they stream in, each label by order of first
         # appearance; the codes are remapped to sorted levels at the end.
+        # A survey repeats few distinct rows, so each distinct row is checked
+        # and encoded once, at its first line, and the first bad line is the
+        # first line of a bad row.
         seen: list[dict[str, int]] = [{} for _ in range(width)]
+        patterns: dict[tuple[str, ...], int] = {}
         codes: list[list[int]] = []
+        ids: list[int] = []
         for i, row in enumerate(body):
-            if len(row) != width:
-                raise DataError(f"{path}: line {first_line + i} has {len(row)} cells, expected {width}")
-            stripped = [c.strip() for c in row]
-            for j, c in enumerate(stripped):
-                if c == "":
-                    raise DataError(f"{path}: empty cell at row {i + 1}, column {header[j]!r}")
-            codes.append([seen[j].setdefault(c, len(seen[j])) for j, c in enumerate(stripped)])
-    if not codes:
+            at = patterns.setdefault(tuple(row), len(patterns))
+            if at == len(codes):
+                if len(row) != width:
+                    raise DataError(f"{path}: line {first_line + i} has {len(row)} cells, expected {width}")
+                stripped = [c.strip() for c in row]
+                for j, c in enumerate(stripped):
+                    if c == "":
+                        raise DataError(f"{path}: empty cell at row {i + 1}, column {header[j]!r}")
+                codes.append([seen[j].setdefault(c, len(seen[j])) for j, c in enumerate(stripped)])
+            ids.append(at)
+    if not ids:
         raise DataError(f"{path}: no data rows")
 
-    rows = np.array(codes, dtype=np.int64)
+    rows = np.array(codes, dtype=np.int64)[ids]
     variables = []
     for j, name in enumerate(header):
         distinct = sorted(seen[j])
@@ -244,15 +253,34 @@ def _check_header(path: str, header: list[str]) -> None:
         columns[name] = j
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, rows, floats=None) -> None:
     """Write ``header`` and then ``rows`` as CSV; every result file goes
     through here. A float cell, numpy floats included, is written as
-    repr(float(v)), so a re-import is bit-exact."""
+    repr(float(v)), so a re-import is bit-exact.
+
+    ``floats``, a float array with a row for each of ``rows``, ends each row
+    with the values of its row. Each distinct value is formatted once, told
+    apart by bit pattern so that -0.0 keeps its sign: a dissimilarity
+    matrix holds at most M + 1 of them. A float's text needs no quoting, so
+    a row's texts are joined as they are, after its cells and the comma the
+    writer ends them with when given one more, empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        if floats is None:
+            for row in rows:
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+            return
+        bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+        texts = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+        end = writer.dialect.lineterminator
+        head = io.StringIO()
+        heads = csv.writer(head)
+        for row, codes in zip(rows, inverse.reshape(floats.shape)):
+            head.seek(0)
+            head.truncate()
+            heads.writerow([*row, ""])
+            fh.write(head.getvalue()[: -len(end)] + ",".join(texts[codes].tolist()) + end)
 
 
 def bootstrap_replicate(d: Dataset, seed: int) -> Dataset:

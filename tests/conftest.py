@@ -108,6 +108,18 @@ def random_dataset(rng, p: int, n: int, max_levels: int = 3) -> Dataset:
     return Dataset(schema, rows)
 
 
+def survey_data(rng, n: int, p: int) -> Dataset:
+    """p binary items driven by one latent score, as scripts/benchmark_consensus.py
+    draws them: the data of the wide_consensus benchmark workload."""
+    latent = rng.random(n)
+    cols = []
+    for _ in range(p):
+        noise = rng.random(n)
+        cols.append(((0.6 * latent + 0.4 * noise) > 0.5).astype(np.int64))
+    schema = Schema(tuple(Variable(f"Q{j+1}", ("hi", "lo")) for j in range(p)))
+    return Dataset(schema, np.column_stack(cols))
+
+
 def random_fitted_tree(rng, max_p: int = 4, max_levels: int = 3) -> StagedTree:
     """Random schema, random ordering, random staging, Dirichlet stage rows."""
     p = int(rng.integers(2, max_p + 1))

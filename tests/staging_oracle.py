@@ -6,7 +6,9 @@ the learner's merge must reproduce bit for bit. The reference stage depth is
 the relabel-and-repool path the learner's one-depth staging replaced. The
 dataset start table is the path the learner's start tables replaced: CMI
 parents from a tally per candidate, projection start classes from the
-context coordinates, and their counts pooled by scatter-add."""
+context coordinates, and their counts pooled by scatter-add. The reference
+consensus staging is scipy's clustering, which the in-package
+nearest-neighbour chain of consensus_staging replaced."""
 
 import math
 
@@ -192,3 +194,18 @@ def reference_stage_depth(d: Dataset, order, depth: int, k, smoothing: float):
     roots = reference_bhc_merge(table, d.n, smoothing)
     staging = canonical_stage_assignment(depth, roots[start])
     return staging, pool_counts(counts, staging.stage_of, staging.n_stages), parents
+
+
+def reference_consensus_staging(d_matrix: np.ndarray, cut: float, depth: int, linkage: str = "average") -> StageAssignment:
+    """consensus_staging as scipy computed it: ``linkage`` of the condensed
+    matrix, cut by ``fcluster`` at distance ``cut``."""
+    k = d_matrix.shape[0]
+    if k == 1:
+        return StageAssignment(depth, np.zeros(1, dtype=np.int64), 1)
+    # Imported here so that the tests that never call it do not load scipy.
+    from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
+    from scipy.spatial.distance import squareform
+
+    merges = scipy_linkage(squareform(d_matrix, checks=False), method=linkage)
+    labels = fcluster(merges, t=cut, criterion="distance")
+    return canonical_stage_assignment(depth, labels)

@@ -50,6 +50,7 @@ from conftest import (
     random_fitted_tree,
     reference_tree,
     saturated_tree,
+    survey_data,
 )
 from staging_oracle import depth_bic, exhaustive_stage
 
@@ -282,20 +283,10 @@ def test_09_consensus_properties():
         assert staged.stage_of.tolist() == [0, 0, 0, 1, 1, 1]
 
 
-def _survey_data(rng, n, p):
-    latent = rng.random(n)
-    cols = []
-    for _ in range(p):
-        noise = rng.random(n)
-        cols.append(((0.6 * latent + 0.4 * noise) > 0.5).astype(np.int64))
-    schema = Schema(tuple(Variable(f"Q{j+1}", ("hi", "lo")) for j in range(p)))
-    return Dataset(schema, np.column_stack(cols))
-
-
 def test_10_binary_data_has_no_partial_labels():
     with criterion(10, "200-replicate bootstrap on binary data yields zero partial mass", 300.0):
         rng = np.random.default_rng(1010)
-        d = _survey_data(rng, n=1500, p=5)
+        d = survey_data(rng, n=1500, p=5)
         plan = ResamplePlan(200, seed=17)
         result = run_bootstrap_consensus(d, tuple(range(5)), plan, LearnConfig())
         assert result.edge_table, "expected at least one edge across replicates"
@@ -305,7 +296,7 @@ def test_10_binary_data_has_no_partial_labels():
 
 def test_11_desk_scale_performance():
     rng = np.random.default_rng(1111)
-    d = _survey_data(rng, n=10_000, p=7)
+    d = survey_data(rng, n=10_000, p=7)
     plan = ResamplePlan(200, seed=23)
     order = tuple(range(7))
 

@@ -57,6 +57,35 @@ def test_import_leaves_scipy_unloaded():
     ran = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert ran.returncode == 0, ran.stderr
     assert ran.stdout.strip() == "[]"
+    # Only --threads above 1 starts a process pool; the import loads none of it.
+    code = (
+        "import sys, stagedtree, stagedtree.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', 'socket', 'subprocess') "
+        "if m in sys.modules))"
+    )
+    ran = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["bootstrap", "cv"])
+def test_commands_run_without_scipy(toy_csv, tmp_path, command):
+    # Consensus clustering is in the package: with scipy unimportable the
+    # commands write what they write with it.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = "import sys; sys.modules['scipy'] = None; from stagedtree.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [command, "--input", toy_csv, "--replicates", "4", "--seed", "5"]
+    ran = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--outdir", str(tmp_path / "blocked")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert ran.returncode == 0, ran.stderr
+    assert main(argv + ["--outdir", str(tmp_path / "here")]) == 0
+    names = sorted(os.listdir(tmp_path / "here"))
+    assert names == sorted(os.listdir(tmp_path / "blocked"))
+    for name in names:
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "here" / name).read_bytes(), name
 
 
 class TestExitCodes:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.hierarchy import linkage as scipy_linkage
+from scipy.spatial.distance import squareform
 
 from stagedtree import (
     Dataset,
@@ -29,12 +31,12 @@ from stagedtree import (
     tally_orders,
 )
 from stagedtree import aldag, consensus, learning
-from stagedtree.consensus import _disagreement, context_labels_for_depth
-from stagedtree.dataset import bootstrap_replicate
+from stagedtree.consensus import _disagreement, _nn_chain, context_labels_for_depth
+from stagedtree.dataset import _write_csv, bootstrap_replicate
 from stagedtree.harness import run_cv
 
-from conftest import fail_replicate, random_dataset, saturated_tree, staging_from_ids
-from staging_oracle import reference_stage_depth
+from conftest import fail_replicate, random_dataset, saturated_tree, staging_from_ids, survey_data
+from staging_oracle import reference_consensus_staging, reference_stage_depth
 
 
 def chain_data(rng, n=400, p=3):
@@ -256,6 +258,79 @@ class TestConsensusStaging:
         d = _disagreement(z, 1)
         assert np.array_equal(d, d.T)
         consensus_staging(d, cut=0.5, depth=1)
+
+
+def scipy_linkage_matrix(merges):
+    """scipy's linkage matrix from the merges of its nearest-neighbour chain:
+    sorted stably by height, each merge's two slots renumbered as the
+    nodes they had become, the lower first, and its size counted again
+    (scipy's ``label``)."""
+    k = len(merges) + 1
+    z = merges[np.argsort(merges[:, 2], kind="mergesort")]
+    parent = list(range(2 * k - 1))
+    size = [1] * (2 * k - 1)
+    for step, pair in enumerate(z[:, :2].astype(np.int64).tolist()):
+        roots = []
+        for node in pair:
+            while parent[node] != node:
+                node = parent[node]
+            roots.append(node)
+        parent[roots[0]] = parent[roots[1]] = k + step
+        size[k + step] = size[roots[0]] + size[roots[1]]
+        z[step] = min(roots), max(roots), z[step, 2], size[k + step]
+    return z
+
+
+def assert_clustered_as_scipy(d, cuts):
+    """consensus_staging equals scipy's clustering at every cut and linkage,
+    and the average and complete linkage matrices equal scipy's bit for bit."""
+    for linkage in ("average", "complete", "single"):
+        for cut in cuts:
+            got = consensus_staging(d, cut, 1, linkage)
+            want = reference_consensus_staging(d, cut, 1, linkage)
+            assert np.array_equal(got.stage_of, want.stage_of), (linkage, cut)
+    if len(d) > 1:
+        for linkage in ("average", "complete"):
+            want = scipy_linkage(squareform(d, checks=False), method=linkage)
+            assert scipy_linkage_matrix(_nn_chain(d, linkage)).tobytes() == want.tobytes(), linkage
+
+
+class TestClusteringOracle:
+    """The nearest-neighbour chain against scipy, on co-staging
+    dissimilarities: apart / M from random stage ids, which tie often."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 64),
+        m=st.integers(1, 40),
+        ids=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        numerator=st.integers(1, 39),
+        cut=st.floats(0.001, 0.999),
+    )
+    def test_equal_to_scipy(self, k, m, ids, seed, numerator, cut):
+        z = np.random.default_rng(seed).integers(0, ids, size=(k, m))
+        # A cut at an exact multiple of 1/M meets merge heights head on.
+        cuts = [0.5, cut] + ([min(numerator, m - 1) / m] if m > 1 else [])
+        assert_clustered_as_scipy(_disagreement(z, 1), cuts)
+
+    def test_height_inversion(self):
+        # Average linkage joins {0, 2} at 0.5, then {0, 2} and 1 at 0.7, then
+        # that cluster and 3 at (0.7 + 2 * 0.7) / 3, which rounds to below
+        # 0.7. Sorted by height, scipy's linkage makes that merge first, as
+        # {0, 2} and 3, so a cut at its height leaves 1 alone.
+        d = np.array([[0, 6, 5, 7], [6, 0, 8, 7], [5, 8, 0, 7], [7, 7, 7, 0]]) / 10
+        low = (0.7 + 2 * 0.7) / 3
+        assert low < 0.7
+        assert_clustered_as_scipy(d, [low, 0.7])
+        assert consensus_staging(d, low, 1).stage_of.tolist() == [0, 1, 0, 0]
+
+    def test_wide_consensus_depth(self):
+        # The 512 contexts of depth 9 of the wide_consensus workload's data.
+        d = survey_data(np.random.default_rng(1), n=10_000, p=10)
+        ensemble = run_bootstrap_consensus(d, range(10), ResamplePlan(8, seed=1), LearnConfig()).ensemble
+        assert ensemble.dissimilarity[9].shape == (512, 512)
+        assert_clustered_as_scipy(ensemble.dissimilarity[9], [0.5, 0.25, 0.375, 0.9])
 
 
 class TestAveragedTree:
@@ -637,6 +712,20 @@ class TestHeatmapExport:
         want += [",".join([label] + [repr(float(v)) for v in row]) for label, row in zip(labels, d)]
         assert path.read_text().splitlines() == want
         assert "-0.0" in path.read_text()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from(["c", "a,b", 'say "hi"', "two\nlines", "", " pad "]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_to_per_cell_rows(self, tmp_path_factory, labels, seed):
+        # The formatted matrix must write what rows of float cells write.
+        values = np.array([0.0, -0.0, 0.125, 1 / 3, 1.0, np.inf, np.nan])
+        d = values[np.random.default_rng(seed).integers(0, values.size, size=(len(labels),) * 2)]
+        out = tmp_path_factory.mktemp("heatmap")
+        staging_heatmap_export(d, labels, str(out / "fast.csv"))
+        _write_csv(str(out / "cells.csv"), ["context"] + labels, ([label] + row.tolist() for label, row in zip(labels, d)))
+        assert (out / "fast.csv").read_bytes() == (out / "cells.csv").read_bytes()
 
     def test_two_by_two_has_three_lines(self, tmp_path):
         path = tmp_path / "d.csv"

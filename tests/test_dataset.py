@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from stagedtree import (
     load_csv,
     schema_to_json,
 )
-from stagedtree.dataset import _write_csv
+from stagedtree.dataset import _check_header, _write_csv
 
 
 def write_csv(path, lines):
@@ -134,6 +135,76 @@ class TestLoadCsv:
         again = load_csv(str(out))
         assert again.schema == d.schema
         assert np.array_equal(again.rows, d.rows)
+
+
+def reference_load_csv(path: str, has_header: bool = True) -> Dataset:
+    """load_csv as it was before it encoded each distinct row once: every
+    line is stripped, checked and encoded."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: file is empty")
+        header = [h.strip() for h in first] if has_header else [f"X{j + 1}" for j in range(len(first))]
+        _check_header(path, header)
+        body = reader if has_header else itertools.chain([first], reader)
+        first_line = 2 if has_header else 1
+        width = len(header)
+        seen: list[dict[str, int]] = [{} for _ in range(width)]
+        codes: list[list[int]] = []
+        for i, row in enumerate(body):
+            if len(row) != width:
+                raise DataError(f"{path}: line {first_line + i} has {len(row)} cells, expected {width}")
+            stripped = [c.strip() for c in row]
+            for j, c in enumerate(stripped):
+                if c == "":
+                    raise DataError(f"{path}: empty cell at row {i + 1}, column {header[j]!r}")
+            codes.append([seen[j].setdefault(c, len(seen[j])) for j, c in enumerate(stripped)])
+    if not codes:
+        raise DataError(f"{path}: no data rows")
+
+    rows = np.array(codes, dtype=np.int64)
+    variables = []
+    for j, name in enumerate(header):
+        distinct = sorted(seen[j])
+        if len(distinct) < 2:
+            raise DataError(f"{path}: column {name!r} has a single distinct value {distinct[0]!r}")
+        variables.append(Variable(name, tuple(distinct)))
+        position = {lv: r for r, lv in enumerate(distinct)}
+        rows[:, j] = np.array([position[lv] for lv in seen[j]])[rows[:, j]]
+    schema = Schema(tuple(variables))
+    return Dataset(schema, rows)
+
+
+class TestLoaderOracle:
+    # Lines repeat a few distinct rows, so a bad row may come after repeats;
+    # padded cells, a quoted comma, empty cells and ragged rows exercise
+    # every check.
+    cells = st.sampled_from(["a", " a", "a ", "b", "x,y", "c", " ", ""])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        names=st.lists(st.sampled_from(["u", " v ", "w", "x,y", ""]), min_size=1, max_size=3),
+        distinct=st.lists(st.lists(cells, min_size=1, max_size=4), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), max_size=40),
+        has_header=st.booleans(),
+        bom=st.booleans(),
+    )
+    def test_equal_to_reference_loader(self, tmp_path_factory, names, distinct, picks, has_header, bom):
+        body = [distinct[pick % len(distinct)] for pick in picks]
+        path = str(tmp_path_factory.mktemp("load") / "t.csv")
+        with open(path, "w", encoding="utf-8-sig" if bom else "utf-8", newline="") as fh:
+            csv.writer(fh).writerows(([names] if has_header else []) + body)
+        try:
+            want = reference_load_csv(path, has_header)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                load_csv(path, has_header)
+            assert str(got.value) == str(exc)
+            return
+        got = load_csv(path, has_header)
+        assert got.schema == want.schema
+        assert got.rows.dtype == want.rows.dtype and np.array_equal(got.rows, want.rows)
 
 
 class TestWriteCsv:
