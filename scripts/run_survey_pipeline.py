@@ -56,7 +56,6 @@ def main() -> None:
     parser.add_argument("--replicates", type=COUNT, default=200)
     parser.add_argument("--cut", type=checked(float, lambda v: 0 < v < 1, "lie strictly between 0 and 1"), default=0.5)
     parser.add_argument("--seed", type=checked(int, lambda v: 0 <= v < 2**64, "lie in [0, 2**64)"), default=0)
-    parser.add_argument("--threads", type=COUNT, default=1)
     parser.add_argument("--outdir", default="survey_out")
     args = parser.parse_args()
     if args.algorithm != "kparents" and args.k is not None:
@@ -69,7 +68,7 @@ def main() -> None:
     os.makedirs(args.outdir, exist_ok=True)
 
     print(f"loaded {d.n} rows, {d.p} variables", file=sys.stderr)
-    votes = bootstrap_orders(d, plan, cfg, fixed_last=response, threads=args.threads)
+    votes = bootstrap_orders(d, plan, cfg, fixed_last=response)
     decision = consensus_order(votes)
     order = decision.order
     names = [d.schema.names[v] for v in order]
@@ -77,7 +76,7 @@ def main() -> None:
     if decision.cyclic:
         print("note: pairwise votes were cyclic; Copeland linearization used", file=sys.stderr)
 
-    result = run_bootstrap_consensus(d, order, plan, cfg, cut=args.cut, threads=args.threads)
+    result = run_bootstrap_consensus(d, order, plan, cfg, cut=args.cut)
     model = result.averaged
     with open(os.path.join(args.outdir, "model.json"), "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(model))

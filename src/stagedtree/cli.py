@@ -63,6 +63,7 @@ _COUNT = _checked(int, lambda v: v >= 1, "be at least 1")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "lie strictly between 0 and 1")
 _SMOOTHING = _checked(float, lambda v: v >= 0, "be at least 0")
 _SEED = _checked(int, lambda v: 0 <= v < 2**64, "lie in [0, 2**64)")
+_THREADS = _checked(int, lambda v: v == 1, "be 1 (commands run in one process)")
 
 
 def _add_learn_flags(parser):
@@ -107,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("--seed", type=_SEED, default=0)
     p_boot.add_argument("--cut", type=_FRACTION, default=0.5)
     p_boot.add_argument("--linkage", choices=["average", "complete", "single"], default="average")
-    p_boot.add_argument("--threads", type=_COUNT, default=1)
+    p_boot.add_argument("--threads", type=_THREADS, default=1)
     p_boot.add_argument("--random-ties", type=_SEED, default=None,
                         help="break order-vote ties randomly with this seed instead of by index")
     p_boot.add_argument("--outdir", required=True)
@@ -123,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--smoothing", type=_SMOOTHING, default=0.0)
     p_cv.add_argument("--predictive-smoothing", type=_SMOOTHING, default=1.0)
     p_cv.add_argument("--seed", type=_SEED, default=0)
-    p_cv.add_argument("--threads", type=_COUNT, default=1)
+    p_cv.add_argument("--threads", type=_THREADS, default=1)
     p_cv.add_argument("--fixed-last", default=None)
     p_cv.add_argument("--order-spec", default=None)
     p_cv.add_argument("--reorder-per-fold", action="store_true")
@@ -297,7 +298,7 @@ def _cmd_bootstrap(args) -> int:
         if flags.mode == "fixed":
             order = flags.order
         else:
-            votes = bootstrap_orders(d, plan, cfg, fixed_last=flags.fixed_last, threads=args.threads)
+            votes = bootstrap_orders(d, plan, cfg, fixed_last=flags.fixed_last)
             decision = consensus_order(votes, tie_seed=flags.tie_seed)
             order = decision.order
             if decision.cyclic:
@@ -309,9 +310,7 @@ def _cmd_bootstrap(args) -> int:
                 ([name] + row.tolist() for name, row in zip(names, votes.frequencies)),
             )
 
-        result = run_bootstrap_consensus(
-            d, order, plan, cfg, cut=args.cut, linkage=args.linkage, threads=args.threads
-        )
+        result = run_bootstrap_consensus(d, order, plan, cfg, cut=args.cut, linkage=args.linkage)
     with open(os.path.join(args.outdir, "consensus_model.json"), "w", encoding="utf-8") as fh:
         fh.write(tree_to_json(result.averaged))
         fh.write("\n")
@@ -376,7 +375,6 @@ def _cmd_cv(args) -> int:
         fixed_last=flags.fixed_last,
         predictive_smoothing=args.predictive_smoothing,
         linkage=args.linkage,
-        threads=args.threads,
         reorder_per_fold=args.reorder_per_fold,
     )
     os.makedirs(args.outdir, exist_ok=True)

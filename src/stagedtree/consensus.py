@@ -1,11 +1,11 @@
 """Robust structure learning by bootstrap aggregation.
 
-Replicates are resampled and tallied in a parallel map with per-replicate
-seeds derived from the master seed; the orderings and stagings of all
-replicates are then learned from those tallies in the calling process, and a
-single-threaded reduce tallies orderings, co-staging disagreement, and edge
-labels. All aggregate statistics are kept as integer counts internally so
-invariants like "the two directions of an order vote sum to M" hold exactly.
+Replicates are resampled with per-replicate seeds derived from the master
+seed and tallied together; the orderings and stagings of all replicates are
+then learned from those tallies, and a reduce tallies orderings, co-staging
+disagreement, and edge labels. All aggregate statistics are kept as integer
+counts internally so invariants like "the two directions of an order vote
+sum to M" hold exactly.
 """
 
 from __future__ import annotations
@@ -112,53 +112,20 @@ def tally_orders(orders, p: int) -> OrderVoteMatrix:
     return OrderVoteMatrix(counts, n)
 
 
-def _draws(n: int, jobs) -> np.ndarray:
-    """The row indices of bootstrap replicate i of an n-row dataset, drawn
-    from its seed, for every (i, seed) of ``jobs``, stacked; a failure keeps
-    its type and is noted with the replicate index and seed that reproduce
-    it."""
-    draws = np.empty((len(jobs), n), dtype=np.int64)
-    for at, (index, seed) in enumerate(jobs):
+def _draws(n: int, plan: ResamplePlan) -> np.ndarray:
+    """The row indices of every bootstrap replicate i of ``plan`` of an
+    n-row dataset, drawn from its seed, stacked in replicate order; a failure
+    keeps its type and is noted with the replicate index and seed that
+    reproduce it."""
+    draws = np.empty((plan.replicates, n), dtype=np.int64)
+    for index in range(plan.replicates):
+        seed = plan.replicate_seed(index)
         try:
-            draws[at] = _bootstrap_rows(n, seed)
+            draws[index] = _bootstrap_rows(n, seed)
         except Exception as exc:
             exc.add_note(f"in bootstrap replicate {index} (seed {seed})")
             raise
     return draws
-
-
-# Set in each worker process by _start_worker: the dataset and columns of the map.
-_worker_setup = None
-
-
-def _start_worker(*setup) -> None:
-    global _worker_setup
-    _worker_setup = setup
-
-
-def _worker_tally(jobs) -> np.ndarray:
-    d, columns = _worker_setup
-    return d.counts(columns, _draws(d.n, jobs))
-
-
-def _map_replicates(d: Dataset, plan: ResamplePlan, threads: int, columns) -> np.ndarray:
-    """``Dataset.counts(columns)`` of every bootstrap replicate of ``plan``,
-    stacked in replicate order, (M, levels...): each replicate's row indices
-    are drawn from its seed and tallied through one ``Dataset.counts`` call,
-    so no replicate is copied. With ``threads > 1`` contiguous blocks of
-    replicates are drawn and tallied in a process pool whose workers receive
-    ``d`` and the columns once, at start-up."""
-    jobs = [(i, plan.replicate_seed(i)) for i in range(plan.replicates)]
-    if threads <= 1:
-        return d.counts(columns, _draws(d.n, jobs))
-    # Imported here, where a pool starts, so that importing the package loads
-    # no process machinery.
-    from concurrent.futures import ProcessPoolExecutor
-
-    size = -(-len(jobs) // (4 * threads))  # about 4 blocks a worker, for balance
-    blocks = [jobs[start:start + size] for start in range(0, len(jobs), size)]
-    with ProcessPoolExecutor(threads, initializer=_start_worker, initargs=(d, columns)) as pool:
-        return np.concatenate(list(pool.map(_worker_tally, blocks)))
 
 
 # Set by _shared_draws: the dataset and plan whose replicates are drawn once,
@@ -180,17 +147,19 @@ def _shared_draws(d: Dataset, plan: ResamplePlan):
         _shared = None
 
 
-def _replicate_counts(d: Dataset, plan: ResamplePlan, threads: int, columns) -> np.ndarray:
+def _replicate_counts(d: Dataset, plan: ResamplePlan, columns) -> np.ndarray:
     """``Dataset.counts(columns)`` of every replicate of ``plan``, stacked in
-    replicate order: from the replicate map, or within ``_shared_draws`` as
+    replicate order, (M, levels...). Each replicate's row indices are drawn
+    from its seed and all of them are tallied through one ``Dataset.counts``
+    call, so no replicate is copied. Within ``_shared_draws`` the counts are
     the int64 sums and transposes of the replicates' counts of all
     variables, which are bit-equal to a tally of their own."""
     columns = tuple(columns)
     if _shared is None or _shared[0] is not d or _shared[1] != plan:
-        return _map_replicates(d, plan, threads, columns)
+        return d.counts(columns, _draws(d.n, plan))
     every = tuple(range(len(d.schema)))
     if _shared[2] is None:
-        _shared[2] = _map_replicates(d, plan, threads, every)
+        _shared[2] = d.counts(every, _draws(d.n, plan))
     absent = tuple(v + 1 for v in every if v not in columns)
     kept = sorted(columns)
     return _shared[2].sum(axis=absent).transpose([0] + [kept.index(v) + 1 for v in columns])
@@ -201,17 +170,16 @@ def bootstrap_orders(
     plan: ResamplePlan,
     cfg: LearnConfig,
     fixed_last: int | None = None,
-    threads: int = 1,
 ) -> OrderVoteMatrix:
     """Learn one optimal ordering per bootstrap replicate and tally pairwise
     precedence frequencies. The dynamic-programming guard is checked before
     any replicate is drawn.
 
-    The replicate map only draws each replicate and tallies its counts of the
-    variables the DP arranges. The calling process scores the subset DPs of
-    all replicates together and runs each replicate's recursion."""
+    Each replicate is drawn once and tallied over the variables the DP
+    arranges; the subset DPs of all replicates are scored together and each
+    replicate's recursion runs on its own tally."""
     variables = _dp_variables(len(d.schema), fixed_last)
-    joints = _replicate_counts(d, plan, threads, variables)
+    joints = _replicate_counts(d, plan, variables)
     return tally_orders(_dp_orders(joints, variables, d.n, cfg, fixed_last), len(d.schema))
 
 
@@ -497,23 +465,22 @@ def run_bootstrap_consensus(
     cfg: LearnConfig,
     cut: float = 0.5,
     linkage: str = "average",
-    threads: int = 1,
 ) -> ConsensusResult:
     """Bootstrap stagings at a fixed ordering, cluster them into a consensus
     staging per depth, and fit the averaged tree on the full data. A ``cut``
     outside (0, 1), or a depth whose co-staging tally is too large, is
     rejected before any replicate is drawn.
 
-    The replicate map only draws each replicate and tallies its counts of
-    ``order``. The calling process builds the start tables of a depth of all
-    replicates from the stacked tallies and merges them together; their
-    stage ids go straight into the ensemble. The edge table labels each
-    depth of all replicates together, when it is first read."""
+    Each replicate is drawn once and tallied over ``order``. The start
+    tables of a depth of all replicates are built from the stacked tallies
+    and merged together; their stage ids go straight into the ensemble. The
+    edge table labels each depth of all replicates together, when it is
+    first read."""
     _check_cut(cut)
     order = validate_order(d.schema, order)
     for depth in range(len(order)):
         _check_tally(n_contexts(d.schema, order, depth), depth)
-    starts = _start_tables(order, _replicate_counts(d, plan, threads, order), cfg.k)
+    starts = _start_tables(order, _replicate_counts(d, plan, order), cfg.k)
     staged = _stage_tables(starts, d.n, cfg.smoothing)
     ensemble = ensemble_from_stagings(order, zip(*(ids for ids, _ in staged)))
     stagings = tuple(

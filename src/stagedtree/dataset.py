@@ -95,8 +95,8 @@ def _is_index(value, size: int) -> bool:
 class Dataset:
     """An N x p matrix of level indices together with its schema.
 
-    Immutable after construction; the row matrix is marked read-only so a
-    dataset can be shared freely across worker processes and threads.
+    Immutable after construction; the row matrix is marked read-only so
+    every model and replicate tally built from a dataset reads the same rows.
     """
 
     schema: Schema

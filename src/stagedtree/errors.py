@@ -21,5 +21,5 @@ class ConvergenceError(ModelError):
         self.deviation = deviation
 
     def __reduce__(self):
-        # Both constructor arguments, so the error can leave a worker process.
+        # Both constructor arguments, so a pickled error unpickles as itself.
         return type(self), (self.args[0], self.deviation), self.__dict__

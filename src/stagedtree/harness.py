@@ -60,7 +60,6 @@ def run_cv(
     fixed_last: int | None = None,
     predictive_smoothing: float = 1.0,
     linkage: str = "average",
-    threads: int = 1,
     reorder_per_fold: bool = False,
 ) -> CvReport:
     """Evaluate each algorithm with within-fold bootstrap consensus.
@@ -105,9 +104,7 @@ def run_cv(
                     fold_order, _ = order_search_dp(train, cfg, fixed_last=fixed_last)
                 else:
                     fold_order = full_orders[cfg.label()]
-                result = run_bootstrap_consensus(
-                    train, fold_order, plan, cfg, cut=cut, linkage=linkage, threads=threads
-                )
+                result = run_bootstrap_consensus(train, fold_order, plan, cfg, cut=cut, linkage=linkage)
                 model: StagedTree = result.averaged
                 train_score = bic(model, train)
                 predictive = fit(model, train, predictive_cfg)

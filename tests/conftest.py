@@ -109,8 +109,9 @@ def random_dataset(rng, p: int, n: int, max_levels: int = 3) -> Dataset:
 
 
 def survey_data(rng, n: int, p: int) -> Dataset:
-    """p binary items driven by one latent score, as scripts/benchmark_consensus.py
-    draws them: the data of the wide_consensus benchmark workload."""
+    """p binary items driven by one latent score, as ``wide_rows`` in
+    stbench/inputs.py draws them: the data of the wide_consensus benchmark
+    workload."""
     latent = rng.random(n)
     cols = []
     for _ in range(p):
@@ -157,7 +158,7 @@ def max_in_degree(graph) -> int:
 
 
 def fail_replicate(monkeypatch, plan, index):
-    """Make one replicate's draw raise; forked workers inherit the patch."""
+    """Make one replicate's draw raise; returns the note naming it."""
     bad_seed = plan.replicate_seed(index)
     real = consensus._bootstrap_rows
 

@@ -300,23 +300,18 @@ def test_11_desk_scale_performance():
     plan = ResamplePlan(200, seed=23)
     order = tuple(range(7))
 
-    with criterion(11, "M=200 consensus on 10k x 7 data within time budgets", 780.0):
-        started = time.perf_counter()
-        serial = run_bootstrap_consensus(d, order, plan, LearnConfig(), threads=1)
-        serial_elapsed = time.perf_counter() - started
-        assert serial_elapsed < 600.0, f"single-threaded run took {serial_elapsed:.1f}s"
+    with criterion(11, "M=200 consensus on 10k x 7 data within time budgets", 360.0):
+        elapsed, results = [], []
+        for _ in range(2):
+            started = time.perf_counter()
+            results.append(run_bootstrap_consensus(d, order, plan, LearnConfig()))
+            elapsed.append(time.perf_counter() - started)
+            assert elapsed[-1] < 180.0, f"M=200 run took {elapsed[-1]:.1f}s"
 
-        started = time.perf_counter()
-        threaded = run_bootstrap_consensus(d, order, plan, LearnConfig(), threads=4)
-        threaded_elapsed = time.perf_counter() - started
-        assert threaded_elapsed < 180.0, f"4-worker run took {threaded_elapsed:.1f}s"
-
-        for a, b in zip(serial.stagings, threaded.stagings):
+        first, second = results
+        for a, b in zip(first.stagings, second.stagings):
             assert np.array_equal(a.stage_of, b.stage_of)
-        print(
-            f"[acceptance]   timings: single={serial_elapsed:.1f}s "
-            f"4-workers={threaded_elapsed:.1f}s"
-        )
+        print(f"[acceptance]   timings: {elapsed[0]:.1f}s, {elapsed[1]:.1f}s")
 
 
 def test_12_cmi_oracle():

@@ -446,9 +446,8 @@ class TestBootstrapPipeline:
     def test_orders_are_not_scored(self, monkeypatch):
         # The vote needs each replicate's ordering only, so no ordering is
         # scored and the pinned variable is never scored given the rest.
-        # The replicate map draws each replicate once and tallies the
-        # variables the DP arranges of all replicates in one Dataset.counts
-        # call; the caller scores every DP.
+        # Each replicate is drawn once, and the variables the DP arranges of
+        # all replicates are tallied in one Dataset.counts call.
         d = chain_data(np.random.default_rng(19), n=200, p=4)
         plan = ResamplePlan(4, seed=3)
         orders = [
@@ -496,18 +495,6 @@ class TestBootstrapPipeline:
             a = consensus_staging(ens_m.dissimilarity[depth], 0.5, depth)
             b = consensus_staging(doubled.dissimilarity[depth], 0.5, depth)
             assert np.array_equal(a.stage_of, b.stage_of)
-
-    def test_parallel_matches_serial(self):
-        rng = np.random.default_rng(11)
-        d = chain_data(rng, n=200)
-        plan = ResamplePlan(6, seed=5)
-        serial = run_bootstrap_consensus(d, (0, 1, 2), plan, LearnConfig(), threads=1)
-        parallel = run_bootstrap_consensus(d, (0, 1, 2), plan, LearnConfig(), threads=2)
-        for a, b in zip(serial.stagings, parallel.stagings):
-            assert np.array_equal(a.stage_of, b.stage_of)
-        for a, b in zip(serial.averaged.probs, parallel.averaged.probs):
-            assert np.array_equal(a, b)
-        assert serial.edge_table == parallel.edge_table
 
     def test_averaged_tree_is_fitted_on_full_data(self):
         rng = np.random.default_rng(12)
@@ -570,13 +557,13 @@ class TestBatchedReplicateStaging:
     @pytest.mark.parametrize("k", [None, 2])
     def test_replicate_map_only_tallies(self, monkeypatch, k):
         # Each replicate comes back as its joint counts of the order; the
-        # start tables, CMI parents included, are built in the caller.
+        # start tables, CMI parents included, are built from those tallies.
         d = chain_data(np.random.default_rng(19), n=200, p=4)
         order = (2, 0, 3, 1)
         plan = ResamplePlan(3, seed=4)
         mapped = []
-        real = consensus._map_replicates
-        monkeypatch.setattr(consensus, "_map_replicates", lambda *args: mapped.append(real(*args)) or mapped[-1])
+        real = consensus._replicate_counts
+        monkeypatch.setattr(consensus, "_replicate_counts", lambda *args: mapped.append(real(*args)) or mapped[-1])
         run_bootstrap_consensus(d, order, plan, LearnConfig("bhc" if k is None else "kparents", k=k))
         (joints,) = mapped
         assert len(joints) == plan.replicates
@@ -586,19 +573,18 @@ class TestBatchedReplicateStaging:
 
 
 class TestReplicateTallies:
-    """Every replicate of the map is tallied from its drawn row indices
-    without a copy of the dataset, and equals the tally of its copy."""
+    """Every replicate is tallied from its drawn row indices without a copy
+    of the dataset, and equals the tally of its copy."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_equal_to_each_replicate_copy(self, threads):
+    def test_equal_to_each_replicate_copy(self):
         d = random_dataset(np.random.default_rng(30), p=4, n=70, max_levels=3)
         plan = ResamplePlan(9, seed=8)
         copies = [bootstrap_replicate(d, plan.replicate_seed(i)) for i in range(plan.replicates)]
         for columns in [(2, 0, 3), (1,), (3, 2, 1, 0)]:
             want = np.stack([copy.counts(columns) for copy in copies])
-            alone = consensus._replicate_counts(d, plan, threads, columns)
+            alone = consensus._replicate_counts(d, plan, columns)
             with consensus._shared_draws(d, plan):
-                shared = consensus._replicate_counts(d, plan, threads, columns)
+                shared = consensus._replicate_counts(d, plan, columns)
             for got in (alone, shared):
                 assert got.dtype == np.int64 and got.shape == want.shape
                 assert np.array_equal(got, want)
@@ -649,40 +635,17 @@ class TestCutHeight:
 
 
 class TestReplicateFailures:
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("stage", ["orders", "stagings"])
-    def test_failure_names_replicate_and_seed(self, monkeypatch, threads, stage):
+    def test_failure_names_replicate_and_seed(self, monkeypatch, stage):
         d = chain_data(np.random.default_rng(14), n=120)
         plan = ResamplePlan(5, seed=7)
         note = fail_replicate(monkeypatch, plan, 3)
         with pytest.raises(ModelError, match="injected failure") as exc:
             if stage == "orders":
-                bootstrap_orders(d, plan, LearnConfig(), threads=threads)
+                bootstrap_orders(d, plan, LearnConfig())
             else:
-                run_bootstrap_consensus(d, (0, 1, 2), plan, LearnConfig(), threads=threads)
+                run_bootstrap_consensus(d, (0, 1, 2), plan, LearnConfig())
         assert note in exc.value.__notes__
-
-
-class TestWorkerPayload:
-    @pytest.mark.parametrize("stage", ["orders", "stagings"])
-    def test_dataset_pickled_at_most_once_per_worker(self, monkeypatch, stage):
-        d = chain_data(np.random.default_rng(16), n=120)
-        plan = ResamplePlan(8, seed=2)
-        pickled = []
-
-        def reduce_ex(self, protocol):
-            pickled.append(protocol)
-            return object.__reduce_ex__(self, protocol)
-
-        monkeypatch.setattr(Dataset, "__reduce_ex__", reduce_ex, raising=False)
-        if stage == "orders":
-            serial = bootstrap_orders(d, plan, LearnConfig()).counts
-            parallel = bootstrap_orders(d, plan, LearnConfig(), threads=2).counts
-        else:
-            serial = run_bootstrap_consensus(d, (0, 1, 2), plan, LearnConfig()).ensemble.z
-            parallel = run_bootstrap_consensus(d, (0, 1, 2), plan, LearnConfig(), threads=2).ensemble.z
-        assert len(pickled) <= 2
-        assert all(np.array_equal(a, b) for a, b in zip(serial, parallel))
 
 
 class TestHeatmapExport:
