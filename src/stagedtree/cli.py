@@ -351,6 +351,8 @@ def _parse_algorithms(text) -> list[LearnConfig]:
             configs.append(LearnConfig("kparents", k=k))
         else:
             raise StagedTreeError(f"unknown algorithm spec {chunk!r}")
+        if configs[-1].label() in [cfg.label() for cfg in configs[:-1]]:
+            raise _UsageError(f"--algorithms gives {configs[-1].label()} more than once")
     if not configs:
         raise StagedTreeError("no algorithms given")
     return configs

@@ -458,6 +458,38 @@ class ConsensusResult:
         return _edge_table(self.averaged.schema, self.ensemble)
 
 
+def _consensus_order(schema, order, cut: float) -> Ordering:
+    """``order`` validated for ``run_bootstrap_consensus``, which refuses,
+    before any replicate is drawn, a ``cut`` outside (0, 1) and a depth whose
+    co-staging tally is too large."""
+    _check_cut(cut)
+    order = validate_order(schema, order)
+    for depth in range(len(order)):
+        _check_tally(n_contexts(schema, order, depth), depth)
+    return order
+
+
+def _consensus_start(d: Dataset, order: Ordering, plan: ResamplePlan, cfg: LearnConfig):
+    """The ``_stage_tables`` run of the replicates of ``plan`` at a checked
+    ``order``: their start tables, from one tally of each replicate over
+    ``order``, and the row count and smoothing they are staged at."""
+    return _start_tables(order, _replicate_counts(d, plan, order), cfg.k), d.n, cfg.smoothing
+
+
+def _consensus_finish(d: Dataset, order: Ordering, staged, cfg: LearnConfig, cut: float, linkage: str) -> ConsensusResult:
+    """The consensus of the replicate stagings ``staged`` of one run of
+    ``_stage_tables``: their stage ids go straight into the ensemble, which
+    is clustered into a consensus staging per depth, and the averaged tree
+    is fitted on ``d``."""
+    ensemble = ensemble_from_stagings(order, zip(*(ids for ids, _ in staged)))
+    stagings = tuple(
+        consensus_staging(ensemble.dissimilarity[depth], cut, depth, linkage)
+        for depth in range(len(order))
+    )
+    averaged = fit(StagedTree(d.schema, order, stagings), d, FitConfig(cfg.smoothing))
+    return ConsensusResult(averaged, stagings, ensemble)
+
+
 def run_bootstrap_consensus(
     d: Dataset,
     order,
@@ -475,20 +507,11 @@ def run_bootstrap_consensus(
     tables of a depth of all replicates are built from the stacked tallies
     and merged together; their stage ids go straight into the ensemble. The
     edge table labels each depth of all replicates together, when it is
-    first read."""
-    _check_cut(cut)
-    order = validate_order(d.schema, order)
-    for depth in range(len(order)):
-        _check_tally(n_contexts(d.schema, order, depth), depth)
-    starts = _start_tables(order, _replicate_counts(d, plan, order), cfg.k)
-    staged = _stage_tables(starts, d.n, cfg.smoothing)
-    ensemble = ensemble_from_stagings(order, zip(*(ids for ids, _ in staged)))
-    stagings = tuple(
-        consensus_staging(ensemble.dissimilarity[depth], cut, depth, linkage)
-        for depth in range(len(order))
-    )
-    averaged = fit(StagedTree(d.schema, order, stagings), d, FitConfig(cfg.smoothing))
-    return ConsensusResult(averaged, stagings, ensemble)
+    first read. ``run_cv`` takes the same three steps, staging the runs of
+    all its folds and algorithms together."""
+    order = _consensus_order(d.schema, order, cut)
+    (staged,) = _stage_tables([_consensus_start(d, order, plan, cfg)])
+    return _consensus_finish(d, order, staged, cfg, cut, linkage)
 
 
 def staging_heatmap_export(d_matrix: np.ndarray, labels, path: str) -> None:

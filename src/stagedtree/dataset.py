@@ -312,13 +312,17 @@ def kfold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
     return out
 
 
+def _split(d: Dataset, test_idx: np.ndarray) -> tuple[Dataset, Dataset]:
+    """The (train, test) datasets of the fold whose sorted test rows are
+    ``test_idx``; both keep the rows in their order in ``d``."""
+    train = np.ones(d.n, dtype=bool)
+    train[test_idx] = False
+    return Dataset(d.schema, d.rows[train]), d.take_rows(test_idx)
+
+
 def kfold_split(d: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
     """Partition rows into k folds of near-equal size; returns (train, test) pairs."""
-    folds = []
-    for test_idx in kfold_indices(d.n, k, seed):
-        train_idx = np.setdiff1d(np.arange(d.n), test_idx)
-        folds.append((d.take_rows(train_idx), d.take_rows(test_idx)))
-    return folds
+    return [_split(d, test_idx) for test_idx in kfold_indices(d.n, k, seed)]
 
 
 def dichotomize(column, labels: tuple[str, str] = ("low", "high")) -> list[str]:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import _check_vote_tallies, _shared_draws, run_bootstrap_consensus
-from .dataset import Dataset, ResamplePlan, _write_csv, derived_seed, kfold_split
+from .consensus import _check_vote_tallies, _consensus_finish, _consensus_order, _consensus_start, _shared_draws
+from .dataset import Dataset, ResamplePlan, _split, _write_csv, derived_seed, kfold_indices
 from .errors import DataError, ModelError
-from .learning import order_search_dp
+from .learning import _stage_tables, order_search_dp
 from .tree import FitConfig, StagedTree, bic, fit, log_likelihood, n_parameters
 
 __all__ = ["CvRecord", "CvReport", "SummaryRow", "run_cv", "summarize", "report_export"]
@@ -68,13 +68,24 @@ def run_cv(
     reused across folds, unless an explicit ``order`` is supplied or
     ``reorder_per_fold`` asks for a per-fold search. ``fixed_last`` and
     ``reorder_per_fold`` steer the search, so neither is taken with ``order``.
-    The fold count, the replicate count, the predictive smoothing and, for a
-    searched order, the co-staging tally of its deepest depth are checked
-    before any search.
+    The algorithm labels, the fold count, the replicate count, the
+    predictive smoothing and, for a searched order, the co-staging tally of
+    its deepest depth are checked before any search; every (fold, algorithm)
+    consensus is checked as ``run_bootstrap_consensus`` checks it before any
+    replicate is drawn.
+
+    Each fold's replicates are drawn and tallied once for all algorithms,
+    and the start tables of every fold and algorithm are staged together.
+    A record's ``wall_time`` is the time of its own order, start tables and
+    finish, plus an equal share of that joint staging.
     """
     algorithms = list(algorithms)
     if not algorithms:
         raise ModelError("need at least one algorithm")
+    labels = [cfg.label() for cfg in algorithms]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ModelError(f"algorithm {label} given more than once")
     if order is not None and (fixed_last is not None or reorder_per_fold):
         raise ModelError("an explicit order takes neither fixed_last nor reorder_per_fold")
     if not 2 <= folds <= d.n:
@@ -93,37 +104,70 @@ def run_cv(
         for cfg in algorithms:
             full_orders[cfg.label()], _ = order_search_dp(d, cfg, fixed_last=fixed_last)
 
-    splits = kfold_split(d, folds, derived_seed(seed, 0))
-    records = []
-    for fold_index, (train, test) in enumerate(splits):
+    # The order of every (fold, algorithm), fold after fold, each checked
+    # before any replicate is drawn. A fold's datasets are made where they
+    # are read, so the rows of one fold are copied at a time.
+    tests = kfold_indices(d.n, folds, derived_seed(seed, 0))
+    orders, seconds = [], []
+    for test_idx in tests:
+        train = _split(d, test_idx)[0] if reorder_per_fold else None
+        for cfg in algorithms:
+            started = time.perf_counter()
+            if reorder_per_fold:
+                fold_order, _ = order_search_dp(train, cfg, fixed_last=fixed_last)
+            else:
+                fold_order = full_orders[cfg.label()]
+            orders.append(_consensus_order(d.schema, fold_order, cut))
+            seconds.append(time.perf_counter() - started)
+
+    runs = []
+    for fold_index, test_idx in enumerate(tests):
+        train, _ = _split(d, test_idx)
         plan = ResamplePlan(bootstrap_replicates, derived_seed(seed, 1 + fold_index))
         with _shared_draws(train, plan):  # one draw and tally for every algorithm
             for cfg in algorithms:
+                at = len(runs)
                 started = time.perf_counter()
-                if reorder_per_fold:
-                    fold_order, _ = order_search_dp(train, cfg, fixed_last=fixed_last)
-                else:
-                    fold_order = full_orders[cfg.label()]
-                result = run_bootstrap_consensus(train, fold_order, plan, cfg, cut=cut, linkage=linkage)
-                model: StagedTree = result.averaged
-                train_score = bic(model, train)
-                predictive = fit(model, train, predictive_cfg)
-                test_score = log_likelihood(predictive, test)
-                elapsed = time.perf_counter() - started
-                records.append(
-                    CvRecord(
-                        fold_index,
-                        cfg.label(),
-                        train_score,
-                        test_score,
-                        n_parameters(model),
-                        elapsed,
-                    )
-                )
+                runs.append(_consensus_start(train, orders[at], plan, cfg))
+                seconds[at] += time.perf_counter() - started
+
+    started = time.perf_counter()
+    staged = iter(_stage_tables(runs))
+    share = (time.perf_counter() - started) / len(runs)
+
+    records = []
+    for fold_index, test_idx in enumerate(tests):
+        train, test = _split(d, test_idx)
+        for cfg in algorithms:
+            at = len(records)
+            started = time.perf_counter()
+            model: StagedTree = _consensus_finish(train, orders[at], next(staged), cfg, cut, linkage).averaged
+            train_score = bic(model, train)
+            predictive = fit(model, train, predictive_cfg)
+            test_score = log_likelihood(predictive, test)
+            elapsed = seconds[at] + share + time.perf_counter() - started
+            records.append(CvRecord(fold_index, cfg.label(), train_score, test_score, n_parameters(model), elapsed))
     return CvReport(folds, tuple(records))
 
 
 _METRICS = ("train_bic", "test_loglik", "n_parameters")
+_PERCENTILES = np.array([0, 25, 50, 75, 100])
+
+
+def _quartiles(data: np.ndarray) -> np.ndarray:
+    """The minimum, quartiles and maximum of ``data`` by numpy's linear
+    interpolation. Where that meets an infinite value it gives nan; the
+    limit it tends to is the infinite value, the lower one first, which is
+    taken instead, so a fold scored -inf leaves -inf as the minimum."""
+    with np.errstate(invalid="ignore"):
+        q = np.percentile(data, _PERCENTILES)
+    gap = np.isnan(q)
+    if gap.any():
+        ordered = np.sort(data)
+        position = _PERCENTILES / 100 * (len(data) - 1)
+        below, above = ordered[np.floor(position).astype(int)], ordered[np.ceil(position).astype(int)]
+        q[gap] = np.where(np.isinf(below), below, above)[gap]
+    return q
 
 
 def summarize(report: CvReport) -> list[SummaryRow]:
@@ -134,8 +178,7 @@ def summarize(report: CvReport) -> list[SummaryRow]:
         values = [r for r in report.records if r.algorithm == algorithm]
         for metric in _METRICS:
             data = np.asarray([getattr(r, metric) for r in values], dtype=float)
-            q = np.percentile(data, [0, 25, 50, 75, 100])
-            rows.append(SummaryRow(algorithm, metric, *(float(x) for x in q)))
+            rows.append(SummaryRow(algorithm, metric, *(float(x) for x in _quartiles(data))))
     return rows
 
 

@@ -39,9 +39,9 @@ MERGE_TOLERANCE = 1e-9
 
 MAX_DP_VARIABLES = 12
 
-# Greedy merging builds its initial pair deltas in row blocks of at most this
-# many (level, pair) cells, so the temporaries stay small beside the k x k
-# delta table.
+# Greedy merging builds its initial pair deltas in blocks of whole problems,
+# or of rows of one problem, of at most this many (level, pair) cells, so the
+# temporaries stay small beside the k x k delta table.
 MERGE_BLOCK_CELLS = 1 << 16
 
 # Start tables of one shape merge in batches whose (B, k, k) delta table holds
@@ -151,19 +151,22 @@ def _merge_steps(out: np.ndarray, parent: np.ndarray, n_rows: int, smoothing: fl
     ids = np.arange(k)
     ll = _stage_loglik(out, smoothing)
     delta = np.empty((n_problems, k, k))
-    flat = delta.reshape(n_problems * k, k)
-    block = max(1, MERGE_BLOCK_CELLS // (levels * k))
-    for start in range(0, n_problems * k, block):
-        problem, row = np.divmod(np.arange(start, min(start + block, n_problems * k)), k)
-        pair_ll = _stage_loglik(out[:, problem, row, None] + out[:, problem], smoothing)
+    rows = max(1, MERGE_BLOCK_CELLS // (levels * k))
+    if rows >= k:
+        step = rows // k
+        blocks = [(slice(b, b + step), slice(None)) for b in range(0, n_problems, step)]
+    else:
+        blocks = [(slice(b, b + 1), slice(r, r + rows)) for b in range(n_problems) for r in range(0, k, rows)]
+    for problems, row in blocks:
+        pair_ll = _stage_loglik(out[:, problems, row, None] + out[:, problems, None], smoothing)
         # The log-likelihood of the lower id is subtracted first, as a merge
         # subtracts that of the stage it just formed; the bits of a pair's
         # delta depend on that order.
-        own = ll[problem, row, None]
-        lower = row[:, None] < ids
-        first = np.where(lower, own, ll[problem])
-        second = np.where(lower, ll[problem], own)
-        flat[start:start + len(row)] = -2.0 * (pair_ll - first - second) - param_gain
+        lower = ids[row, None] < ids
+        own, other = ll[problems, row, None], ll[problems, None]
+        first = np.where(lower, own, other)
+        second = np.where(lower, other, own)
+        delta[problems, row] = -2.0 * (pair_ll - first - second) - param_gain
     delta[:, ids, ids] = np.inf
     partner = delta.argmin(axis=2)
     best = delta.min(axis=2)
@@ -191,8 +194,7 @@ def _merge_steps(out: np.ndarray, parent: np.ndarray, n_rows: int, smoothing: fl
         pooled[:, at, i] += pooled[:, at, j]
         pooled[:, at, j] = 0.0  # so column j of the merged row is stage i alone
         ll[at, j] = np.inf  # so the delta of a merged-away stage is inf
-        delta[live, j] = np.inf
-        delta[live, :, j] = np.inf
+        delta[live, :, j] = np.inf  # row j is never read again: its partner is -1
         best[at, j] = np.inf
         partner[at, j] = -1  # never stale, never a tie winner
 
@@ -230,20 +232,21 @@ def _bhc_scores(counts: np.ndarray, n_rows: int, smoothing: float) -> list[float
     return (-2.0 * loglik + n_stages * (levels - 1) * math.log(n_rows)).tolist()
 
 
-def _batched(tables: list[np.ndarray], merge) -> list:
+def _batched(tables: list[np.ndarray], merge, keys=None) -> list:
     """``merge`` of every start table of ``tables``, in their order. Tables
-    of one shape (k, levels) are stacked and merged together in chunks whose
-    (B, k, k) delta tables hold at most MERGE_BATCH_CELLS cells, or one
-    table; ``merge`` maps a (B, k, levels) stack to its B results."""
+    of one shape (k, levels) and one entry of ``keys`` (all None if not
+    given) are stacked and merged together in chunks whose (B, k, k) delta
+    tables hold at most MERGE_BATCH_CELLS cells, or one table; ``merge``
+    maps a (B, k, levels) stack and its key to its B results."""
     results = [None] * len(tables)
-    groups: dict[tuple[int, ...], list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for at, table in enumerate(tables):
-        groups.setdefault(table.shape, []).append(at)
-    for (k, _), members in groups.items():
+        groups.setdefault((table.shape, None if keys is None else keys[at]), []).append(at)
+    for ((k, _), key), members in groups.items():
         size = max(1, MERGE_BATCH_CELLS // (k * k))
         for start in range(0, len(members), size):
             chunk = members[start:start + size]
-            for at, result in zip(chunk, merge(np.stack([tables[a] for a in chunk]))):
+            for at, result in zip(chunk, merge(np.stack([tables[a] for a in chunk]), key)):
                 results[at] = result
     return results
 
@@ -291,35 +294,46 @@ def _start_tables(order: Ordering, joints: np.ndarray, k: int | None) -> list[li
     return [_start_groups(order, depth, table, k) for depth, table in enumerate(reversed(tables))]
 
 
-def _stage_tables(starts, n_rows: int, smoothing: float) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """Stage every depth of R replicates, given as their ``_start_tables``
-    (of ``n_rows`` rows each), by greedy merging from its start tables; the
-    tables of one shape, of any depth and replicate, merge together in
-    ``_batched`` chunks. Returns per depth the stage id of every context of
-    each replicate, (R, contexts), and each replicate's pooled counts of
-    its stages.
+def _stage_tables(runs) -> list[list[tuple[np.ndarray, list[np.ndarray]]]]:
+    """Stage every depth of each of ``runs``, ``(starts, n_rows,
+    smoothing)``: the ``_start_tables`` of R replicates of ``n_rows`` rows
+    each, staged at ``smoothing``, by greedy merging from its start tables.
+    The tables of one shape, row count and smoothing, of any run, depth and
+    replicate, merge together in ``_batched`` chunks; a table's merge does
+    not depend on the others. Returns per run and depth the stage id of
+    every context of each replicate, (R, contexts), and each replicate's
+    pooled counts of its stages.
 
     The merge numbers stages by their lowest start class, and the first
     context of each start class comes in ascending class id, so its stage
     ids are already the canonical ones, ordered by first context.
     """
+    tables, keys = [], []
+    for starts, n_rows, smoothing in runs:
+        for groups in starts:
+            for _, _, pooled, _ in groups:
+                tables += list(pooled)
+                keys += [(n_rows, smoothing)] * len(pooled)
 
-    def merge(stack):
-        stage_of, pooled, n_stages, _ = _merge_lockstep(stack, n_rows, smoothing)
+    def merge(stack, key):
+        stage_of, pooled, n_stages, _ = _merge_lockstep(stack, *key)
         return zip(stage_of, np.split(pooled, np.cumsum(n_stages)[:-1]))
 
-    merged = iter(_batched([table for groups in starts for _, _, pooled, _ in groups for table in pooled], merge))
+    merged = iter(_batched(tables, merge, keys))
     staged = []
-    for groups in starts:
-        replicates = sum(len(members) for members, _, _, _ in groups)
-        ids = np.empty((replicates, len(groups[0][1])), dtype=np.int64)
-        counts: list = [None] * replicates
-        for members, start, _, _ in groups:
-            results = [next(merged) for _ in members]
-            ids[members] = np.stack([stage_of for stage_of, _ in results])[:, start]
-            for at, (_, pooled) in zip(members.tolist(), results):
-                counts[at] = pooled
-        staged.append((ids, counts))
+    for starts, _, _ in runs:
+        depths = []
+        for groups in starts:
+            replicates = sum(len(members) for members, _, _, _ in groups)
+            ids = np.empty((replicates, len(groups[0][1])), dtype=np.int64)
+            counts: list = [None] * replicates
+            for members, start, _, _ in groups:
+                results = [next(merged) for _ in members]
+                ids[members] = np.stack([stage_of for stage_of, _ in results])[:, start]
+                for at, (_, pooled) in zip(members.tolist(), results):
+                    counts[at] = pooled
+            depths.append((ids, counts))
+        staged.append(depths)
     return staged
 
 
@@ -331,7 +345,7 @@ def _learn(d: Dataset, order, k: int | None, smoothing: float):
         raise ModelError("smoothing must be non-negative")
     order = validate_order(d.schema, order)
     starts = _start_tables(order, d.counts(order)[None], k)
-    staged = _stage_tables(starts, d.n, smoothing)
+    (staged,) = _stage_tables([(starts, d.n, smoothing)])
     tree = StagedTree(
         d.schema,
         order,
@@ -515,7 +529,7 @@ def _score_group(stack: np.ndarray, variables: tuple[int, ...], n_rows: int, cfg
                     tables += pooled
                 else:
                     tables += list(moved.reshape(replicates, -1, moved.shape[-1]))
-        scores = _batched(tables, lambda chunk: _bhc_scores(chunk, n_rows, cfg.smoothing))
+        scores = _batched(tables, lambda chunk, _: _bhc_scores(chunk, n_rows, cfg.smoothing))
         for at, cache in enumerate(caches):
             cache.update(zip(keys, scores[at::replicates]))
         below: dict[tuple[int, ...], np.ndarray] = {}

@@ -117,6 +117,9 @@ class TestExitCodes:
             (["order", "--mode", "grouped"], "--groups"),
             (["bootstrap", "--order", "fixed", "--outdir", "out"], "--order-spec"),
             (["cv", "--order-spec", "A,B,C", "--fixed-last", "A", "--outdir", "out"], "--fixed-last"),
+            # A repeated algorithm would write every record twice.
+            (["cv", "--algorithms", "bhc,kparents:2,bhc", "--outdir", "out"], "--algorithms"),
+            (["cv", "--algorithms", "kparents:2,kparents:02", "--outdir", "out"], "--algorithms"),
         ],
     )
     def test_usage_error_wins_over_missing_input(self, tmp_path, capsys, argv, flag):

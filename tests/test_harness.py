@@ -1,5 +1,7 @@
 import csv
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from stagedtree import (
     Variable,
     run_cv,
 )
-from stagedtree.dataset import derived_seed, kfold_indices
+from stagedtree.consensus import ResamplePlan, run_bootstrap_consensus
+from stagedtree.dataset import derived_seed, kfold_indices, kfold_split
+from stagedtree.learning import order_search_dp
+from stagedtree.tree import FitConfig, bic, fit, log_likelihood, n_parameters
 from stagedtree import consensus, harness
 from stagedtree.harness import CvRecord, CvReport, report_export, summarize
 
@@ -29,6 +34,26 @@ def toy_data(rng, n=120, p=3):
 
 def strip_time(record):
     return (record.fold, record.algorithm, record.train_bic, record.test_loglik, record.n_parameters)
+
+
+def reference_run_cv(d, algorithms, folds, bootstrap_replicates, cut=0.5, seed=0, order=None,
+                     fixed_last=None, predictive_smoothing=1.0, linkage="average", reorder_per_fold=False):
+    """The records of ``run_cv`` without their wall times, one
+    ``run_bootstrap_consensus`` per fold and algorithm, each staged alone."""
+    records = []
+    for fold_index, (train, test) in enumerate(kfold_split(d, folds, derived_seed(seed, 0))):
+        plan = ResamplePlan(bootstrap_replicates, derived_seed(seed, 1 + fold_index))
+        for cfg in algorithms:
+            if order is not None:
+                fold_order = order
+            else:
+                fold_order, _ = order_search_dp(train if reorder_per_fold else d, cfg, fixed_last=fixed_last)
+            model = run_bootstrap_consensus(train, fold_order, plan, cfg, cut=cut, linkage=linkage).averaged
+            predictive = fit(model, train, FitConfig(predictive_smoothing))
+            records.append(
+                (fold_index, cfg.label(), bic(model, train), log_likelihood(predictive, test), n_parameters(model))
+            )
+    return records
 
 
 class TestRunCv:
@@ -100,6 +125,20 @@ class TestRunCv:
         )
         assert all(math.isfinite(r.test_loglik) for r in report.records)
 
+    def test_unsmoothed_prediction_summarized_without_nan(self):
+        # Without predictive smoothing, fold 1 holds out both (a, y) rows and
+        # scores -inf; the summary reads -inf, not nan, and warns of nothing.
+        schema = Schema((Variable("u", ("a", "b")), Variable("v", ("x", "y"))))
+        d = Dataset(schema, np.array([[0, 0]] * 30 + [[1, 0]] * 30 + [[0, 1]] * 2))
+        report = run_cv(d, [LearnConfig()], folds=2, bootstrap_replicates=1, seed=0, order=(0, 1), predictive_smoothing=0.0)
+        assert [r.test_loglik == -math.inf for r in report.records] == [False, True]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = summarize(report)
+        assert not any(math.isnan(x) for r in rows for x in (r.minimum, r.q1, r.median, r.q3, r.maximum))
+        loglik = next(r for r in rows if r.metric == "test_loglik")
+        assert loglik.minimum == -math.inf and loglik.maximum == report.records[0].test_loglik
+
     def test_explicit_order_is_used(self):
         rng = np.random.default_rng(3)
         d = toy_data(rng, n=80)
@@ -137,6 +176,63 @@ class TestRunCv:
         with pytest.raises(ModelError):
             run_cv(toy_data(rng), [], folds=2, bootstrap_replicates=1)
 
+    def test_repeated_algorithm_rejected_before_order_search(self, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("the order search ran")
+
+        monkeypatch.setattr(harness, "order_search_dp", search)
+        algorithms = [LearnConfig("kparents", k=2), LearnConfig(), LearnConfig("kparents", k=2, smoothing=0.5)]
+        with pytest.raises(ModelError, match="algorithm kparents:2 given more than once"):
+            run_cv(toy_data(np.random.default_rng(4)), algorithms, folds=2, bootstrap_replicates=1)
+
+    @pytest.mark.parametrize("args", [{"order": (2, 0, 1)}, {"reorder_per_fold": True}])
+    def test_every_pair_checked_before_any_draw(self, monkeypatch, args):
+        # The co-staging tally of every depth of every (fold, algorithm) is
+        # checked before any fold draws a replicate: refuse the last check.
+        # A searched order first has its deepest depth checked on the full
+        # data.
+        checks = 3 * 2 * 3 + ("order" not in args)
+        calls = []
+
+        def check(k, depth):
+            calls.append(depth)
+            if len(calls) == checks:
+                raise ModelError("last check")
+
+        monkeypatch.setattr(consensus, "_check_tally", check)
+        monkeypatch.setattr(consensus, "_bootstrap_rows", lambda n, seed: pytest.fail("a replicate was drawn"))
+        d = toy_data(np.random.default_rng(5), n=60)
+        with pytest.raises(ModelError, match="last check"):
+            run_cv(d, [LearnConfig(), LearnConfig("kparents", k=1)], folds=3, bootstrap_replicates=2, **args)
+        assert calls[-3:] == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            {"folds": 3, "fixed_last": 2},  # the full-data order
+            {"folds": 3, "reorder_per_fold": True},
+            {"folds": 4, "order": (2, 0, 1)},
+            {"folds": 7, "smoothing": 0.5},  # train sizes 85 and 86
+            {"folds": 2, "cut": 0.3, "linkage": "complete", "predictive_smoothing": 0.5},
+        ],
+    )
+    def test_records_equal_each_fold_alone(self, args):
+        args = dict(args)
+        smoothing = args.pop("smoothing", 0.0)
+        d = toy_data(np.random.default_rng(8), n=100)
+        algorithms = [LearnConfig(smoothing=smoothing), LearnConfig("kparents", k=1, smoothing=smoothing)]
+        report = run_cv(d, algorithms, bootstrap_replicates=3, seed=12, **args)
+        assert [strip_time(r) for r in report.records] == reference_run_cv(d, algorithms, bootstrap_replicates=3, seed=12, **args)
+
+    def test_wall_times_share_the_run(self):
+        d = toy_data(np.random.default_rng(9), n=90)
+        started = time.perf_counter()
+        report = run_cv(d, [LearnConfig(), LearnConfig("kparents", k=1)], folds=3, bootstrap_replicates=2, seed=1)
+        elapsed = time.perf_counter() - started
+        times = [r.wall_time for r in report.records]
+        assert all(math.isfinite(t) and t >= 0 for t in times)
+        assert sum(times) <= elapsed
+
 
 class TestSummaries:
     def make_report(self, values):
@@ -158,6 +254,37 @@ class TestSummaries:
         bic_row = next(r for r in rows if r.metric == "train_bic")
         assert bic_row.median == (values[4] + values[5]) / 2
         assert bic_row.minimum == 1.0 and bic_row.maximum == 10.0
+
+    def test_infinite_scores_give_no_nan(self):
+        # A fold scored -inf: numpy's linear interpolation gives nan next to
+        # it (with a RuntimeWarning); the summary takes the limit instead.
+        records = tuple(CvRecord(i, "bhc", b, t, 3, 0.0) for i, (b, t) in enumerate([(5.0, -math.inf), (7.0, -3.0)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = {r.metric: r for r in summarize(CvReport(2, records))}
+        loglik = rows["test_loglik"]
+        assert (loglik.minimum, loglik.q1, loglik.median, loglik.q3, loglik.maximum) == (
+            -math.inf, -math.inf, -math.inf, -math.inf, -3.0,
+        )
+        bic_row = rows["train_bic"]
+        want = np.percentile([5.0, 7.0], [0, 25, 50, 75, 100])
+        assert np.array([bic_row.minimum, bic_row.q1, bic_row.median, bic_row.q3, bic_row.maximum]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([-math.inf, -math.inf, -2.0, -1.0, 0.0], [-math.inf, -math.inf, -2.0, -1.0, 0.0]),
+            ([-math.inf, 1.0, 2.0, 3.0, math.inf], [-math.inf, 1.0, 2.0, 3.0, math.inf]),
+            ([1.0, math.inf], [1.0, math.inf, math.inf, math.inf, math.inf]),
+            ([-math.inf, -math.inf], [-math.inf] * 5),
+        ],
+    )
+    def test_quartiles_next_to_infinities(self, values, want):
+        records = tuple(CvRecord(i, "bhc", 1.0, v, 3, 0.0) for i, v in enumerate(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = next(r for r in summarize(CvReport(len(values), records)) if r.metric == "test_loglik")
+        assert [row.minimum, row.q1, row.median, row.q3, row.maximum] == want
 
     def test_export_and_recompute(self, tmp_path):
         rng = np.random.default_rng(6)

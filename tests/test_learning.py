@@ -71,7 +71,7 @@ def stage_depth(d, order, depth, k, smoothing):
     """One depth of ``order`` staged as the learner stages it. Returns the
     staging, its pooled counts and the parent set."""
     starts = _start_tables(order, d.counts(order)[None], k)
-    ids, counts = _stage_tables(starts, d.n, smoothing)[depth]
+    ids, counts = _stage_tables([(starts, d.n, smoothing)])[0][depth]
     ((_, _, _, parents),) = starts[depth]
     return StageAssignment(depth, ids[0], len(counts[0])), counts[0], parents
 
@@ -299,28 +299,31 @@ def mixed_batches(draw):
             tables.append(rows[rng.integers(0, distinct, size=k)])
     tables = [tables[at] for at in rng.permutation(len(tables))]
     n_rows = max(int(table.sum()) for table in tables) + draw(st.integers(1, 60))
-    return tables, n_rows, draw(st.sampled_from([0.0, 0.5])), draw(st.sampled_from([1, 40, 150]))
+    smoothing, cap = draw(st.sampled_from([0.0, 0.5])), draw(st.sampled_from([1, 40, 150]))
+    return tables, n_rows, smoothing, cap, draw(st.sampled_from([learning.MERGE_BLOCK_CELLS, 1, 50]))
 
 
 class TestChunkedMergeOracle:
     """Tables of mixed shapes merged in capped chunks: every problem gets the
     stages, pooled counts and accepted deltas of the reference merge run on
-    it alone."""
+    it alone. Under a block cap of 1 or 50 cells the initial deltas are
+    built from row ranges of one problem, or from a few whole problems."""
 
     @staticmethod
-    def merge_chunks(tables, n_rows, smoothing, cap):
+    def merge_chunks(tables, n_rows, smoothing, cap, block=learning.MERGE_BLOCK_CELLS):
         chunks = []
 
-        def merge(stack):
+        def merge(stack, _):
             chunks.append(stack.shape)
             stage_of, pooled, n_stages, deltas = _merge_lockstep(stack, n_rows, smoothing, trace=True)
             return zip(stage_of, np.split(pooled, np.cumsum(n_stages)[:-1]), deltas)
 
-        with mock.patch.object(learning, "MERGE_BATCH_CELLS", cap):
+        with mock.patch.object(learning, "MERGE_BATCH_CELLS", cap), mock.patch.object(learning, "MERGE_BLOCK_CELLS", block):
             merged = _batched(tables, merge)
             # Each table as a depth of its own of one replicate.
             starts = [[(np.array([0]), np.arange(len(t)), t[None], ())] for t in tables]
-            staged = [(ids[0], counts[0]) for ids, counts in _stage_tables(starts, n_rows, smoothing)]
+            (run,) = _stage_tables([(starts, n_rows, smoothing)])
+            staged = [(ids[0], counts[0]) for ids, counts in run]
         assert all(b == 1 or b * k * k <= cap for b, k, _ in chunks)
         assert sum(b for b, _, _ in chunks) == len(tables)
         for table, (stage_of, pooled, trace), (ids_of, counts) in zip(tables, merged, staged):
@@ -348,6 +351,60 @@ class TestChunkedMergeOracle:
         tables += [rng.integers(0, 6, size=(7, 3)) for _ in range(2)]
         n_rows = max(int(table.sum()) for table in tables) + 5
         assert sorted(self.merge_chunks(tables, n_rows, 0.0, 40)) == [1, 1, 1, 4]
+
+
+@st.composite
+def staging_runs(draw):
+    """One to five runs of ``_stage_tables``: each the start tables of one
+    to three replicates of one of three schemas (two of them give depths of
+    equal shapes), bhc or kparents with one parent, of N or N + 1 rows,
+    at smoothing 0 or 0.5; and a batch cap under which the runs share some
+    chunks and split others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 120))
+    runs = []
+    for _ in range(draw(st.integers(1, 5))):
+        levels = draw(st.sampled_from([(2, 2, 2), (2, 2, 3), (3, 2, 2, 2)]))
+        joints = np.stack([
+            np.bincount(rng.integers(0, math.prod(levels), size=n), minlength=math.prod(levels)).reshape(levels)
+            for _ in range(draw(st.integers(1, 3)))
+        ])
+        k = draw(st.sampled_from([None, 1]))
+        starts = _start_tables(tuple(range(len(levels))), joints, k)
+        runs.append((starts, n + draw(st.integers(0, 1)), draw(st.sampled_from([0.0, 0.5]))))
+    return runs, draw(st.sampled_from([1, 40, learning.MERGE_BATCH_CELLS]))
+
+
+class TestJointRuns:
+    """Runs staged together get the stage ids and pooled counts each gets
+    staged alone, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=staging_runs())
+    def test_each_run_as_alone(self, case):
+        runs, cap = case
+        with mock.patch.object(learning, "MERGE_BATCH_CELLS", cap):
+            together = _stage_tables(runs)
+            alone = [_stage_tables([run])[0] for run in runs]
+        assert len(together) == len(runs)
+        for joint, single in zip(together, alone):
+            assert len(joint) == len(single)
+            for (ids, counts), (want_ids, want_counts) in zip(joint, single):
+                assert ids.tobytes() == want_ids.tobytes()
+                assert [c.tobytes() for c in counts] == [c.tobytes() for c in want_counts]
+
+    def test_keys_split_chunks(self):
+        # Two runs of equal shapes but other row counts or smoothing never
+        # share a lockstep merge; runs with equal keys do.
+        joints = np.arange(24).reshape(3, 2, 2, 2) % 5
+        starts = _start_tables((0, 1, 2), joints, None)
+        seen = []
+        real = learning._merge_lockstep
+        with mock.patch.object(learning, "_merge_lockstep", lambda c, n, s, *a: seen.append((len(c), n, s)) or real(c, n, s, *a)):
+            _stage_tables([(starts, 10, 0.0), (starts, 11, 0.0), (starts, 10, 0.5), (starts, 10, 0.0)])
+        # Three depths of three replicates each: one lockstep merge of each
+        # depth's shape per (rows, smoothing) key.
+        assert sorted(seen) == sorted([(3, 10, 0.5)] * 3 + [(3, 11, 0.0)] * 3 + [(6, 10, 0.0)] * 3)
 
 
 class TestStageDepthOracle:
