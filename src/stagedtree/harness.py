@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import _check_vote_tallies, _consensus_finish, _consensus_order, _consensus_start, _shared_draws
+from .consensus import _check_cut, _check_vote_tallies, _consensus_finish, _consensus_order, _consensus_start, _shared_draws
 from .dataset import Dataset, ResamplePlan, _split, _write_csv, derived_seed, kfold_indices
 from .errors import DataError, ModelError
 from .learning import _stage_tables, order_search_dp
@@ -68,7 +68,7 @@ def run_cv(
     reused across folds, unless an explicit ``order`` is supplied or
     ``reorder_per_fold`` asks for a per-fold search. ``fixed_last`` and
     ``reorder_per_fold`` steer the search, so neither is taken with ``order``.
-    The algorithm labels, the fold count, the replicate count, the
+    The algorithm labels, the fold count, the replicate count, the cut, the
     predictive smoothing and, for a searched order, the co-staging tally of
     its deepest depth are checked before any search; every (fold, algorithm)
     consensus is checked as ``run_bootstrap_consensus`` checks it before any
@@ -92,6 +92,7 @@ def run_cv(
         raise DataError(f"folds must lie between 2 and the row count N={d.n}, got {folds}")
     if bootstrap_replicates < 1:
         raise DataError(f"bootstrap_replicates must be at least 1, got {bootstrap_replicates}")
+    _check_cut(cut)
     predictive_cfg = FitConfig(predictive_smoothing)
     if order is None:
         _check_vote_tallies(d.schema, fixed_last)

@@ -45,11 +45,11 @@ MAX_DP_VARIABLES = 12
 MERGE_BLOCK_CELLS = 1 << 16
 
 # Start tables of one shape merge in batches whose (B, k, k) delta table holds
-# at most this many cells (4 MB of floats), or one table; the MAX_CONTEXTS
+# at most this many cells (8 MB of floats), or one table; the MAX_CONTEXTS
 # guard bounds a single k x k table. The subset DPs of many replicates are
 # scored in groups whose largest layer of start tables holds at most this
 # many count cells, or one replicate.
-MERGE_BATCH_CELLS = 1 << 19
+MERGE_BATCH_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,9 @@ def _merge_lockstep(counts: np.ndarray, n_rows: int, smoothing: float, trace: bo
     with the lowest (i, j) ids wins, where ids index the initial rows and a
     merged pair keeps the lower id, so each final stage is held by its
     lowest row. Every row caches its best partner (the lowest id among
-    bit-equal deltas), so the next merge is the first row minimum, and a row
-    is rescanned only when its partner merges (after Muellner).
+    bit-equal deltas), so the next merge is the first row minimum (after
+    Muellner). A row is rescanned only when its partner merges and its new
+    delta to the merged stage is above its cached minimum.
 
     The problems merge in lockstep on a (B, k, k) delta table: each step
     takes one merge per still active problem, and a problem drops out once
@@ -158,18 +159,23 @@ def _merge_steps(out: np.ndarray, parent: np.ndarray, n_rows: int, smoothing: fl
     else:
         blocks = [(slice(b, b + 1), slice(r, r + rows)) for b in range(n_problems) for r in range(0, k, rows)]
     for problems, row in blocks:
-        pair_ll = _stage_loglik(out[:, problems, row, None] + out[:, problems, None], smoothing)
+        # A row range is paired with itself and the higher ids only; its
+        # columns of lower ids hold the mirror of the earlier ranges.
+        col = slice(None) if rows >= k else slice(row.start, None)
+        pair_ll = _stage_loglik(out[:, problems, row, None] + out[:, problems, None, col], smoothing)
         # The log-likelihood of the lower id is subtracted first, as a merge
         # subtracts that of the stage it just formed; the bits of a pair's
-        # delta depend on that order.
-        lower = ids[row, None] < ids
-        own, other = ll[problems, row, None], ll[problems, None]
+        # delta depend on that order, not on which of the two is the row.
+        lower = ids[row, None] < ids[col]
+        own, other = ll[problems, row, None], ll[problems, None, col]
         first = np.where(lower, own, other)
         second = np.where(lower, other, own)
-        delta[problems, row] = -2.0 * (pair_ll - first - second) - param_gain
+        delta[problems, row, col] = -2.0 * (pair_ll - first - second) - param_gain
+        if rows < k:
+            delta[problems, row.stop:, row] = delta[problems, row, row.stop:].swapaxes(1, 2)
     delta[:, ids, ids] = np.inf
     partner = delta.argmin(axis=2)
-    best = delta.min(axis=2)
+    best = np.take_along_axis(delta, partner[:, :, None], axis=2)[:, :, 0]
 
     # Row a of pooled, ll, partner and best belongs to the active problem
     # live[a], whose delta table is delta[live[a]]; a problem's counts go
@@ -205,13 +211,23 @@ def _merge_steps(out: np.ndarray, parent: np.ndarray, n_rows: int, smoothing: fl
         delta[live, i] = row
         delta[live, :, i] = row
 
-        stale = ((partner == i[:, None]) | (partner == j[:, None])).nonzero()
+        # A row whose partner was i or j keeps its minimum where its new
+        # delta to i is no worse: i < j, and j or i was the lowest id at that
+        # minimum, so ``better`` hands it partner i. Only the rows whose
+        # minimum got worse are rescanned; row i's is the new row's.
+        stale = ((partner == i[:, None]) | (partner == j[:, None])) & (row > best)
         better = (row < best) | ((row == best) & (partner > i[:, None]))
         np.copyto(partner, i[:, None], where=better)
         np.copyto(best, row, where=better)
-        rescan = delta[live[stale[0]], stale[1]]
-        partner[stale] = rescan.argmin(axis=1)
-        best[stale] = rescan.min(axis=1)
+        nearest = row.argmin(axis=1)
+        partner[at, i] = nearest
+        best[at, i] = row[at, nearest]
+        stale[at, i] = False
+        problem, a = stale.nonzero()
+        rescan = delta[live[problem], a]
+        nearest = rescan.argmin(axis=1)
+        partner[problem, a] = nearest
+        best[problem, a] = rescan[np.arange(len(nearest)), nearest]
 
 
 def _bhc_scores(counts: np.ndarray, n_rows: int, smoothing: float) -> list[float]:

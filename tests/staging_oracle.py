@@ -8,14 +8,17 @@ dataset start table is the path the learner's start tables replaced: CMI
 parents from a tally per candidate, projection start classes from the
 context coordinates, and their counts pooled by scatter-add. The reference
 consensus staging is scipy's clustering, which the in-package
-nearest-neighbour chain of consensus_staging replaced."""
+nearest-neighbour chain of consensus_staging replaced. The lockstep merge
+steps are the batched row-minimum merge as it was before it rescanned only
+the rows whose minimum got worse and mirrored its row-range start table;
+the learner's merge must leave the same parents, pooled counts and deltas."""
 
 import math
 
 import numpy as np
 
 from stagedtree import Dataset, ModelError, StageAssignment, cmi
-from stagedtree.learning import MERGE_TOLERANCE, _stage_loglik
+from stagedtree.learning import MERGE_BLOCK_CELLS, MERGE_TOLERANCE, _stage_loglik
 from stagedtree.tree import (
     canonical_stage_assignment,
     context_counts,
@@ -139,6 +142,75 @@ def reference_bhc_merge(counts: np.ndarray, n_rows: int, smoothing: float, trace
             hi = np.maximum(others, i)
             delta[lo, hi] = pair_delta
     return assign
+
+
+def lockstep_merge_steps(out: np.ndarray, parent: np.ndarray, n_rows: int, smoothing: float, deltas) -> None:
+    """The merges of the learner's lockstep merge, in place, as
+    ``learning._merge_steps`` took them: ``out`` (levels, B, k) ends holding
+    each stage's pooled counts (0 once merged away), ``parent`` (B, k) the
+    stage each merged-away stage joined, and ``deltas``, if not None, each
+    problem's accepted BIC deltas. Every row whose cached partner merges is
+    rescanned in full, and the start table is built whole."""
+    levels, n_problems, k = out.shape
+    param_gain = (levels - 1) * math.log(n_rows)
+    ids = np.arange(k)
+    ll = _stage_loglik(out, smoothing)
+    delta = np.empty((n_problems, k, k))
+    rows = max(1, MERGE_BLOCK_CELLS // (levels * k))
+    if rows >= k:
+        step = rows // k
+        blocks = [(slice(b, b + step), slice(None)) for b in range(0, n_problems, step)]
+    else:
+        blocks = [(slice(b, b + 1), slice(r, r + rows)) for b in range(n_problems) for r in range(0, k, rows)]
+    for problems, row in blocks:
+        pair_ll = _stage_loglik(out[:, problems, row, None] + out[:, problems, None], smoothing)
+        lower = ids[row, None] < ids
+        own, other = ll[problems, row, None], ll[problems, None]
+        first = np.where(lower, own, other)
+        second = np.where(lower, other, own)
+        delta[problems, row] = -2.0 * (pair_ll - first - second) - param_gain
+    delta[:, ids, ids] = np.inf
+    partner = delta.argmin(axis=2)
+    best = delta.min(axis=2)
+
+    live = at = np.arange(n_problems)
+    pooled = out
+    while True:
+        i = best.argmin(axis=1)
+        go = ~(best[at, i] >= -MERGE_TOLERANCE)
+        if not go.all():
+            out[:, live[~go]] = pooled[:, ~go]
+            live, i = live[go], i[go]
+            if not live.size:
+                return
+            pooled, ll, partner, best = pooled[:, go], ll[go], partner[go], best[go]
+            at = np.arange(live.size)
+        j = partner[at, i]
+        if deltas is not None:
+            for problem, value in zip(live.tolist(), best[at, i].tolist()):
+                deltas[problem].append(value)
+        parent[live, j] = i
+        pooled[:, at, i] += pooled[:, at, j]
+        pooled[:, at, j] = 0.0
+        ll[at, j] = np.inf
+        delta[live, :, j] = np.inf
+        best[at, j] = np.inf
+        partner[at, j] = -1
+
+        merged_ll = _stage_loglik(pooled[:, at, i, None] + pooled, smoothing)
+        ll[at, i] = merged_ll[at, j]
+        row = -2.0 * (merged_ll - ll[at, i, None] - ll) - param_gain
+        row[at, i] = np.inf
+        delta[live, i] = row
+        delta[live, :, i] = row
+
+        stale = ((partner == i[:, None]) | (partner == j[:, None])).nonzero()
+        better = (row < best) | ((row == best) & (partner > i[:, None]))
+        np.copyto(partner, i[:, None], where=better)
+        np.copyto(best, row, where=better)
+        rescan = delta[live[stale[0]], stale[1]]
+        partner[stale] = rescan.argmin(axis=1)
+        best[stale] = rescan.min(axis=1)
 
 
 def dataset_greedy_parents(d: Dataset, var: int, candidates, k: int, values=None) -> tuple[int, ...]:

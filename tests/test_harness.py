@@ -161,6 +161,8 @@ class TestRunCv:
             ({"folds": 2, "predictive_smoothing": -1.0}, ModelError, "smoothing must be non-negative"),
             ({"folds": 2, "predictive_smoothing": float("nan")}, ModelError, "smoothing must be non-negative"),
             ({"folds": 2, "bootstrap_replicates": 0}, DataError, "bootstrap_replicates must be at least 1, got 0"),
+            ({"folds": 2, "cut": 1.5}, ModelError, "cut height must lie strictly between 0 and 1"),
+            ({"folds": 2, "cut": 0.0}, ModelError, "cut height must lie strictly between 0 and 1"),
         ],
     )
     def test_bad_settings_rejected_before_order_search(self, monkeypatch, args, error, match):

@@ -30,6 +30,7 @@ from stagedtree.learning import (
     _bhc_scores,
     _learn,
     _merge_lockstep,
+    _merge_steps,
     _stage_tables,
     _start_tables,
 )
@@ -39,6 +40,7 @@ from conftest import max_in_degree, random_dataset, saturated_tree
 from staging_oracle import (
     depth_bic,
     exhaustive_stage,
+    lockstep_merge_steps,
     reference_bhc_merge,
     reference_stage_depth,
     reference_stage_loglik,
@@ -351,6 +353,81 @@ class TestChunkedMergeOracle:
         tables += [rng.integers(0, 6, size=(7, 3)) for _ in range(2)]
         n_rows = max(int(table.sum()) for table in tables) + 5
         assert sorted(self.merge_chunks(tables, n_rows, 0.0, 40)) == [1, 1, 1, 4]
+
+
+@st.composite
+def kernel_batches(draw):
+    """B start tables of one shape for the merge kernels: k from 2 (the
+    lockstep merge takes no steps below) to 512, over 2, 3, 8 or 9 levels;
+    the default block builds the start table in row ranges from k = 256 at
+    2 or 3 levels and from k = 128 at 8 or 9, and a block of 1 or 50 cells
+    does so at any k. Each table is drawn from a few distinct rows, so rows
+    repeat, and some rows are pure (one level) or empty; smoothing is 0 or
+    0.5, and n_rows = 1 makes every delta among empty rows and pure rows
+    of one level -0.0."""
+    batch = draw(st.integers(1, 4))
+    k = draw(st.sampled_from([2, 3, 9, 40, 65, 128, 256, 512]))
+    levels = draw(st.sampled_from([2, 3, 8, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, min(k, 60)))
+    tables = []
+    for _ in range(batch):
+        rows = rng.integers(0, rng.choice([2, 6, 40, 400]), size=(distinct, levels))
+        pure = rng.random(distinct) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+        rows[pure] = np.eye(levels, dtype=rows.dtype)[rng.integers(0, levels, size=pure.sum())] * rng.integers(1, 50, size=(pure.sum(), 1))
+        rows[rng.random(distinct) < draw(st.sampled_from([0.0, 0.3]))] = 0
+        tables.append(rows[rng.integers(0, distinct, size=k)])
+    counts = np.stack(tables)
+    n_rows = draw(st.sampled_from([1, int(counts.sum(axis=(1, 2)).max()) + draw(st.integers(1, 60))]))
+    block = draw(st.sampled_from([learning.MERGE_BLOCK_CELLS, 1, 50]))
+    return counts, n_rows, draw(st.sampled_from([0.0, 0.5])), block
+
+
+class TestLockstepKernelOracle:
+    """The merge kernel, which rescans only the rows whose cached minimum
+    got worse and mirrors its row-range start table, against the kernel that
+    rescanned every row whose partner merged: the same parents, pooled
+    counts and accepted deltas, bit for bit."""
+
+    @staticmethod
+    def run(steps, counts, n_rows, smoothing):
+        out = np.ascontiguousarray(counts.transpose(2, 0, 1), dtype=float)
+        parent = np.tile(np.arange(counts.shape[1]), (len(counts), 1))
+        deltas = [[] for _ in counts]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            steps(out, parent, n_rows, smoothing, deltas)
+        return out, parent, deltas
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=kernel_batches())
+    def test_parents_counts_and_deltas_bit_equal(self, case):
+        counts, n_rows, smoothing, block = case
+        with mock.patch.object(learning, "MERGE_BLOCK_CELLS", block):
+            out, parent, deltas = self.run(_merge_steps, counts, n_rows, smoothing)
+        want_out, want_parent, want_deltas = self.run(lockstep_merge_steps, counts, n_rows, smoothing)
+        assert out.tobytes() == want_out.tobytes()
+        assert parent.tobytes() == want_parent.tobytes()
+        assert [np.array(d).tobytes() for d in deltas] == [np.array(d).tobytes() for d in want_deltas]
+
+    def test_default_block_mirrors_wide_tables(self):
+        # A 512-row binary table is built in row ranges under the default
+        # block, and its merge matches the kernel that built it whole.
+        assert learning.MERGE_BLOCK_CELLS // (2 * 512) < 512
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 30, size=(2, 512, 2))
+        counts[:, ::7] = 0
+        got = self.run(_merge_steps, counts, 20_000, 0.0)
+        want = self.run(lockstep_merge_steps, counts, 20_000, 0.0)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2] and all(got[2])
+
+    def test_four_wide_tables_share_a_chunk(self):
+        # Under the default cap, eight 512-row tables merge in two lockstep
+        # chunks of four.
+        chunks = []
+        tables = [np.zeros((512, 2)) for _ in range(8)]
+        _batched(tables, lambda stack, _: chunks.append(len(stack)) or [None] * len(stack))
+        assert chunks == [4, 4]
 
 
 @st.composite
